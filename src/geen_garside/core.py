@@ -69,9 +69,6 @@ class GroupParams:
             result *= m
         return result
 
-    def with_k(self, k: int) -> "GroupParams":
-        return GroupParams(self.e, self.n, k)
-
 
 @dataclass(frozen=True, slots=True, order=True)
 class Generator:
@@ -82,14 +79,6 @@ class Generator:
 
     def __str__(self) -> str:
         return f"{self.kind}{self.index}"
-
-    @staticmethod
-    def t(i: int, e: int) -> "Generator":
-        return Generator("t", i % e)
-
-    @staticmethod
-    def s(j: int) -> "Generator":
-        return Generator("s", j)
 
 
 def atoms(params: GroupParams) -> list[Generator]:
@@ -159,12 +148,6 @@ class GroupElement:
         return all(self.perm[i] == i + 1 for i in range(len(self.perm))) and not any(
             self.exps
         )
-
-    def inv(self) -> "GroupElement":
-        return inverse(self)
-
-    def transpose(self) -> "GroupElement":
-        return transpose(self)
 
     def entry_of_row(self, i: int) -> tuple[int, int]:
         """(column, exponent) of the nonzero entry of row i (1-based)."""

@@ -42,6 +42,7 @@ from .core import (
 )
 from .interval import (
     Interval,
+    LatticeViolationError,
     TheoremViolationError,
     cached_interval,
     verify_lattice,
@@ -74,28 +75,16 @@ class GarsideStructure:
         self.delta = interval.delta_ordinal
         self.identity = interval.identity_ordinal
         members = interval.members
-        delta_elem = members[self.delta]
         lengths = interval.lengths
         delta_len = lengths[self.delta]
 
-        comp_left = []
-        comp_right = []
-        for s, w in enumerate(members):
-            w_inv = inverse(w)
-            left = interval.index.get(multiply(w_inv, delta_elem))
-            right = interval.index.get(multiply(delta_elem, w_inv))
-            if left is None or right is None:
+        comp_left = self.comp_left = interval.comp_left
+        self.comp_right = interval.comp_right
+        for s, c in enumerate(comp_left):
+            if lengths[s] + lengths[c] != delta_len:
                 raise TheoremViolationError(
-                    f"complement of simple {w} left the interval"
+                    f"complement of {members[s]} is not length-complementary"
                 )
-            if lengths[s] + lengths[left] != delta_len:
-                raise TheoremViolationError(
-                    f"complement of {w} is not length-complementary"
-                )
-            comp_left.append(left)
-            comp_right.append(right)
-        self.comp_left = comp_left
-        self.comp_right = comp_right
 
         # tau = complement applied twice; check bijectivity directly.
         tau = [comp_left[comp_left[s]] for s in range(len(members))]
@@ -113,11 +102,6 @@ class GarsideStructure:
         self._atom = interval.atom_ordinal
 
     # -- simple arithmetic ------------------------------------------------
-
-    def product_ordinal(self, a: int, b: int) -> int | None:
-        """Ordinal of member_a * member_b, or None if the product leaves D_k."""
-        members = self.interval.members
-        return self.interval.index.get(multiply(members[a], members[b]))
 
     def tau_power(self, s: int, p: int) -> int:
         table = self.tau if p >= 0 else self.tau_inv
@@ -240,19 +224,14 @@ class GarsideStructure:
         return self.normal_form(w1) == self.normal_form(w2)
 
 
-def build_garside(interval: Interval, check_lattice: bool = True) -> GarsideStructure:
-    """Garside tables over a verified interval.
+def build_garside(interval: Interval) -> GarsideStructure:
+    """Garside tables over an interval, after checking that it is a lattice.
 
-    check_lattice may be disabled when the same interval was already
-    verified in this process; the meet shortcut in normalize_pair relies on
-    the lattice property.
+    The meet shortcut in normalize_pair relies on the lattice property.
     """
-    if check_lattice:
-        report = verify_lattice(interval)
-        if not report.all_ok:
-            from .interval import LatticeViolationError
-
-            raise LatticeViolationError(report.counterexample)
+    report = verify_lattice(interval)
+    if not report.all_ok:
+        raise LatticeViolationError(report.counterexample)
     return GarsideStructure(interval)
 
 

@@ -21,8 +21,7 @@ torsion.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import lru_cache
+import math
 
 from .core import CapExceededError, Generator, GroupParams, multiply, inverse
 from .garside import GarsideStructure, NormalForm, cached_garside
@@ -114,16 +113,24 @@ class CellComplex:
         return ordinal
 
 
-@lru_cache(maxsize=None)
+def complex_of(g: GarsideStructure) -> CellComplex:
+    """The cell complex over g, built on first use and kept on g."""
+    cx = getattr(g, "cell_complex", None)
+    if cx is None:
+        cx = g.cell_complex = CellComplex(g)
+    return cx
+
+
 def cached_complex(e: int, n: int, k: int) -> CellComplex:
-    return CellComplex(cached_garside(e, n, k))
+    """The cell complex over the shared structure cached_garside(e, n, k)."""
+    return complex_of(cached_garside(e, n, k))
 
 
 def enumerate_cells(g: GarsideStructure, r: int) -> list[Cell]:
     """All r-cells (r <= 3) in lexicographic order of atom positions."""
     if not 0 <= r <= 3:
         raise ValueError("only cells of dimension <= 3 are supported")
-    cx = cached_complex(g.params.e, g.params.n, g.params.k)
+    cx = complex_of(g)
     return [cx.cell_generators(c) for c in cx.cells(r)]
 
 
@@ -243,19 +250,18 @@ class _GenericDifferential:
     right-dividing atom off the coefficient at each step.
     """
 
-    def __init__(self, cx: CellComplex, op_cap: int = GENERIC_OP_CAP):
+    def __init__(self, cx: CellComplex):
         self.cx = cx
         self.g = cx.g
         self.identity_nf = NormalForm(0, ())
         self._partial_memo: dict[tuple[int, ...], Chain] = {}
         self.ops = 0
-        self.op_cap = op_cap
 
     def _tick(self) -> None:
         self.ops += 1
-        if self.ops > self.op_cap:
+        if self.ops > GENERIC_OP_CAP:
             raise CapExceededError(
-                f"generic differential exceeded {self.op_cap} operations"
+                f"generic differential exceeded {GENERIC_OP_CAP} operations"
             )
 
     @staticmethod
@@ -365,14 +371,12 @@ class _GenericDifferential:
         return out
 
 
-def differential_generic(
-    g: GarsideStructure, r: int, op_cap: int = GENERIC_OP_CAP
-) -> list[list[int]]:
+def differential_generic(g: GarsideStructure, r: int) -> list[list[int]]:
     """Matrix of d_r from the recursive definition, augmented to integers."""
     if r not in (1, 2, 3):
         raise ValueError("the resolution is computed up to degree 3")
-    cx = cached_complex(g.params.e, g.params.n, g.params.k)
-    differential = _GenericDifferential(cx, op_cap)
+    cx = complex_of(g)
+    differential = _GenericDifferential(cx)
     cells_lo = cx.cells(r - 1)
     cells_hi = cx.cells(r)
     row_of = {c: i for i, c in enumerate(cells_lo)}
@@ -405,13 +409,6 @@ def chain_condition_holds(d_lo: list[list[int]], d_hi: list[list[int]]) -> bool:
         return True
     product = mat_mul(d_lo, d_hi)
     return all(all(entry == 0 for entry in row) for row in product)
-
-
-@dataclass(frozen=True)
-class HomologyResult:
-    order: int
-    group: AbelianGroup
-    method: str
 
 
 def homology_group(g: GarsideStructure, r: int, method: str = "closed") -> AbelianGroup:
@@ -453,45 +450,11 @@ def homology_group(g: GarsideStructure, r: int, method: str = "closed") -> Abeli
 
 def predicted_h2(e: int, n: int, k: int) -> AbelianGroup:
     """The closed-form answer for H_2 in ranks n = 3, 4 (and n >= 5)."""
-    import math
-
     d = math.gcd(e, k)
-    e_prime = e // d
-    torsion: list[int] = []
     if n == 3:
         extra = 0
     elif n == 4:
         extra = math.gcd(2 * k, e)  # number of cosets of <2k> in Z/eZ
     else:
         extra = 1
-    parts = [2] * extra + ([e_prime] if e_prime > 1 else [])
-    # assemble into a divisibility chain
-    from collections import Counter
-
-    factors = Counter()
-    for p in parts:
-        factors[p] += 1
-    # invariant factors of a direct sum of cyclic groups
-    primary: dict[int, list[int]] = {}
-    for m, count in factors.items():
-        mm = m
-        p = 2
-        while mm > 1:
-            if mm % p == 0:
-                power = 1
-                while mm % p == 0:
-                    mm //= p
-                    power *= p
-                primary.setdefault(p, []).extend([power] * count)
-            p += 1
-    chains: list[int] = []
-    while any(primary.values()):
-        factor = 1
-        for p, powers in primary.items():
-            if powers:
-                powers.sort()
-                factor *= powers.pop()
-        chains.append(factor)
-    chains.sort()
-    torsion = [c for c in chains if c > 1]
-    return AbelianGroup(d - 1, tuple(torsion))
+    return AbelianGroup.from_cyclic([0] * (d - 1) + [2] * extra + [e // d])

@@ -6,12 +6,14 @@ divisibility mirrors it.  The interval below lambda^k has a closed-form
 membership test: call the nonzero entries of w that are strict left-to-right
 column minima its bullets; then w divides lambda^k exactly when every
 non-bullet entry is 1 or zeta_e^k.  `build_interval` enumerates the members,
-computes both divisibility relations as bitsets over member ordinals, and
-checks the closed-form set against honest divisor searches on the whole
-group.
+computes both divisibility relations as bitsets over member ordinals and the
+complements s^(-1) lambda^k, lambda^k s^(-1), and checks the closed-form set
+against honest divisor searches on the whole group.
 
-Meets and joins are bitset intersections followed by an extremality check.
-Failures of uniqueness are data, not crashes: they are reported as
+Meets are bitset intersections followed by an extremality check, made pair
+by pair.  s -> s^(-1) lambda^k turns left divisibility upside down into
+right divisibility, so each join is the complement of a meet on the other
+side.  Failures of uniqueness are data, not crashes: they are reported as
 LatticeViolation values carrying the offending antichain, which turns the
 lattice theorems into cheap, high-coverage oracles for the implementation.
 """
@@ -60,6 +62,16 @@ class LatticeViolationError(TheoremViolationError):
         )
 
 
+def _staircase(w: GroupElement) -> list[bool]:
+    """Per row, whether its entry is a strict running minimum of the columns."""
+    out = []
+    best = len(w.perm) + 1
+    for c in w.perm:
+        out.append(c < best)
+        best = min(best, c)
+    return out
+
+
 def bullet_rows(w: GroupElement) -> list[int]:
     """Rows (1-based) whose entry is a strict running minimum of the columns.
 
@@ -67,26 +79,14 @@ def bullet_rows(w: GroupElement) -> list[int]:
     above and to the left, i.e. the corners of the staircase separating the
     zero region of the matrix.
     """
-    out = []
-    best = len(w.perm) + 1
-    for i, c in enumerate(w.perm, start=1):
-        if c < best:
-            out.append(i)
-            best = c
-    return out
+    return [i for i, bullet in enumerate(_staircase(w), start=1) if bullet]
 
 
 def in_interval(w: GroupElement, k: int) -> bool:
     """Membership of w in [1, lambda^k]: non-bullet entries must be 1 or zeta^k."""
     if not 1 <= k <= w.e - 1:
         raise ValueError(f"k must satisfy 1 <= k <= e-1, got {k}")
-    best = len(w.perm) + 1
-    for c, a in zip(w.perm, w.exps):
-        if c < best:
-            best = c
-        elif a != 0 and a != k:
-            return False
-    return True
+    return all(bullet or a in (0, k) for bullet, a in zip(_staircase(w), w.exps))
 
 
 def left_divides(a: GroupElement, b: GroupElement) -> bool:
@@ -144,11 +144,13 @@ class Interval:
 
     Members are sorted by (length, perm, exps), so ordinal order refines the
     length grading: ordinal 0 is the identity and the last ordinal is
-    lambda^k.  div_*/mult_* are bitsets over ordinals: bit a of div_left[b]
-    says a <= b on the left, and mult_left is its transpose.
+    lambda^k.  div_* are bitsets over ordinals: bit a of div_left[b] says
+    a <= b on the left.  comp_left[s] = s^(-1) lambda^k and comp_right[s] =
+    lambda^k s^(-1) are mutually inverse and swap the two orders upside
+    down, so meets are checked pair by pair and joins are complemented meets.
     """
 
-    def __init__(self, params: GroupParams, members, lengths, tables):
+    def __init__(self, params: GroupParams, members, lengths, tables, complements):
         self.params = params
         self.e, self.n, self.k = params.e, params.n, params.k
         self.members: tuple[GroupElement, ...] = tuple(members)
@@ -156,7 +158,8 @@ class Interval:
         self.index: dict[GroupElement, int] = {
             w: i for i, w in enumerate(self.members)
         }
-        self.div_left, self.div_right, self.mult_left, self.mult_right = tables
+        self.div_left, self.div_right = tables
+        self.comp_left, self.comp_right = complements
         self.identity_ordinal = 0
         self.delta_ordinal = len(self.members) - 1
         self.atom_ordinal: dict[Generator, int] = {
@@ -182,46 +185,36 @@ class Interval:
         target = self.lengths[ordinal] - 1
         return [a for a in _bits(table[ordinal]) if self.lengths[a] == target]
 
-    def _extreme(self, common: int, tables, operation, side, pair):
-        if common == 0:
-            return None
-        if operation == "meet":
-            candidate = common.bit_length() - 1
-        else:
-            candidate = (common & -common).bit_length() - 1
-        if common & ~tables[candidate]:
-            antichain = self._antichain(common, operation, side)
-            raise LatticeViolationError(
-                LatticeViolation(side, operation, pair, tuple(antichain))
-            )
-        return candidate
-
-    def _antichain(self, common: int, operation: str, side: str) -> list[int]:
-        relation = (self.div_left if side == "left" else self.div_right)
-        members = _bits(common)
-        out = []
-        for a in members:
-            if operation == "meet":
-                dominated = any(
-                    b != a and (relation[b] >> a) & 1 for b in members
-                )
-            else:
-                dominated = any(
-                    b != a and (relation[a] >> b) & 1 for b in members
-                )
-            if not dominated:
-                out.append(a)
-        return out
-
     def meet(self, side: str, a: int, b: int) -> int:
-        """Greatest common divisor of two members under the chosen order."""
+        """Greatest common divisor of two members under the chosen order.
+
+        Ordinals refine length, so only the top common divisor can be it.
+        """
         div = self.div_left if side == "left" else self.div_right
-        return self._extreme(div[a] & div[b], div, "meet", side, (a, b))
+        common = div[a] & div[b]
+        top = common.bit_length() - 1
+        if common & ~div[top]:
+            raise LatticeViolationError(
+                LatticeViolation(side, "meet", (a, b), _maximal(common, div))
+            )
+        return top
 
     def join(self, side: str, a: int, b: int) -> int:
-        """Least common multiple of two members; lambda^k always bounds it."""
-        mult = self.mult_left if side == "left" else self.mult_right
-        return self._extreme(mult[a] & mult[b], mult, "join", side, (a, b))
+        """Least common multiple of two members; lambda^k always bounds it.
+
+        On the left: comp_right[meet("right", comp_left[a], comp_left[b])].
+        """
+        if side == "left":
+            there, back, other = self.comp_left, self.comp_right, "right"
+        else:
+            there, back, other = self.comp_right, self.comp_left, "left"
+        try:
+            return back[self.meet(other, there[a], there[b])]
+        except LatticeViolationError as exc:
+            antichain = tuple(sorted(back[x] for x in exc.violation.antichain))
+            raise LatticeViolationError(
+                LatticeViolation(side, "join", (a, b), antichain)
+            ) from exc
 
     def join_many(self, side: str, ordinals) -> int:
         out = self.identity_ordinal
@@ -252,10 +245,19 @@ def _bits(mask: int) -> list[int]:
     return out
 
 
+def _maximal(common: int, div: list[int]) -> tuple[int, ...]:
+    """The maximal members of a bitset under a divisibility table."""
+    members = _bits(common)
+    return tuple(
+        a for a in members
+        if not any(b != a and (div[b] >> a) & 1 for b in members)
+    )
+
+
 def build_interval(
     params: GroupParams, cap: int | None = None, check_divisor_theorem: bool = True
 ) -> Interval:
-    """Construct [1, lambda^k] with all four relation tables.
+    """Construct [1, lambda^k] with both divisibility tables and complements.
 
     Divisibility is built length layer by length layer from covers: the
     predecessors of b on the left are the products b*x that are shorter by
@@ -296,17 +298,17 @@ def build_interval(
         div_left[b] = left_mask
         div_right[b] = right_mask
 
-    mult_left = [0] * size
-    mult_right = [0] * size
-    for b in range(size):
-        for a in _bits(div_left[b]):
-            mult_left[a] |= 1 << b
-        for a in _bits(div_right[b]):
-            mult_right[a] |= 1 << b
+    comp_left = [index.get(multiply(inverse(w), delta)) for w in members]
+    comp_right = [index.get(multiply(delta, inverse(w))) for w in members]
+    if None in comp_left or None in comp_right:
+        raise TheoremViolationError("the complement of a simple left the interval")
+    # On a finite set, comp_right o comp_left = id makes both bijections.
+    if any(comp_right[c] != s for s, c in enumerate(comp_left)):
+        raise TheoremViolationError("the two complements are not mutually inverse")
 
     interval = Interval(
         params, members, [lengths[w] for w in members],
-        (div_left, div_right, mult_left, mult_right),
+        (div_left, div_right), (comp_left, comp_right),
     )
 
     if div_left[interval.delta_ordinal] != (1 << size) - 1:
@@ -335,37 +337,37 @@ def cached_interval(e: int, n: int, k: int) -> Interval:
 
 
 def verify_lattice(interval: Interval) -> LatticeReport:
-    """Run meet and join over all pairs on both sides; violations become data."""
-    flags = {"meet_left": True, "join_left": True, "meet_right": True, "join_right": True}
+    """Check the meet of every pair on both sides; violations become data.
+
+    Joins are complemented meets: all left joins exist exactly when all
+    right meets do, and all right joins exactly when all left meets do.
+    """
+    ok = {}
     counterexample = None
     size = len(interval)
     for side in ("left", "right"):
         div = interval.div_left if side == "left" else interval.div_right
-        mult = interval.mult_left if side == "left" else interval.mult_right
+        ok[side] = True
         for a in range(size):
             div_a = div[a]
-            mult_a = mult[a]
             for b in range(a, size):
+                # the check of Interval.meet, inlined over all pairs
                 common = div_a & div[b]
-                candidate = common.bit_length() - 1
-                if common & ~div[candidate]:
-                    flags[f"meet_{side}"] = False
+                if common & ~div[common.bit_length() - 1]:
+                    ok[side] = False
                     counterexample = counterexample or LatticeViolation(
-                        side, "meet", (a, b),
-                        tuple(interval._antichain(common, "meet", side)),
+                        side, "meet", (a, b), _maximal(common, div)
                     )
-                common = mult_a & mult[b]
-                candidate = (common & -common).bit_length() - 1
-                if common & ~mult[candidate]:
-                    flags[f"join_{side}"] = False
-                    counterexample = counterexample or LatticeViolation(
-                        side, "join", (a, b),
-                        tuple(interval._antichain(common, "join", side)),
-                    )
-    return LatticeReport(counterexample=counterexample, **flags)
+    return LatticeReport(
+        meet_left=ok["left"],
+        join_left=ok["right"],
+        meet_right=ok["right"],
+        join_right=ok["left"],
+        counterexample=counterexample,
+    )
 
 
-def atom_lcm_table(interval: Interval, check_identities: bool = True):
+def atom_lcm_table(interval: Interval):
     """Join of every generator pair on both sides, with the closed forms.
 
     The five identities: t_i v t_j = t_k t_0, t_i v s_3 = s_3 t_i s_3,
@@ -383,14 +385,12 @@ def atom_lcm_table(interval: Interval, check_identities: bool = True):
             b = interval.atom_ordinal[y]
             left = interval.join("left", a, b)
             right = interval.join("right", a, b)
-            if check_identities and left != right:
+            if left != right:
                 raise TheoremViolationError(
                     f"left and right joins of {x}, {y} differ"
                 )
             value = interval.element(left)
             table[(x, y)] = value
-            if not check_identities:
-                continue
             if x.kind == "t" and y.kind == "t":
                 expected = multiply(mats[Generator("t", k % params.e)], mats[Generator("t", 0)])
             elif x.kind == "t" and y.index == 3:

@@ -276,6 +276,18 @@ class AbelianGroup:
         if any(d <= 1 for d in self.torsion):
             raise ValueError("torsion coefficients must exceed 1")
 
+    @classmethod
+    def from_cyclic(cls, parts) -> "AbelianGroup":
+        """The direct sum of the cyclic groups Z/m for m in parts, Z for m = 0.
+
+        Its invariant factors are those of the diagonal matrix diag(parts).
+        """
+        size = len(parts)
+        res = smith_normal_form(
+            [[m if i == j else 0 for j in range(size)] for i, m in enumerate(parts)]
+        )
+        return cls(size - res.rank, tuple(res.torsion))
+
     def __str__(self) -> str:
         parts = []
         if self.free_rank == 1:

@@ -92,29 +92,30 @@ def reduced_expression(w: GroupElement) -> list[Generator]:
     return word
 
 
-def _block_steps(w: GroupElement) -> list[tuple[int, int, int]]:
-    """(i, c, exponent) of the nonzero entry of row i in block i, for i = n..2.
+def _peel(w: GroupElement):
+    """Yield (i, perm, exps) of the square blocks w_i for i = n..2.
 
-    Block i-1 arises from block i by deleting row i and column c and scaling
-    the new first column by the deleted entry.
+    Block i-1 arises from block i by deleting row i and its column c and
+    scaling the new first column by the deleted entry.  The lists are
+    reused for the next block, so callers copy what they keep.
     """
-    e, n = w.e, w.n
+    e = w.e
     perm = list(w.perm)
     exps = list(w.exps)
-    steps = []
-    for i in range(n, 1, -1):
-        c = perm[i - 1]
-        k = exps[i - 1]
-        steps.append((i, c, k))
-        perm.pop()
-        exps.pop()
+    for i in range(w.n, 1, -1):
+        yield i, perm, exps
+        c = perm.pop()
+        k = exps.pop()
         for r in range(i - 1):
             if perm[r] > c:
                 perm[r] -= 1
-        for r in range(i - 1):
             if perm[r] == 1:
                 exps[r] = (exps[r] + k) % e
-    return steps
+
+
+def _block_steps(w: GroupElement) -> list[tuple[int, int, int]]:
+    """(i, c, exponent) of the nonzero entry of row i in block i, for i = n..2."""
+    return [(i, perm[i - 1], exps[i - 1]) for i, perm, exps in _peel(w)]
 
 
 def _block_word(i: int, c: int, k: int) -> list[Generator]:
@@ -152,23 +153,11 @@ class BlockDecomposition:
 
     def blocks(self) -> list[GroupElement]:
         """The square blocks w_n, ..., w_2, each a monomial matrix on 1..i."""
-        e, n = self.element.e, self.element.n
-        perm = list(self.element.perm)
-        exps = list(self.element.exps)
-        out = [self.element]
-        for i in range(n, 2, -1):
-            c = perm[i - 1]
-            k = exps[i - 1]
-            perm.pop()
-            exps.pop()
-            for r in range(i - 1):
-                if perm[r] > c:
-                    perm[r] -= 1
-            for r in range(i - 1):
-                if perm[r] == 1:
-                    exps[r] = (exps[r] + k) % e
-            out.append(GroupElement(e, tuple(perm), tuple(exps)))
-        return out
+        e = self.element.e
+        return [
+            GroupElement(e, tuple(perm), tuple(exps))
+            for _, perm, exps in _peel(self.element)
+        ]
 
     def word(self) -> list[Generator]:
         """Concatenation block 2, block 3, ..., block n."""

@@ -11,6 +11,7 @@ from geen_garside.cli import (
     RunConfig,
     default_grid,
     freeze_regressions,
+    regression_records,
     run,
 )
 from geen_garside.interval import TheoremViolationError
@@ -157,7 +158,7 @@ def test_freeze_empty_grid(tmp_path):
 
 def test_default_grid_caps():
     grid = default_grid()
-    assert RunConfig(6, 4, 5, group_cap=10**5) in grid
+    assert RunConfig(6, 4, 5) in grid
     assert all(c.e ** (c.n - 1) * [1, 1, 2, 6, 24][c.n] <= 10**5 for c in grid)
     ks = {(c.e, c.n, c.k) for c in grid}
     assert (3, 3, 1) in ks and (3, 3, 2) in ks
@@ -169,3 +170,16 @@ def test_freeze_cli(tmp_path, capsys):
     out = json.loads(capsys.readouterr().out)
     assert out["records"] > 0
     assert path.exists()
+
+
+def test_regression_records_match_benchmark_golden():
+    """freeze over the default grid stays byte-identical to the golden copy."""
+    path = os.path.join(
+        os.path.dirname(__file__), os.pardir, "perfbench", "golden", "grid_records.jsonl"
+    )
+    with open(path) as handle:
+        golden = handle.read().splitlines()
+    lines = [r.line() for c in default_grid() for r in regression_records(c)]
+    assert len(lines) == len(golden)
+    for old, new in zip(golden, lines):
+        assert new == old

@@ -224,7 +224,7 @@ def test_atom_count():
 
 def test_lattice_check_runs_on_build():
     interval = cached_interval(2, 3, 1)
-    g = build_garside(interval, check_lattice=True)
+    g = build_garside(interval)
     assert g.delta == interval.delta_ordinal
 
 

@@ -1,9 +1,14 @@
+import json
+import os
+
 import pytest
 
 from geen_garside import (
     AbelianGroup,
     Generator,
     GroupParams,
+    build_garside,
+    build_interval,
     cached_garside,
     chain_condition_holds,
     differential,
@@ -13,6 +18,7 @@ from geen_garside import (
     homology_group,
     predicted_h2,
 )
+from geen_garside import homology
 from geen_garside.homology import atom_order
 from geen_garside.snf import smith_normal_form
 from conftest import all_k
@@ -239,3 +245,34 @@ def test_predicted_h2_assembles_chains():
     assert predicted_h2(6, 3, 2) == AbelianGroup(1, (3,))
     assert predicted_h2(2, 4, 1) == AbelianGroup(0, (2, 2, 2))
     assert predicted_h2(6, 5, 2) == AbelianGroup(1, (6,))
+
+
+def test_predicted_h2_pinned_to_frozen_values():
+    """e <= 12, n = 3..6, all k, against values frozen from the hand-written
+    primary decomposition that AbelianGroup.from_cyclic replaced."""
+    path = os.path.join(os.path.dirname(__file__), "golden", "predicted_h2.jsonl")
+    with open(path) as handle:
+        rows = [json.loads(line) for line in handle]
+    assert len(rows) == 264
+    for row in rows:
+        expected = AbelianGroup(row["free_rank"], tuple(row["torsion"]))
+        assert predicted_h2(row["e"], row["n"], row["k"]) == expected, row
+
+
+def test_homology_uses_the_structure_given(monkeypatch):
+    """No second structure is built or looked up in the shared caches."""
+    g = build_garside(build_interval(GroupParams(3, 3, 1)))
+    built = []
+    original = homology.CellComplex.__init__
+
+    def spy(self, structure):
+        built.append(structure)
+        original(self, structure)
+
+    def no_cache(*args):
+        raise AssertionError("homology looked up a cached structure")
+
+    monkeypatch.setattr(homology.CellComplex, "__init__", spy)
+    monkeypatch.setattr(homology, "cached_garside", no_cache)
+    assert homology_group(g, 2, method="both") == predicted_h2(3, 3, 1)
+    assert len(built) == 1 and built[0] is g

@@ -24,6 +24,7 @@ from geen_garside import (
     transpose,
     verify_lattice,
 )
+from geen_garside.cli import default_grid
 from geen_garside.interval import LatticeViolationError
 from conftest import all_k
 
@@ -189,6 +190,57 @@ def test_verify_lattice_detects_corruption():
     assert report.counterexample is not None
     with pytest.raises(LatticeViolationError):
         interval.meet("left", m, m)
+
+
+def test_corrupted_right_table_breaks_left_joins():
+    """A right meet failure is a left join failure, reported on the left pair."""
+    interval = build_interval(GroupParams(3, 3, 1), check_divisor_theorem=False)
+    # t1*t0 = t2*t1 = t0*t2, so all three t-atoms right-divide it; without
+    # itself they are a maximal antichain of common right divisors
+    m = interval.ordinal(
+        evaluate_word([Generator("t", 1), Generator("t", 0)], GroupParams(3, 3))
+    )
+    interval.div_right[m] &= ~(1 << m)
+    report = verify_lattice(interval)
+    assert (report.meet_left, report.join_left) == (True, False)
+    assert (report.meet_right, report.join_right) == (False, True)
+    assert report.counterexample.side == "right"
+    assert report.counterexample.operation == "meet"
+    c = interval.comp_right[m]  # comp_left[c] == m
+    with pytest.raises(LatticeViolationError) as info:
+        interval.join("left", c, c)
+    violation = info.value.violation
+    assert (violation.side, violation.operation, violation.pair) == ("left", "join", (c, c))
+    assert len(violation.antichain) == 3
+
+
+def _transpose(div: list[int]) -> list[int]:
+    """Bit b of out[a] says a divides b: the multiples of each member."""
+    out = [0] * len(div)
+    for b, mask in enumerate(div):
+        for a in range(len(div)):
+            if (mask >> a) & 1:
+                out[a] |= 1 << b
+    return out
+
+
+def test_joins_are_least_common_multiples_on_small_grid_points():
+    """Complemented meets against multiples tables transposed here."""
+    checked = 0
+    for c in default_grid():
+        interval = cached_interval(c.e, c.n, c.k)
+        size = len(interval)
+        if size > 320:
+            continue
+        checked += 1
+        for side, div in (("left", interval.div_left), ("right", interval.div_right)):
+            mult = _transpose(div)
+            for a in range(size):
+                for b in range(a, size):
+                    upper = mult[a] & mult[b]
+                    j = interval.join(side, a, b)
+                    assert (upper >> j) & 1 and not upper & ~mult[j], (c, side, a, b)
+    assert checked == 33
 
 
 @pytest.mark.parametrize("e,n,k", [(3, 3, 1), (4, 4, 2), (2, 5, 1), (4, 3, 1)])

@@ -80,3 +80,21 @@ def test_quotient_group():
     # Z^3 / <(2,0,0),(0,3,0)> = Z/2 x Z/3 x Z = Z x Z/6
     group = quotient_group(3, [[2, 0], [0, 3], [0, 0]])
     assert group == AbelianGroup(1, (6,))
+
+
+@pytest.mark.parametrize(
+    "parts,torsion",
+    [
+        ([2, 3], (6,)),
+        ([4, 6], (2, 12)),
+        ([2, 2, 4], (2, 2, 4)),
+        ([6, 10, 15], (30, 30)),
+        ([], ()),
+    ],
+)
+def test_from_cyclic_invariant_factors(parts, torsion):
+    assert AbelianGroup.from_cyclic(parts) == AbelianGroup(0, torsion)
+
+
+def test_from_cyclic_zero_part_is_free():
+    assert AbelianGroup.from_cyclic([0, 2, 1, 0]) == AbelianGroup(2, (2,))
