@@ -1,4 +1,6 @@
+import json
 import math
+import os
 import random
 
 import pytest
@@ -186,6 +188,28 @@ def test_nf_product_matches_concatenation():
         u = random_word(rng, gens, 10)
         v = random_word(rng, gens, 10)
         assert g.nf_product(g.normal_form(u), g.normal_form(v)) == g.normal_form(u + v)
+
+
+def _nf(pair):
+    return NormalForm(pair[0], tuple(pair[1]))
+
+
+def test_normal_forms_match_golden_file():
+    """Seeded words, products and right quotients at six points, against
+    normal forms written by the sweep-until-fixpoint implementation."""
+    path = os.path.join(os.path.dirname(__file__), "golden", "normal_forms.jsonl")
+    with open(path) as handle:
+        rows = [json.loads(line) for line in handle]
+    assert len(rows) == 420
+    for row in rows:
+        g = cached_garside(*row["point"])
+        if row["op"] == "normal_form":
+            got = g.normal_form(row["word"])
+        elif row["op"] == "nf_product":
+            got = g.nf_product(_nf(row["a"]), _nf(row["b"]))
+        else:
+            got = g.nf_right_quotient(_nf(row["a"]), row["s"])
+        assert got == _nf(row["out"]), row
 
 
 def test_nf_right_quotient():
