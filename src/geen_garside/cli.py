@@ -50,10 +50,6 @@ EXIT_CAP = 3
 EXIT_VIOLATION = 4
 
 
-# Grid points are skipped when |G(e,e,n)| exceeds this.
-GRID_GROUP_CAP = 10**5
-
-
 @dataclass(frozen=True)
 class RunConfig:
     """One grid point."""
@@ -318,12 +314,10 @@ def _cmd_verify(args) -> int:
 
 
 def default_grid() -> list[RunConfig]:
-    """e in 2..6, n in 2..4, all k, capped by |G| <= GRID_GROUP_CAP."""
+    """e in 2..6, n in 2..4, all k."""
     grid = []
     for e in range(2, 7):
         for n in range(2, 5):
-            if GroupParams(e, n).order() > GRID_GROUP_CAP:
-                continue
             for k in range(1, e):
                 grid.append(RunConfig(e, n, k))
     return grid

@@ -141,9 +141,6 @@ class GroupElement:
     def n(self) -> int:
         return len(self.perm)
 
-    def __mul__(self, other: "GroupElement") -> "GroupElement":
-        return multiply(self, other)
-
     def is_identity(self) -> bool:
         return all(self.perm[i] == i + 1 for i in range(len(self.perm))) and not any(
             self.exps

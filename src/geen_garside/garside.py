@@ -9,10 +9,18 @@ a, i.e. meet(complement(a), b) = 1.  Two words represent the same group
 element exactly when their normal forms coincide, which settles the word
 problem.
 
+Above the interval, simples are only ordinals and every step is an integer
+table lookup.  A pair is normalized by stripping its head from b atom by
+atom through the interval's atom tables, and a product of simples is made
+left-greedy incrementally: each new simple is pushed leftwards until a pair
+stays unchanged (the domino rule).  Matrices come back only in
+`evaluate_nf`, which serves as the oracle.
+
 Inverse letters ride on the balanced structure: x^(-1) = Delta^(-1) (Delta
 x^(-1)), whose second factor is a simple because every generator
 right-divides Delta.  Delta powers migrate to the front through the
-conjugation permutation tau(s) = Delta^(-1) s Delta of the simples.
+conjugation permutation tau(s) = Delta^(-1) s Delta of the simples, whose
+powers are tabulated once per structure.
 
 The same file carries the presentation machinery: the defining relations of
 the monoid (dual relations t_i t_{i-k} = t_j t_{j-k} plus the braid and
@@ -66,7 +74,8 @@ class GarsideStructure:
 
     comp_left[s]  = ordinal of s^(-1) Delta   (right complement: s * that = Delta)
     comp_right[s] = ordinal of Delta s^(-1)   (left complement: that * s = Delta)
-    tau[s]        = ordinal of Delta^(-1) s Delta, a bijection of the simples.
+    tau[s]        = ordinal of Delta^(-1) s Delta, a bijection of the simples;
+    tau_powers[p] = tau^p for 0 <= p < the order of tau, and tau_inv its last.
     """
 
     def __init__(self, interval: Interval):
@@ -93,21 +102,20 @@ class GarsideStructure:
         if tau[self.identity] != self.identity or tau[self.delta] != self.delta:
             raise TheoremViolationError("tau moves the identity or Delta")
         self.tau = tau
-        tau_inv = [0] * len(members)
-        for s, img in enumerate(tau):
-            tau_inv[img] = s
-        self.tau_inv = tau_inv
+        powers = [list(range(len(members)))]
+        image = tau
+        while image != powers[0]:
+            powers.append(image)
+            image = [tau[s] for s in image]
+        self.tau_powers = powers
+        self.tau_inv = powers[-1]
 
         self._div_left = interval.div_left
+        self._head_left = interval.head_left
+        self._down_left = interval.down_left
         self._atom = interval.atom_ordinal
 
     # -- simple arithmetic ------------------------------------------------
-
-    def tau_power(self, s: int, p: int) -> int:
-        table = self.tau if p >= 0 else self.tau_inv
-        for _ in range(abs(p)):
-            s = table[s]
-        return s
 
     def is_tau_identity(self) -> bool:
         return all(self.tau[s] == s for s in range(len(self.interval)))
@@ -115,69 +123,90 @@ class GarsideStructure:
     # -- normalization -----------------------------------------------------
 
     def normalize_pair(self, a: int, b: int) -> tuple[int, int]:
-        """Move the head meet(complement(a), b) from b into a.
+        """Move the head t = meet(complement(a), b) from b into a: (a t, t^(-1) b).
 
         The lattice has been verified at build time, so the meet candidate
         (top ordinal of the intersected divisor bitsets) needs no recheck.
+        t is stripped atom by atom from b and from c = complement(a) =
+        a^(-1) Delta, both of which it left-divides.  What is left of c is
+        (a t)^(-1) Delta, whose left complement is a t.
         """
+        identity = self.identity
+        c = self.comp_left[a]
         div = self._div_left
-        common = div[self.comp_left[a]] & div[b]
-        t = common.bit_length() - 1
-        if t == self.identity:
+        t = (div[c] & div[b]).bit_length() - 1
+        if t == identity:
             return a, b
-        interval = self.interval
-        members = interval.members
-        a2 = interval.index[multiply(members[a], members[t])]
-        b2 = interval.index[multiply(inverse(members[t]), members[b])]
-        return a2, b2
+        head, down = self._head_left, self._down_left
+        while t != identity:
+            row = down[head[t]]
+            t, b, c = row[t], row[b], row[c]
+        return self.comp_right[c], b
 
     def normalize_factors(self, factors: list[int]) -> NormalForm:
-        """Left-greedy form of a product of simples, as repeated local moves.
+        """Left-greedy form of a product of simples, built left to right.
 
-        Local normalization pushes Delta factors to the front and identity
-        factors to the back; sweeps run until a full pass changes nothing.
+        Each simple is pushed onto the left-greedy form of the ones before it
+        and normalized leftwards, pair by pair.  By the domino rule the pass
+        can stop at the first pair that normalize_pair leaves unchanged.
+        Delta factors collect at the front; an identity factor can only be
+        the last, and is dropped.
         """
         normalize_pair = self.normalize_pair
-        changed = True
-        while changed:
-            changed = False
-            for i in range(len(factors) - 1):
-                a, b = factors[i], factors[i + 1]
-                a2, b2 = normalize_pair(a, b)
-                if a2 != a:
-                    factors[i], factors[i + 1] = a2, b2
-                    changed = True
+        identity = self.identity
+        out: list[int] = []
+        for s in factors:
+            out.append(s)
+            i = len(out) - 1
+            while i:
+                a = out[i - 1]
+                a2, b2 = normalize_pair(a, out[i])
+                if a2 == a:
+                    break
+                out[i - 1], out[i] = a2, b2
+                i -= 1
+            if out[-1] == identity:
+                out.pop()
         lo = 0
-        hi = len(factors)
-        while lo < hi and factors[lo] == self.delta:
+        while lo < len(out) and out[lo] == self.delta:
             lo += 1
-        while lo < hi and factors[hi - 1] == self.identity:
-            hi -= 1
-        return NormalForm(lo, tuple(factors[lo:hi]))
+        return NormalForm(lo, tuple(out[lo:]))
 
     def normal_form(self, word) -> NormalForm:
-        """Normal form of a signed word (string or (Generator, sign) list)."""
+        """Normal form of a signed word (string or (Generator, sign) list).
+
+        x^(-1) = Delta^(-1) (Delta x^(-1)), and Delta^(-1) moves to the front
+        by conjugating every simple before it by tau^(-1).  Instead of doing
+        that on each inverse letter, a simple read after j inverse letters is
+        stored as tau^j of itself; once the word is read, with d inverse
+        letters in all, the whole list is mapped back by tau^(-d).
+        """
         if isinstance(word, str):
             word = parse_word(word, self.params, allow_inverses=True)
-        delta_power = 0
+        powers = self.tau_powers
+        d = 0
+        frame = powers[0]
         factors: list[int] = []
-        tau_inv = self.tau_inv
         for gen, sign in word:
             x = self._atom[gen]
             if sign > 0:
-                factors.append(x)
+                factors.append(frame[x])
             else:
-                # x^(-1) = Delta^(-1) (Delta x^(-1)); migrate Delta^(-1) left.
-                delta_power -= 1
-                factors = [tau_inv[f] for f in factors]
-                factors.append(self.comp_right[x])
-        nf = self.normalize_factors(factors)
-        return NormalForm(delta_power + nf.delta_power, nf.factors)
+                d += 1
+                frame = powers[d % len(powers)]
+                factors.append(frame[self.comp_right[x]])
+        back = powers[-d % len(powers)]
+        nf = self.normalize_factors([back[f] for f in factors])
+        return NormalForm(nf.delta_power - d, nf.factors)
 
     def nf_product(self, a: NormalForm, b: NormalForm) -> NormalForm:
-        """Product of two normal forms."""
-        shifted = [self.tau_power(f, b.delta_power) for f in a.factors]
-        nf = self.normalize_factors(shifted + list(b.factors))
+        """Product of two normal forms.
+
+        The Delta power q of b moves left past the simples of a, conjugating
+        them by tau^q.
+        """
+        shift = self.tau_powers[b.delta_power % len(self.tau_powers)]
+        nf = self.normalize_factors([shift[f] for f in a.factors] + list(b.factors))
         return NormalForm(a.delta_power + b.delta_power + nf.delta_power, nf.factors)
 
     def nf_of_simple(self, s: int) -> NormalForm:

@@ -8,7 +8,10 @@ column minima its bullets; then w divides lambda^k exactly when every
 non-bullet entry is 1 or zeta_e^k.  `build_interval` enumerates the members,
 computes both divisibility relations as bitsets over member ordinals and the
 complements s^(-1) lambda^k, lambda^k s^(-1), and checks the closed-form set
-against honest divisor searches on the whole group.
+against honest divisor searches on the whole group.  It also records, per
+atom, the ordinal of x*s for every member s that the atom x left-divides:
+the integer tables through which the Garside layer walks a simple down to
+the identity one atom at a time, with no group arithmetic.
 
 Meets are bitset intersections followed by an extremality check, made pair
 by pair.  s -> s^(-1) lambda^k turns left divisibility upside down into
@@ -111,11 +114,11 @@ def right_divides(a: GroupElement, b: GroupElement) -> bool:
     return left_divides(transpose(a), transpose(b))
 
 
-def is_balanced(w: GroupElement, cap: int | None = None) -> bool:
+def is_balanced(w: GroupElement) -> bool:
     """Whether the left and right divisor sets of w coincide, by full scan."""
     params = GroupParams(w.e, w.n)
     wt = transpose(w)
-    for a in enumerate_group(params, cap):
+    for a in enumerate_group(params):
         if left_divides(a, w) != left_divides(transpose(a), wt):
             return False
     return True
@@ -148,9 +151,16 @@ class Interval:
     a <= b on the left.  comp_left[s] = s^(-1) lambda^k and comp_right[s] =
     lambda^k s^(-1) are mutually inverse and swap the two orders upside
     down, so meets are checked pair by pair and joins are complemented meets.
+
+    The atom tables strip one atom off the left: down_left[p][s] is the
+    ordinal of x_p^(-1) s = x_p s when the p-th atom x_p (in `atoms` order)
+    left-divides s, and -1 otherwise; head_left[s] is the first such p, or
+    -1 for the identity.
     """
 
-    def __init__(self, params: GroupParams, members, lengths, tables, complements):
+    def __init__(
+        self, params: GroupParams, members, lengths, tables, complements, atom_tables
+    ):
         self.params = params
         self.e, self.n, self.k = params.e, params.n, params.k
         self.members: tuple[GroupElement, ...] = tuple(members)
@@ -160,6 +170,7 @@ class Interval:
         }
         self.div_left, self.div_right = tables
         self.comp_left, self.comp_right = complements
+        self.head_left, self.down_left = atom_tables
         self.identity_ordinal = 0
         self.delta_ordinal = len(self.members) - 1
         self.atom_ordinal: dict[Generator, int] = {
@@ -254,21 +265,22 @@ def _maximal(common: int, div: list[int]) -> tuple[int, ...]:
     )
 
 
-def build_interval(
-    params: GroupParams, cap: int | None = None, check_divisor_theorem: bool = True
-) -> Interval:
-    """Construct [1, lambda^k] with both divisibility tables and complements.
+def build_interval(params: GroupParams, check_divisor_theorem: bool = True) -> Interval:
+    """Construct [1, lambda^k] with both divisibility tables, the complements
+    and the atom tables.
 
     Divisibility is built length layer by length layer from covers: the
     predecessors of b on the left are the products b*x that are shorter by
-    one, and on the right the products x*b.  When check_divisor_theorem is
-    set, the member set is compared against brute-force divisor searches of
-    lambda^k over the whole group, on both sides.
+    one, and on the right the products x*b.  The ordinals of the x*b are the
+    atom tables, since x*b = x^(-1) b for a reflection x.  When
+    check_divisor_theorem is set, the member set is compared against
+    brute-force divisor searches of lambda^k over the whole group, on both
+    sides.
     """
     if params.k is None:
         raise ValueError("interval construction needs params.k")
     k = params.k
-    group = enumerate_group(params, cap)
+    group = enumerate_group(params)
     members = [w for w in group if in_interval(w, k)]
     lengths = {w: length(w) for w in members}
     members.sort(key=lambda w: (lengths[w], w.perm, w.exps))
@@ -285,16 +297,21 @@ def build_interval(
     size = len(members)
     div_left = [0] * size
     div_right = [0] * size
+    head_left = [-1] * size
+    down_left = [[-1] * size for _ in gens]
     for b, w in enumerate(members):
         left_mask = 1 << b
         right_mask = 1 << b
         wt = transpose(w)
-        for (xt, xmat), (x, _) in zip(gens_t, gens):
+        for p, ((xt, xmat), (x, _)) in enumerate(zip(gens_t, gens)):
             # b*x is shorter by one exactly when x^T shortens b^T on the left.
             if length_decreases(xt, wt):
                 left_mask |= div_left[index[multiply(w, xmat)]]
             if length_decreases(x, w):
-                right_mask |= div_right[index[multiply(xmat, w)]]
+                below = down_left[p][b] = index[multiply(xmat, w)]
+                right_mask |= div_right[below]
+                if head_left[b] < 0:
+                    head_left[b] = p
         div_left[b] = left_mask
         div_right[b] = right_mask
 
@@ -308,7 +325,7 @@ def build_interval(
 
     interval = Interval(
         params, members, [lengths[w] for w in members],
-        (div_left, div_right), (comp_left, comp_right),
+        (div_left, div_right), (comp_left, comp_right), (head_left, down_left),
     )
 
     if div_left[interval.delta_ordinal] != (1 << size) - 1:

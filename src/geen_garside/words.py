@@ -245,9 +245,7 @@ def all_reduced_expressions(
     return rec(w)
 
 
-def cayley_length_table(
-    params: GroupParams, cap: int | None = None
-) -> dict[GroupElement, int]:
+def cayley_length_table(params: GroupParams) -> dict[GroupElement, int]:
     """Graph distance from the identity in the Cayley graph of (G, X).
 
     Plain BFS using only `multiply`; deliberately independent of the
@@ -255,7 +253,7 @@ def cayley_length_table(
     """
     from .core import group_cap
 
-    cap = group_cap() if cap is None else cap
+    cap = group_cap()
     if params.order() > cap:
         raise CapExceededError(
             f"|G| = {params.order()} exceeds cap {cap}"

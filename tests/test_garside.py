@@ -27,6 +27,7 @@ from geen_garside import (
     reduced_expression,
     t_cycle_components,
 )
+from geen_garside.cli import default_grid
 from geen_garside.garside import is_defining_relation
 from conftest import all_k
 
@@ -123,6 +124,28 @@ def test_normalize_pair_idempotent_all_pairs():
                 iv.element(a2), iv.element(b2)
             )
             assert iv.lengths[a] + iv.lengths[b] == iv.lengths[a2] + iv.lengths[b2]
+
+
+def test_normalize_pair_against_matrix_route_on_small_grid_points():
+    """(a t, t^(-1) b) with t = meet(comp_left[a], b), by group arithmetic."""
+    checked = 0
+    for c in default_grid():
+        g = cached_garside(c.e, c.n, c.k)
+        iv = g.interval
+        size = len(iv)
+        if size > 320:
+            continue
+        checked += 1
+        members = iv.members
+        for a in range(size):
+            for b in range(size):
+                t = members[iv.meet("left", g.comp_left[a], b)]
+                expected = (
+                    iv.index[multiply(members[a], t)],
+                    iv.index[multiply(inverse(t), members[b])],
+                )
+                assert g.normalize_pair(a, b) == expected, (c, a, b)
+    assert checked == 33
 
 
 def test_normal_form_trivial_cases():

@@ -5,6 +5,7 @@ from geen_garside import (
     GroupElement,
     GroupParams,
     atom_lcm_table,
+    atoms,
     balanced_max_length,
     build_interval,
     bullet_rows,
@@ -240,6 +241,34 @@ def test_joins_are_least_common_multiples_on_small_grid_points():
                     upper = mult[a] & mult[b]
                     j = interval.join(side, a, b)
                     assert (upper >> j) & 1 and not upper & ~mult[j], (c, side, a, b)
+    assert checked == 33
+
+
+def test_atom_tables_against_products_on_small_grid_points():
+    """down_left[p][b] is the ordinal of x_p * b exactly when the atom x_p
+    left-divides b, by the divisibility table, and -1 otherwise."""
+    checked = 0
+    for c in default_grid():
+        interval = cached_interval(c.e, c.n, c.k)
+        size = len(interval)
+        if size > 320:
+            continue
+        checked += 1
+        gens = atoms(interval.params)
+        assert len(interval.down_left) == len(gens)
+        heads = [-1] * size
+        for p in reversed(range(len(gens))):
+            x = gens[p]
+            xmat = generator_matrix(x, interval.params)
+            a = interval.atom_ordinal[x]
+            for b, w in enumerate(interval.members):
+                if (interval.div_left[b] >> a) & 1:
+                    heads[b] = p
+                    expected = interval.index[multiply(xmat, w)]
+                else:
+                    expected = -1
+                assert interval.down_left[p][b] == expected, (c, x, b)
+        assert interval.head_left == heads, c
     assert checked == 33
 
 
