@@ -69,7 +69,7 @@ from .garside import (
     matsumoto_check,
     t_cycle_components,
 )
-from .snf import AbelianGroup, kernel_basis, smith_normal_form
+from .snf import AbelianGroup, smith_normal_form
 from .homology import (
     chain_condition_holds,
     differential,

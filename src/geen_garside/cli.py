@@ -63,11 +63,10 @@ class RunConfig:
 class RegressionRecord:
     key: str
     value: object
-    version: str = __version__
 
     def line(self) -> str:
         return json.dumps(
-            {"key": self.key, "value": self.value, "version": self.version},
+            {"key": self.key, "value": self.value, "version": __version__},
             sort_keys=True,
             separators=(",", ":"),
         )

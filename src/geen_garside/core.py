@@ -40,10 +40,20 @@ class ParameterMismatchError(ValueError):
     """Operands live in different groups G(e,e,n)."""
 
 
-def group_cap() -> int:
-    """Group-size cap; the GARSIDE_CAP environment variable overrides it."""
+def admit_group(params: GroupParams) -> None:
+    """Refuse a group G(e,e,n) whose order exceeds the group-size cap.
+
+    The cap is DEFAULT_GROUP_CAP unless the GARSIDE_CAP environment variable
+    sets it; the error names the predicted order and that variable.
+    """
     value = os.environ.get("GARSIDE_CAP")
-    return int(value) if value else DEFAULT_GROUP_CAP
+    cap = int(value) if value else DEFAULT_GROUP_CAP
+    order = params.order()
+    if order > cap:
+        raise CapExceededError(
+            f"|G({params.e},{params.e},{params.n})| = {order} exceeds the "
+            f"group-size cap {cap} (set by GARSIDE_CAP)"
+        )
 
 
 @dataclass(frozen=True, slots=True)
@@ -259,14 +269,9 @@ def evaluate_word(letters, params: GroupParams) -> GroupElement:
     return w
 
 
-def enumerate_group(params: GroupParams, cap: int | None = None) -> list[GroupElement]:
+def enumerate_group(params: GroupParams) -> list[GroupElement]:
     """All of G(e,e,n), exactly once, in lexicographic order on (perm, exps)."""
-    cap = group_cap() if cap is None else cap
-    order = params.order()
-    if order > cap:
-        raise CapExceededError(
-            f"|G({params.e},{params.e},{params.n})| = {order} exceeds cap {cap}"
-        )
+    admit_group(params)
     e, n = params.e, params.n
     elements = []
     for perm in itertools.permutations(range(1, n + 1)):

@@ -12,21 +12,22 @@ definition of the boundary maps verbatim (it is the ground truth), while
 trivial coefficients every monoid coefficient collapses to its integer term
 count, giving the integer matrices d_1, d_2, d_3.
 
-Homology is ker(d_r)/im(d_{r+1}), computed with integer Smith normal form:
-the kernel basis of d_2 comes from the trailing columns of the column
-transform, the image of d_3 is rewritten in that basis through the inverse
-transform, and the invariant factors of the result give free rank and
-torsion.
+Homology is ker(d_r)/im(d_{r+1}), read off integer Smith diagonals: H_1 is
+the cokernel of d_2, and H_2 is the cokernel of d_3 with the rank of d_2
+taken off its free part, so no kernel basis is ever formed.  Above the
+interval, cells and their faces are only ordinals: the cofactors that the
+boundary maps need are left quotients of complements, stripped atom by atom
+through the interval's atom tables.
 """
 
 from __future__ import annotations
 
 import math
 
-from .core import CapExceededError, Generator, GroupParams, multiply, inverse
+from .core import CapExceededError, Generator, GroupParams
 from .garside import GarsideStructure, NormalForm, cached_garside
 from .interval import TheoremViolationError
-from .snf import AbelianGroup, mat_mul, smith_normal_form, zero_matrix
+from .snf import AbelianGroup, mat_mul, quotient_group, smith_normal_form, zero_matrix
 
 Cell = tuple[Generator, ...]
 
@@ -102,15 +103,25 @@ class CellComplex:
         return tuple(self.order[p] for p in positions)
 
     def cofactor(self, alpha: int, tail: tuple[int, ...]) -> int:
-        """Simple c with c * lcm(tail) = lcm(alpha, tail), as an ordinal."""
-        whole = self.lcm(tuple(sorted((alpha,) + tail)))
-        base = self.lcm(tail)
-        members = self.interval.members
-        element = multiply(members[whole], inverse(members[base]))
-        ordinal = self.interval.index.get(element)
-        if ordinal is None:
-            raise TheoremViolationError("cofactor left the interval")
-        return ordinal
+        """Simple c with c * lcm(tail) = lcm(alpha, tail), as an ordinal.
+
+        With whole = c * base, the left complements satisfy
+        comp_right[base] = comp_right[whole] * c, so c is the left quotient
+        of comp_right[base] by comp_right[whole]: both are stripped of the
+        latter's atoms, one at a time, through the interval's atom tables.
+        """
+        iv = self.interval
+        whole = iv.comp_right[self.lcm(tuple(sorted((alpha,) + tail)))]
+        c = iv.comp_right[self.lcm(tail)]
+        if not (iv.div_left[c] >> whole) & 1:
+            raise TheoremViolationError(
+                "lcm(tail) does not right-divide lcm(alpha, tail)"
+            )
+        head, down = iv.head_left, iv.down_left
+        while whole != iv.identity_ordinal:
+            row = down[head[whole]]
+            whole, c = row[whole], row[c]
+        return c
 
 
 def complex_of(g: GarsideStructure) -> CellComplex:
@@ -405,8 +416,6 @@ def differential(g: GarsideStructure, r: int, method: str = "closed") -> list[li
 
 def chain_condition_holds(d_lo: list[list[int]], d_hi: list[list[int]]) -> bool:
     """d_lo * d_hi = 0 as integer matrices."""
-    if not d_lo or not d_hi or not d_hi[0]:
-        return True
     product = mat_mul(d_lo, d_hi)
     return all(all(entry == 0 for entry in row) for row in product)
 
@@ -415,37 +424,23 @@ def homology_group(g: GarsideStructure, r: int, method: str = "closed") -> Abeli
     """H_r = ker(d_r)/im(d_{r+1}) for r = 1, 2, over the integers.
 
     After trivializing coefficients d_1 = 0, so H_1 is the cokernel of d_2 on
-    the atom module.  H_2 projects d_3 onto an integer kernel basis of d_2
-    obtained from the Smith transforms of d_2 and reads the invariant factors
-    off the projected matrix.
+    the atom module.  For H_2: once d_2 d_3 = 0 is checked, im d_3 lies in
+    ker d_2, and C_2/ker d_2 is isomorphic to im d_2, a subgroup of the free
+    module C_1 and so free.  The sequence ker d_2/im d_3 -> C_2/im d_3 ->
+    C_2/ker d_2 therefore splits: the cokernel of d_3 is H_2 plus a free
+    summand of rank rank(d_2), and H_2 is that cokernel with rank(d_2) taken
+    off its free rank.
     """
+    if r not in (1, 2):
+        raise ValueError(f"homology computed only in degrees 1 and 2, not {r}")
+    d2 = differential(g, 2, method)
     if r == 1:
-        d2 = differential(g, 2, method)
-        n1 = len(enumerate_cells(g, 1))
-        res = smith_normal_form(d2)
-        return AbelianGroup(n1 - res.rank, tuple(res.torsion))
-    if r == 2:
-        d2 = differential(g, 2, method)
-        d3 = differential(g, 3, method)
-        if not chain_condition_holds(d2, d3):
-            raise TheoremViolationError("d_2 d_3 != 0")
-        n2 = len(enumerate_cells(g, 2))
-        if n2 == 0:
-            return AbelianGroup(0, ())
-        res2 = smith_normal_form(d2, transforms=True)
-        kernel_dim = n2 - res2.rank
-        if not d3 or not d3[0]:
-            return AbelianGroup(kernel_dim, ())
-        coords = mat_mul(res2.Vinv, d3)
-        for i in range(res2.rank):
-            if any(coords[i][j] != 0 for j in range(len(d3[0]))):
-                raise TheoremViolationError(
-                    "image of d_3 stepped outside the kernel of d_2"
-                )
-        projected = coords[res2.rank :]
-        res3 = smith_normal_form(projected)
-        return AbelianGroup(kernel_dim - res3.rank, tuple(res3.torsion))
-    raise ValueError(f"homology computed only in degrees 1 and 2, not {r}")
+        return quotient_group(len(enumerate_cells(g, 1)), d2)
+    d3 = differential(g, 3, method)
+    if not chain_condition_holds(d2, d3):
+        raise TheoremViolationError("d_2 d_3 != 0")
+    n2 = len(enumerate_cells(g, 2))
+    return quotient_group(n2 - smith_normal_form(d2).rank, d3)
 
 
 def predicted_h2(e: int, n: int, k: int) -> AbelianGroup:

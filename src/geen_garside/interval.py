@@ -265,17 +265,36 @@ def _maximal(common: int, div: list[int]) -> tuple[int, ...]:
     )
 
 
-def build_interval(params: GroupParams, check_divisor_theorem: bool = True) -> Interval:
+def divisor_theorem_oracle(interval: Interval, group: list[GroupElement]) -> None:
+    """Oracle: the staircase members are exactly the divisors of lambda^k.
+
+    Scans the whole group with honest divisor searches, `left_divides` on
+    the left and on transposes for the right, and raises on any element
+    where either search disagrees with membership.
+    """
+    member_set = set(interval.members)
+    delta = interval.members[interval.delta_ordinal]
+    delta_t = transpose(delta)
+    for w in group:
+        lw = left_divides(w, delta)
+        rw = left_divides(transpose(w), delta_t)
+        if lw != (w in member_set) or rw != (w in member_set):
+            raise TheoremViolationError(
+                f"divisors of lambda^{interval.k} disagree with the staircase "
+                f"criterion at {w}"
+            )
+
+
+def build_interval(params: GroupParams) -> Interval:
     """Construct [1, lambda^k] with both divisibility tables, the complements
     and the atom tables.
 
     Divisibility is built length layer by length layer from covers: the
     predecessors of b on the left are the products b*x that are shorter by
     one, and on the right the products x*b.  The ordinals of the x*b are the
-    atom tables, since x*b = x^(-1) b for a reflection x.  When
-    check_divisor_theorem is set, the member set is compared against
-    brute-force divisor searches of lambda^k over the whole group, on both
-    sides.
+    atom tables, since x*b = x^(-1) b for a reflection x.  Last, the
+    member set is checked by `divisor_theorem_oracle` against brute-force
+    divisor searches of lambda^k over the whole group, on both sides.
     """
     if params.k is None:
         raise ValueError("interval construction needs params.k")
@@ -333,17 +352,7 @@ def build_interval(params: GroupParams, check_divisor_theorem: bool = True) -> I
     if div_right[interval.delta_ordinal] != (1 << size) - 1:
         raise TheoremViolationError("some member does not right-divide lambda^k")
 
-    if check_divisor_theorem:
-        member_set = set(members)
-        delta_t = transpose(delta)
-        for w in group:
-            lw = left_divides(w, delta)
-            rw = left_divides(transpose(w), delta_t)
-            if lw != (w in member_set) or rw != (w in member_set):
-                raise TheoremViolationError(
-                    f"divisors of lambda^{k} disagree with the staircase "
-                    f"criterion at {w}"
-                )
+    divisor_theorem_oracle(interval, group)
     return interval
 
 

@@ -2,28 +2,19 @@
 Integer matrices, Smith normal form, and finitely generated abelian groups.
 
 Everything runs on arbitrary-precision Python integers; entry growth during
-elimination is harmless.  The Smith form routine optionally tracks the four
-transform matrices U, V, Uinv, Vinv with U*A*V = D, which is what the
-homology computation needs to read off an integer kernel basis (the trailing
-columns of V) and coordinates relative to it (rows of Vinv) without any
-rational arithmetic or saturation bookkeeping.
+elimination is harmless.  The Smith form keeps only the diagonal, never the
+transforms: homology needs nothing but ranks and invariant factors, and
+`quotient_group` is the one place that turns a Smith diagonal into an
+abelian group, Z^m modulo the column span of a matrix.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd
 
 
 def zero_matrix(rows: int, cols: int) -> list[list[int]]:
     return [[0] * cols for _ in range(rows)]
-
-
-def identity_matrix(n: int) -> list[list[int]]:
-    out = zero_matrix(n, n)
-    for i in range(n):
-        out[i][i] = 1
-    return out
 
 
 def mat_mul(a: list[list[int]], b: list[list[int]]) -> list[list[int]]:
@@ -60,10 +51,6 @@ def _xgcd(a: int, b: int) -> tuple[int, int, int]:
 class SNFResult:
     diagonal: list[int]          # nonnegative, d_i | d_{i+1}, zeros trailing
     rank: int
-    U: list[list[int]] | None = None
-    V: list[list[int]] | None = None
-    Uinv: list[list[int]] | None = None
-    Vinv: list[list[int]] | None = None
 
     @property
     def invariant_factors(self) -> list[int]:
@@ -74,83 +61,46 @@ class SNFResult:
         return [d for d in self.diagonal if d > 1]
 
 
-def smith_normal_form(matrix: list[list[int]], transforms: bool = False) -> SNFResult:
+def smith_normal_form(matrix: list[list[int]]) -> SNFResult:
     """Diagonalize by unimodular row/column operations, with divisibility fix.
 
-    Returns diagonal entries in divisibility order.  With transforms=True the
-    result satisfies U*matrix*V = diag and carries both inverses.
+    Returns diagonal entries in divisibility order.  Only the diagonal is
+    kept: the transforms are never formed.
     """
     rows = len(matrix)
     cols = len(matrix[0]) if rows else 0
     D = [list(row) for row in matrix]
-    U = identity_matrix(rows) if transforms else None
-    V = identity_matrix(cols) if transforms else None
-    Uinv = identity_matrix(rows) if transforms else None
-    Vinv = identity_matrix(cols) if transforms else None
 
     def row_swap(i1, i2):
         D[i1], D[i2] = D[i2], D[i1]
-        if transforms:
-            U[i1], U[i2] = U[i2], U[i1]
-            for r in Uinv:
-                r[i1], r[i2] = r[i2], r[i1]
 
     def row_add(i2, i1, q):
         # R_i2 += q * R_i1
         Di1, Di2 = D[i1], D[i2]
         for j in range(cols):
             Di2[j] += q * Di1[j]
-        if transforms:
-            Ui1, Ui2 = U[i1], U[i2]
-            for j in range(rows):
-                Ui2[j] += q * Ui1[j]
-            for r in Uinv:
-                r[i1] -= q * r[i2]
 
     def row_negate(i):
         Di = D[i]
         for j in range(cols):
             Di[j] = -Di[j]
-        if transforms:
-            Ui = U[i]
-            for j in range(rows):
-                Ui[j] = -Ui[j]
-            for r in Uinv:
-                r[i] = -r[i]
 
     def row_combine(i1, i2, x, y, u, v):
         # (R_i1, R_i2) <- (x R_i1 + y R_i2, u R_i1 + v R_i2), det(x v - y u) = 1
-        for M, width in ((D, cols), (U, rows)) if transforms else ((D, cols),):
-            Mi1, Mi2 = M[i1], M[i2]
-            for j in range(width):
-                a, b = Mi1[j], Mi2[j]
-                Mi1[j] = x * a + y * b
-                Mi2[j] = u * a + v * b
-        if transforms:
-            # inverse of [[x, y], [u, v]] is [[v, -y], [-u, x]]
-            for r in Uinv:
-                a, b = r[i1], r[i2]
-                r[i1] = v * a - u * b
-                r[i2] = -y * a + x * b
+        Di1, Di2 = D[i1], D[i2]
+        for j in range(cols):
+            a, b = Di1[j], Di2[j]
+            Di1[j] = x * a + y * b
+            Di2[j] = u * a + v * b
 
     def col_swap(j1, j2):
         for row in D:
             row[j1], row[j2] = row[j2], row[j1]
-        if transforms:
-            for row in V:
-                row[j1], row[j2] = row[j2], row[j1]
-            Vinv[j1], Vinv[j2] = Vinv[j2], Vinv[j1]
 
     def col_add(j2, j1, q):
         # C_j2 += q * C_j1
         for row in D:
             row[j2] += q * row[j1]
-        if transforms:
-            for row in V:
-                row[j2] += q * row[j1]
-            Vj1, Vj2 = Vinv[j1], Vinv[j2]
-            for t in range(cols):
-                Vj1[t] -= q * Vj2[t]
 
     def col_combine(j1, j2, x, y, u, v):
         # (C_j1, C_j2) <- (x C_j1 + y C_j2, u C_j1 + v C_j2)
@@ -158,16 +108,6 @@ def smith_normal_form(matrix: list[list[int]], transforms: bool = False) -> SNFR
             a, b = row[j1], row[j2]
             row[j1] = x * a + y * b
             row[j2] = u * a + v * b
-        if transforms:
-            for row in V:
-                a, b = row[j1], row[j2]
-                row[j1] = x * a + y * b
-                row[j2] = u * a + v * b
-            r1, r2 = Vinv[j1], Vinv[j2]
-            for t in range(cols):
-                a, b = r1[t], r2[t]
-                r1[t] = v * a - u * b
-                r2[t] = -y * a + x * b
 
     def clear_row_entry(k, i):
         a, b = D[k][k], D[i][k]
@@ -247,16 +187,7 @@ def smith_normal_form(matrix: list[list[int]], transforms: bool = False) -> SNFR
 
     diagonal = [D[k][k] for k in range(limit)]
     rank = sum(1 for d in diagonal if d != 0)
-    return SNFResult(diagonal, rank, U, V, Uinv, Vinv)
-
-
-def kernel_basis(matrix: list[list[int]]) -> list[list[int]]:
-    """Integer basis (as columns) of the kernel, a direct summand of Z^cols."""
-    cols = len(matrix[0]) if matrix else 0
-    if not matrix:
-        return [col for col in identity_matrix(cols)]
-    res = smith_normal_form(matrix, transforms=True)
-    return [[res.V[i][j] for i in range(cols)] for j in range(res.rank, cols)]
+    return SNFResult(diagonal, rank)
 
 
 @dataclass(frozen=True)
@@ -283,10 +214,9 @@ class AbelianGroup:
         Its invariant factors are those of the diagonal matrix diag(parts).
         """
         size = len(parts)
-        res = smith_normal_form(
-            [[m if i == j else 0 for j in range(size)] for i, m in enumerate(parts)]
+        return quotient_group(
+            size, [[m if i == j else 0 for j in range(size)] for i, m in enumerate(parts)]
         )
-        return cls(size - res.rank, tuple(res.torsion))
 
     def __str__(self) -> str:
         parts = []
@@ -302,8 +232,9 @@ class AbelianGroup:
 
 
 def quotient_group(ambient_rank: int, image_matrix: list[list[int]]) -> AbelianGroup:
-    """Z^ambient_rank / column span of image_matrix."""
-    if not image_matrix or not image_matrix[0]:
-        return AbelianGroup(ambient_rank, ())
+    """Z^ambient_rank / column span of image_matrix.
+
+    An empty matrix (no rows, or no columns) spans nothing.
+    """
     res = smith_normal_form(image_matrix)
     return AbelianGroup(ambient_rank - res.rank, tuple(res.torsion))

@@ -29,6 +29,7 @@ from .core import (
     Generator,
     GroupElement,
     GroupParams,
+    admit_group,
     atoms,
     generator_matrix,
     identity,
@@ -251,13 +252,7 @@ def cayley_length_table(params: GroupParams) -> dict[GroupElement, int]:
     Plain BFS using only `multiply`; deliberately independent of the
     row-reduction algorithm so it can serve as its oracle.
     """
-    from .core import group_cap
-
-    cap = group_cap()
-    if params.order() > cap:
-        raise CapExceededError(
-            f"|G| = {params.order()} exceeds cap {cap}"
-        )
+    admit_group(params)
     gens = [generator_matrix(x, params) for x in atoms(params)]
     start = identity(params)
     dist = {start: 0}

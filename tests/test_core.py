@@ -153,9 +153,15 @@ def test_enumerate_matches_order_formula():
         assert len(enumerate_group(params)) == params.order()
 
 
-def test_enumerate_cap():
-    with pytest.raises(CapExceededError):
-        enumerate_group(GroupParams(6, 4), cap=100)
+def test_enumerate_cap(monkeypatch):
+    """Enumeration and the BFS oracle are admitted by one check, whose
+    error names the predicted order and the knob."""
+    from geen_garside import cayley_length_table
+
+    monkeypatch.setenv("GARSIDE_CAP", "100")
+    for build in (enumerate_group, cayley_length_table):
+        with pytest.raises(CapExceededError, match=r"\| = 5184 exceeds .*GARSIDE_CAP"):
+            build(GroupParams(6, 4))
 
 
 def test_lambda_power_values():

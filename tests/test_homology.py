@@ -276,3 +276,61 @@ def test_homology_uses_the_structure_given(monkeypatch):
     monkeypatch.setattr(homology, "cached_garside", no_cache)
     assert homology_group(g, 2, method="both") == predicted_h2(3, 3, 1)
     assert len(built) == 1 and built[0] is g
+
+
+def test_cofactors_against_matrix_route_on_grid():
+    """c * lcm(tail) = lcm(alpha, tail), by group arithmetic, for every atom
+    alpha and every tail of dimension <= 2."""
+    from geen_garside import inverse, multiply
+    from geen_garside.cli import default_grid
+    from geen_garside.homology import complex_of
+
+    checked = 0
+    for c in default_grid():
+        if c.n < 3:
+            continue
+        cx = complex_of(cached_garside(c.e, c.n, c.k))
+        iv = cx.interval
+        members = iv.members
+        for r in (0, 1, 2):
+            for tail in cx.cells(r):
+                for alpha in range(len(cx.order)):
+                    if alpha in tail:
+                        continue
+                    whole = cx.lcm(tuple(sorted((alpha,) + tail)))
+                    base = cx.lcm(tail)
+                    expected = iv.index[multiply(members[whole], inverse(members[base]))]
+                    assert cx.cofactor(alpha, tail) == expected, (c, alpha, tail)
+                    checked += 1
+    assert checked == 2750
+
+
+def test_cofactor_rejects_a_non_divisor():
+    """A broken lcm that lcm(tail) does not right-divide is a violation."""
+    from geen_garside.homology import CellComplex
+    from geen_garside.interval import TheoremViolationError
+
+    cx = CellComplex(build_garside(build_interval(GroupParams(3, 3, 1))))
+    t0, t1 = cx.position[t(0, 3)], cx.position[t(1, 3)]
+    cx._lcm_cache[(t0, t1)] = cx.atom_ordinal[t0]
+    with pytest.raises(TheoremViolationError):
+        cx.cofactor(t0, (t1,))
+
+
+@pytest.mark.parametrize("e,n,k", [(3, 3, 1), (2, 4, 1)])
+def test_homology_needs_no_group_arithmetic(monkeypatch, e, n, k):
+    """Once the interval is built, homology runs on integer tables alone."""
+    from geen_garside import core, garside, interval, words
+
+    expected = [homology_group(cached_garside(e, n, k), r) for r in (1, 2)]
+    g = build_garside(build_interval(GroupParams(e, n, k)))
+
+    def forbidden(*args):
+        raise AssertionError("group arithmetic above the interval")
+
+    assert not {"multiply", "inverse"} & set(vars(homology))
+    for module in (core, words, interval, garside):
+        for name in ("multiply", "inverse"):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, forbidden)
+    assert [homology_group(g, r, method="both") for r in (1, 2)] == expected

@@ -179,7 +179,7 @@ def test_verify_lattice_theorem_instances(e, n, k):
 
 def test_verify_lattice_detects_corruption():
     """Breaking a relation table must surface as a violation, not pass silently."""
-    interval = build_interval(GroupParams(3, 3, 1), check_divisor_theorem=False)
+    interval = build_interval(GroupParams(3, 3, 1))
     # deleting t1*t0 from its own divisor set leaves the t-atoms as a
     # maximal antichain of common divisors of the pair (t1*t0, t1*t0)
     m = interval.ordinal(
@@ -195,7 +195,7 @@ def test_verify_lattice_detects_corruption():
 
 def test_corrupted_right_table_breaks_left_joins():
     """A right meet failure is a left join failure, reported on the left pair."""
-    interval = build_interval(GroupParams(3, 3, 1), check_divisor_theorem=False)
+    interval = build_interval(GroupParams(3, 3, 1))
     # t1*t0 = t2*t1 = t0*t2, so all three t-atoms right-divide it; without
     # itself they are a maximal antichain of common right divisors
     m = interval.ordinal(
@@ -321,3 +321,21 @@ def test_balanced_max_length_census():
     assert balanced_max_length(params23) == [lambda_power(params23, 1)]
     found = balanced_max_length(GroupParams(4, 3))
     assert len(found) == 3
+
+
+def test_divisor_theorem_oracle_reports_a_disagreement(monkeypatch):
+    """The scan raises as soon as a divisor search contradicts membership."""
+    from geen_garside import interval as interval_module
+    from geen_garside.interval import TheoremViolationError, divisor_theorem_oracle
+
+    params = GroupParams(3, 3, 1)
+    iv = cached_interval(3, 3, 1)
+    group = enumerate_group(params)
+    divisor_theorem_oracle(iv, group)
+    outsider = next(w for w in group if w not in iv.index)
+    honest = interval_module.left_divides
+    monkeypatch.setattr(
+        interval_module, "left_divides", lambda a, b: a == outsider or honest(a, b)
+    )
+    with pytest.raises(TheoremViolationError, match="staircase criterion"):
+        divisor_theorem_oracle(iv, group)
