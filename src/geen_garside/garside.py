@@ -43,7 +43,6 @@ from .core import (
     GroupParams,
     atoms,
     evaluate_word,
-    generator_matrix,
     inverse,
     multiply,
     parse_word,
@@ -55,7 +54,7 @@ from .interval import (
     cached_interval,
     verify_lattice,
 )
-from .words import all_reduced_expressions, length
+from .words import all_reduced_expressions
 
 
 @dataclass(frozen=True, slots=True)
@@ -114,11 +113,6 @@ class GarsideStructure:
         self._head_left = interval.head_left
         self._down_left = interval.down_left
         self._atom = interval.atom_ordinal
-
-    # -- simple arithmetic ------------------------------------------------
-
-    def is_tau_identity(self) -> bool:
-        return all(self.tau[s] == s for s in range(len(self.interval)))
 
     # -- normalization -----------------------------------------------------
 

@@ -25,7 +25,7 @@ from __future__ import annotations
 import math
 
 from .core import CapExceededError, Generator, GroupParams
-from .garside import GarsideStructure, NormalForm, cached_garside
+from .garside import GarsideStructure, NormalForm
 from .interval import TheoremViolationError
 from .snf import AbelianGroup, mat_mul, quotient_group, smith_normal_form, zero_matrix
 
@@ -130,11 +130,6 @@ def complex_of(g: GarsideStructure) -> CellComplex:
     if cx is None:
         cx = g.cell_complex = CellComplex(g)
     return cx
-
-
-def cached_complex(e: int, n: int, k: int) -> CellComplex:
-    """The cell complex over the shared structure cached_garside(e, n, k)."""
-    return complex_of(cached_garside(e, n, k))
 
 
 def enumerate_cells(g: GarsideStructure, r: int) -> list[Cell]:

@@ -8,25 +8,33 @@ column minima its bullets; then w divides lambda^k exactly when every
 non-bullet entry is 1 or zeta_e^k.  `build_interval` enumerates the members,
 computes both divisibility relations as bitsets over member ordinals and the
 complements s^(-1) lambda^k, lambda^k s^(-1), and checks the closed-form set
-against honest divisor searches on the whole group.  It also records, per
-atom, the ordinal of x*s for every member s that the atom x left-divides:
-the integer tables through which the Garside layer walks a simple down to
-the identity one atom at a time, with no group arithmetic.
+against a divisor test on the whole group: length additivity
+len(a) + len(a^(-1) b) = len(b), which never looks at the staircase.  It
+also records, per atom, the ordinal of x*s for every member s that the atom
+x left-divides: the integer tables through which the Garside layer walks a
+simple down to the identity one atom at a time, with no group arithmetic.
 
-Meets are bitset intersections followed by an extremality check, made pair
-by pair.  s -> s^(-1) lambda^k turns left divisibility upside down into
-right divisibility, so each join is the complement of a meet on the other
-side.  Failures of uniqueness are data, not crashes: they are reported as
-LatticeViolation values carrying the offending antichain, which turns the
-lattice theorems into cheap, high-coverage oracles for the implementation.
+Meets are bitset intersections followed by an extremality check.
+s -> s^(-1) lambda^k turns left divisibility upside down into right
+divisibility, so each join is the complement of a meet on the other side.
+`verify_lattice` proves the lattice property from the tables in about
+|D| * atoms^2 bitset operations: the tables must be closed under covers (so
+they are graded posets), and every two lower covers of a member must have a
+meet (Bjorner-Edelman-Ziegler).  `lattice_pairwise_oracle` is the all-pairs
+scan it replaced, kept for the tests.  Failures of uniqueness are data, not
+crashes: they are reported as LatticeViolation values carrying the offending
+antichain, which turns the lattice theorems into cheap, high-coverage oracles
+for the implementation.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
 from .core import (
+    CapExceededError,
     Generator,
     GroupElement,
     GroupParams,
@@ -39,7 +47,14 @@ from .core import (
     transpose,
     transpose_generator,
 )
-from .words import length, length_decreases, reduced_expression
+from .words import length, length_decreases
+
+# Largest predicted size, in bytes, of the two divisibility bitset tables
+# (2 |D|^2 / 8) that `build_interval` accepts; it refuses larger intervals
+# before enumerating the group.
+INTERVAL_TABLE_CAP_BYTES = 2**30
+
+SIDES = ("left", "right")
 
 
 class TheoremViolationError(AssertionError):
@@ -48,7 +63,11 @@ class TheoremViolationError(AssertionError):
 
 @dataclass(frozen=True, slots=True)
 class LatticeViolation:
-    """Meet or join failed to be unique: the offending pair and the antichain."""
+    """Meet or join failed to be unique: the offending pair and the antichain.
+
+    Operation "closure" marks a table that is not closed under its covers;
+    its antichain lists the ordinals whose bits disagree with the closure.
+    """
 
     side: str
     operation: str
@@ -93,20 +112,15 @@ def in_interval(w: GroupElement, k: int) -> bool:
 
 
 def left_divides(a: GroupElement, b: GroupElement) -> bool:
-    """a <= b in left divisibility, by walking a minimal word of a against b.
+    """a <= b in left divisibility: len(a) + len(a^(-1) b) = len(b).
 
-    Each successive letter of the word must shorten the running product by
-    exactly one; the walk ends at a^(-1) b, forcing the lengths to add.
+    This is the definition of the order, b = a * (a^(-1) b) with additive
+    lengths, evaluated with the row-reduction length; it never consults the
+    staircase criterion of `in_interval`, so it can serve as its oracle.
     """
     if a.e != b.e or a.n != b.n:
         raise ValueError("elements live in different groups")
-    cur = b
-    params = GroupParams(a.e, a.n)
-    for x in reduced_expression(a):
-        if not length_decreases(x, cur):
-            return False
-        cur = multiply(generator_matrix(x, params), cur)
-    return True
+    return length(a) + length(multiply(inverse(a), b)) == length(b)
 
 
 def right_divides(a: GroupElement, b: GroupElement) -> bool:
@@ -147,10 +161,11 @@ class Interval:
 
     Members are sorted by (length, perm, exps), so ordinal order refines the
     length grading: ordinal 0 is the identity and the last ordinal is
-    lambda^k.  div_* are bitsets over ordinals: bit a of div_left[b] says
-    a <= b on the left.  comp_left[s] = s^(-1) lambda^k and comp_right[s] =
-    lambda^k s^(-1) are mutually inverse and swap the two orders upside
-    down, so meets are checked pair by pair and joins are complemented meets.
+    lambda^k, and the members of length l are the contiguous ordinals
+    layer_start[l] <= s < layer_start[l + 1].  div_* are bitsets over
+    ordinals: bit a of div_left[b] says a <= b on the left.  comp_left[s] =
+    s^(-1) lambda^k and comp_right[s] = lambda^k s^(-1) are mutually inverse
+    and swap the two orders upside down, so joins are complemented meets.
 
     The atom tables strip one atom off the left: down_left[p][s] is the
     ordinal of x_p^(-1) s = x_p s when the p-th atom x_p (in `atoms` order)
@@ -165,6 +180,11 @@ class Interval:
         self.e, self.n, self.k = params.e, params.n, params.k
         self.members: tuple[GroupElement, ...] = tuple(members)
         self.lengths: tuple[int, ...] = tuple(lengths)
+        self.layer_start: list[int] = [0]
+        for i, ell in enumerate(self.lengths):
+            while len(self.layer_start) <= ell:
+                self.layer_start.append(i)
+        self.layer_start.append(len(self.lengths))
         self.index: dict[GroupElement, int] = {
             w: i for i, w in enumerate(self.members)
         }
@@ -191,10 +211,13 @@ class Interval:
         return _bits(table[ordinal])
 
     def covers(self, ordinal: int, side: str = "left") -> list[int]:
-        """Ordinals covered by `ordinal` (length exactly one less)."""
+        """Ordinals covered by `ordinal`: its divisors one length layer below."""
         table = self.div_left if side == "left" else self.div_right
-        target = self.lengths[ordinal] - 1
-        return [a for a in _bits(table[ordinal]) if self.lengths[a] == target]
+        ell = self.lengths[ordinal]
+        if ell == 0:
+            return []
+        lo, hi = self.layer_start[ell - 1], self.layer_start[ell]
+        return [lo + a for a in _bits((table[ordinal] >> lo) & ((1 << (hi - lo)) - 1))]
 
     def meet(self, side: str, a: int, b: int) -> int:
         """Greatest common divisor of two members under the chosen order.
@@ -268,9 +291,9 @@ def _maximal(common: int, div: list[int]) -> tuple[int, ...]:
 def divisor_theorem_oracle(interval: Interval, group: list[GroupElement]) -> None:
     """Oracle: the staircase members are exactly the divisors of lambda^k.
 
-    Scans the whole group with honest divisor searches, `left_divides` on
-    the left and on transposes for the right, and raises on any element
-    where either search disagrees with membership.
+    Scans the whole group with the length-additivity test `left_divides`,
+    on the left and on transposes for the right, and raises on any element
+    where either test disagrees with membership.
     """
     member_set = set(interval.members)
     delta = interval.members[interval.delta_ordinal]
@@ -285,6 +308,11 @@ def divisor_theorem_oracle(interval: Interval, group: list[GroupElement]) -> Non
             )
 
 
+def interval_size(e: int, n: int) -> int:
+    """|[1, lambda^k]| in G(e,e,n) = prod_{i=1}^{n-1} (e + 2i), for every k."""
+    return math.prod(e + 2 * i for i in range(1, n))
+
+
 def build_interval(params: GroupParams) -> Interval:
     """Construct [1, lambda^k] with both divisibility tables, the complements
     and the atom tables.
@@ -293,14 +321,32 @@ def build_interval(params: GroupParams) -> Interval:
     predecessors of b on the left are the products b*x that are shorter by
     one, and on the right the products x*b.  The ordinals of the x*b are the
     atom tables, since x*b = x^(-1) b for a reflection x.  Last, the
-    member set is checked by `divisor_theorem_oracle` against brute-force
-    divisor searches of lambda^k over the whole group, on both sides.
+    member set is checked by `divisor_theorem_oracle` against divisor tests
+    of lambda^k over the whole group, on both sides.
+
+    Before anything is enumerated, |D| is predicted by `interval_size` and
+    the interval is refused with CapExceededError when its two bitset
+    tables would exceed INTERVAL_TABLE_CAP_BYTES; a built size that differs
+    from the prediction is a theorem violation.
     """
     if params.k is None:
         raise ValueError("interval construction needs params.k")
     k = params.k
+    predicted = interval_size(params.e, params.n)
+    table_bytes = 2 * predicted * predicted // 8
+    if table_bytes > INTERVAL_TABLE_CAP_BYTES:
+        raise CapExceededError(
+            f"[1, lambda^{k}] in G({params.e},{params.e},{params.n}) has "
+            f"|D| = {predicted} members; its divisibility tables would take "
+            f"{table_bytes} bytes, above INTERVAL_TABLE_CAP_BYTES = "
+            f"{INTERVAL_TABLE_CAP_BYTES}"
+        )
     group = enumerate_group(params)
     members = [w for w in group if in_interval(w, k)]
+    if len(members) != predicted:
+        raise TheoremViolationError(
+            f"|D| = {len(members)} differs from the predicted {predicted}"
+        )
     lengths = {w: length(w) for w in members}
     members.sort(key=lambda w: (lengths[w], w.perm, w.exps))
     index = {w: i for i, w in enumerate(members)}
@@ -363,33 +409,105 @@ def cached_interval(e: int, n: int, k: int) -> Interval:
 
 
 def verify_lattice(interval: Interval) -> LatticeReport:
-    """Check the meet of every pair on both sides; violations become data.
+    """Prove both divisibility tables are lattices, from cover pairs only.
+
+    Per side and per member b, with covers(b) the members of div[b] one
+    length layer below b:
+
+    * closure: div[b] contains the identity and equals b together with the
+      union of div[a] over a in covers(b), and div[lambda^k] holds every
+      member.  By induction on length, div is then the reflexive-transitive
+      closure of the cover relation, which lowers length by one: any table
+      passing this is a bounded poset graded by length, whatever it was
+      before, and covers(b) are exactly its lower covers.
+    * cover pairs: every two lower covers of b pass the extremality check
+      of `Interval.meet`.
+
+    A finite bounded poset in which any two elements covered by a common
+    element have a meet is a lattice: the dual of Bjorner-Edelman-Ziegler,
+    Hyperplane arrangements with a lattice of regions (DCG 1990), Lemma
+    2.1.  So the two checks decide that every pair has a meet, at the cost
+    of sum_b |covers(b)|^2 bitset operations instead of |D|^2.  The check
+    is stricter than `lattice_pairwise_oracle`: a table that is not closed
+    under covers fails here even where every extremality check happens to
+    pass.  A closure failure at b is reported as the first pair (b, x) that
+    fails the meet check, or else as a "closure" violation at (b, b) whose
+    antichain lists the bits of div[b] that disagree with the closure.
 
     Joins are complemented meets: all left joins exist exactly when all
     right meets do, and all right joins exactly when all left meets do.
     """
-    ok = {}
-    counterexample = None
-    size = len(interval)
-    for side in ("left", "right"):
-        div = interval.div_left if side == "left" else interval.div_right
-        ok[side] = True
-        for a in range(size):
+    return _report({side: _cover_pair_violation(interval, side) for side in SIDES})
+
+
+def _cover_pair_violation(interval: Interval, side: str) -> LatticeViolation | None:
+    """The first failure of the closure or cover-pair check on one side."""
+    div = interval.div_left if side == "left" else interval.div_right
+    top = interval.delta_ordinal
+    full = (1 << len(interval)) - 1
+    if div[top] != full:
+        return _closure_violation(side, div, top, full & ~div[top])
+    for b in range(len(interval)):
+        covers = interval.covers(b, side)
+        closure = 1 << b
+        for a in covers:
+            closure |= div[a]
+        # bits that differ from the closure, and bit 0 if the identity is missing
+        wrong = (closure ^ div[b]) | (~div[b] & 1)
+        if wrong:
+            return _closure_violation(side, div, b, wrong)
+        for i, a in enumerate(covers):
             div_a = div[a]
-            for b in range(a, size):
-                # the check of Interval.meet, inlined over all pairs
-                common = div_a & div[b]
+            for c in covers[i + 1:]:
+                # the check of Interval.meet, on a pair of lower covers
+                common = div_a & div[c]
                 if common & ~div[common.bit_length() - 1]:
-                    ok[side] = False
-                    counterexample = counterexample or LatticeViolation(
-                        side, "meet", (a, b), _maximal(common, div)
-                    )
+                    return LatticeViolation(side, "meet", (a, c), _maximal(common, div))
+    return None
+
+
+def _closure_violation(side: str, div: list[int], b: int, wrong: int) -> LatticeViolation:
+    """The first pair (b, x) failing the meet check, else the bits of div[b]
+    that disagree with the closure, as a "closure" violation at (b, b)."""
+    div_b = div[b]
+    for x in range(len(div)):
+        common = div_b & div[x]
+        if common & ~div[common.bit_length() - 1]:
+            return LatticeViolation(side, "meet", (b, x), _maximal(common, div))
+    return LatticeViolation(side, "closure", (b, b), tuple(_bits(wrong)))
+
+
+def lattice_pairwise_oracle(interval: Interval) -> LatticeReport:
+    """Oracle for `verify_lattice`: the meet check on every pair, both sides.
+
+    It assumes nothing about the tables and costs |D|^2 bitset operations
+    per side; only the tests call it.
+    """
+    return _report({side: _pairwise_violation(interval, side) for side in SIDES})
+
+
+def _pairwise_violation(interval: Interval, side: str) -> LatticeViolation | None:
+    div = interval.div_left if side == "left" else interval.div_right
+    size = len(interval)
+    for a in range(size):
+        div_a = div[a]
+        for b in range(a, size):
+            # the check of Interval.meet, inlined over all pairs
+            common = div_a & div[b]
+            if common & ~div[common.bit_length() - 1]:
+                return LatticeViolation(side, "meet", (a, b), _maximal(common, div))
+    return None
+
+
+def _report(violations: dict[str, LatticeViolation | None]) -> LatticeReport:
+    """Per-side first violations as a report; joins are the other side's meets."""
+    left, right = violations["left"], violations["right"]
     return LatticeReport(
-        meet_left=ok["left"],
-        join_left=ok["right"],
-        meet_right=ok["right"],
-        join_right=ok["left"],
-        counterexample=counterexample,
+        meet_left=left is None,
+        join_left=right is None,
+        meet_right=right is None,
+        join_right=left is None,
+        counterexample=left or right,
     )
 
 

@@ -125,6 +125,21 @@ def test_cap_exceeded(capsys, monkeypatch):
                 '{"e":6,"n":4,"perm":[1,2,3,4],"exps":[0,0,0,0]}']) == EXIT_CAP
 
 
+def test_interval_cap_refuses_before_enumerating(capsys, monkeypatch):
+    """(2,7,1): |G| = 322,560 passes GARSIDE_CAP, but the two bitset
+    tables of its 322,560 simples would take about 26 GB."""
+    from geen_garside import interval
+
+    def forbidden(params):
+        raise AssertionError("the group was enumerated")
+
+    monkeypatch.setattr(interval, "enumerate_group", forbidden)
+    assert run(["interval", "--e", "2", "--n", "7", "--k", "1"]) == EXIT_CAP
+    err = capsys.readouterr().err
+    assert "|D| = 322560" in err
+    assert "26011238400 bytes" in err and "INTERVAL_TABLE_CAP_BYTES" in err
+
+
 def test_determinism(capsys):
     args = ["interval", "--e", "4", "--n", "3", "--k", "2"]
     assert run(args) == EXIT_OK

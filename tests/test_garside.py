@@ -88,7 +88,7 @@ def test_complement_example_t1():
 )
 def test_tau_identity_frozen(e, n, k, expected):
     g = cached_garside(e, n, k)
-    assert g.is_tau_identity() == expected
+    assert all(g.tau[s] == s for s in range(len(g.interval))) == expected
     assert ((n * k) % e == 0) == expected
 
 

@@ -18,7 +18,7 @@ from geen_garside import (
     homology_group,
     predicted_h2,
 )
-from geen_garside import homology
+from geen_garside import garside, homology
 from geen_garside.homology import atom_order
 from geen_garside.snf import smith_normal_form
 from conftest import all_k
@@ -86,9 +86,9 @@ def test_cells_against_brute_force(e, n, k):
     """Re-derive the cell bases directly from the head condition."""
     import itertools
 
-    from geen_garside.homology import cached_complex
+    from geen_garside.homology import complex_of
 
-    cx = cached_complex(e, n, k)
+    cx = complex_of(cached_garside(e, n, k))
     count = len(cx.order)
 
     def is_cell(positions):
@@ -259,6 +259,21 @@ def test_predicted_h2_pinned_to_frozen_values():
         assert predicted_h2(row["e"], row["n"], row["k"]) == expected, row
 
 
+@pytest.mark.parametrize(
+    "e,n,k,expected",
+    [(2, 5, 1, AbelianGroup(0, (2, 2))), (3, 5, 1, AbelianGroup(0, (6,))),
+     (3, 5, 2, AbelianGroup(0, (6,)))],
+    ids=["2-5-1", "3-5-1", "3-5-2"],
+)
+def test_h2_n5_matches_prediction_by_both_methods(e, n, k, expected):
+    """n = 5: homology_group with method="both" checks the closed-form
+    differentials against the generic ones before taking the quotient."""
+    g = cached_garside(e, n, k)
+    assert predicted_h2(e, n, k) == expected
+    assert homology_group(g, 2, method="both") == expected
+    assert homology_group(g, 1, method="both") == AbelianGroup(1, ())
+
+
 def test_homology_uses_the_structure_given(monkeypatch):
     """No second structure is built or looked up in the shared caches."""
     g = build_garside(build_interval(GroupParams(3, 3, 1)))
@@ -273,7 +288,9 @@ def test_homology_uses_the_structure_given(monkeypatch):
         raise AssertionError("homology looked up a cached structure")
 
     monkeypatch.setattr(homology.CellComplex, "__init__", spy)
-    monkeypatch.setattr(homology, "cached_garside", no_cache)
+    # homology no longer imports cached_garside; patch it where it lives too
+    monkeypatch.setattr(garside, "cached_garside", no_cache)
+    monkeypatch.setattr(homology, "cached_garside", no_cache, raising=False)
     assert homology_group(g, 2, method="both") == predicted_h2(3, 3, 1)
     assert len(built) == 1 and built[0] is g
 

@@ -10,6 +10,7 @@ from geen_garside import (
     build_interval,
     bullet_rows,
     cached_interval,
+    cayley_length_table,
     enumerate_group,
     evaluate_word,
     generator_matrix,
@@ -26,7 +27,7 @@ from geen_garside import (
     verify_lattice,
 )
 from geen_garside.cli import default_grid
-from geen_garside.interval import LatticeViolationError
+from geen_garside.interval import LatticeViolationError, lattice_pairwise_oracle
 from conftest import all_k
 
 
@@ -78,17 +79,19 @@ def test_right_divides_edges_of_lambda_word():
 
 
 def test_divides_matches_length_formula_exhaustive_g333():
-    """The word-walk agrees with the defining additivity of lengths."""
-    params = GroupParams(3, 3)
-    group = enumerate_group(params)
-    for a in group[::5]:
-        a_inv = inverse(a)
-        la = length(a)
-        for b in group[::3]:
-            expected = la + length(multiply(a_inv, b)) == length(b)
-            assert left_divides(a, b) == expected
-            expected_r = length(multiply(b, a_inv)) + la == length(b)
-            assert right_divides(a, b) == expected_r
+    """Divisibility agrees with length additivity, lengths taken from BFS:
+    every pair in G(3,3,3), every third left operand in G(2,2,4)."""
+    for params, step in ((GroupParams(3, 3), 1), (GroupParams(2, 4), 3)):
+        dist = cayley_length_table(params)
+        group = enumerate_group(params)
+        for a in group[::step]:
+            a_inv = inverse(a)
+            la = dist[a]
+            for b in group:
+                expected = la + dist[multiply(a_inv, b)] == dist[b]
+                assert left_divides(a, b) == expected, (a, b)
+                expected_r = dist[multiply(b, a_inv)] + la == dist[b]
+                assert right_divides(a, b) == expected_r, (a, b)
 
 
 def test_interval_members_equal_divisors_of_lambda_k():
@@ -213,6 +216,112 @@ def test_corrupted_right_table_breaks_left_joins():
     violation = info.value.violation
     assert (violation.side, violation.operation, violation.pair) == ("left", "join", (c, c))
     assert len(violation.antichain) == 3
+
+
+def _flags(report):
+    return (report.meet_left, report.join_left, report.meet_right, report.join_right)
+
+
+def test_cover_pair_check_agrees_with_pairwise_oracle_on_default_grid():
+    for c in default_grid():
+        interval = cached_interval(c.e, c.n, c.k)
+        fast, slow = verify_lattice(interval), lattice_pairwise_oracle(interval)
+        assert _flags(fast) == _flags(slow) == (True,) * 4, c
+        assert fast.counterexample is None and slow.counterexample is None
+
+
+def _t1_t0(interval):
+    return interval.ordinal(
+        evaluate_word([Generator("t", 1), Generator("t", 0)], GroupParams(3, 3))
+    )
+
+
+def _drop_own_bit(interval, div):
+    m = _t1_t0(interval)
+    div[m] &= ~(1 << m)
+
+
+def _drop_non_cover_divisor(interval, div):
+    """Drop a divisor two layers below b that has two lower covers itself:
+    b keeps itself, its covers and the identity, only transitivity breaks."""
+    b, a = next(
+        (b, a)
+        for b in range(len(interval))
+        for a in interval.divisors(b)
+        if interval.lengths[b] - interval.lengths[a] == 2 and len(interval.covers(a)) >= 2
+    )
+    div[b] &= ~(1 << a)
+
+
+def _add_closed_cover(interval, div):
+    """Make x a new lower cover of c and add div[x] to everything above c:
+    the table stays closed under covers, but two covers lose their meet."""
+    c = interval.layer_start[2]
+    x = next(x for x in range(1, interval.layer_start[2]) if not (div[c] >> x) & 1)
+    for y in range(len(interval)):
+        if (div[y] >> c) & 1:
+            div[y] |= div[x]
+
+
+@pytest.mark.parametrize(
+    "corrupt,side",
+    [
+        (_drop_own_bit, "left"),  # as in test_verify_lattice_detects_corruption
+        (_drop_own_bit, "right"),  # as in test_corrupted_right_table_breaks_left_joins
+        (_drop_non_cover_divisor, "left"),
+        (_add_closed_cover, "left"),
+    ],
+)
+def test_cover_pair_check_flags_corruptions_like_the_pairwise_oracle(corrupt, side):
+    interval = build_interval(GroupParams(3, 3, 1))
+    corrupt(interval, interval.div_left if side == "left" else interval.div_right)
+    fast, slow = verify_lattice(interval), lattice_pairwise_oracle(interval)
+    assert _flags(fast) == _flags(slow)
+    assert not fast.all_ok and fast.counterexample.side == side
+    assert fast.counterexample.operation == "meet"
+
+
+def test_closure_failure_without_a_failing_meet_is_reported():
+    """An identity bit missing breaks no extremality check, only the closure."""
+    interval = build_interval(GroupParams(3, 3, 1))
+    b = interval.delta_ordinal - 1
+    interval.div_left[b] &= ~1
+    assert lattice_pairwise_oracle(interval).all_ok
+    report = verify_lattice(interval)
+    assert (report.meet_left, report.join_right) == (False, False)
+    assert (report.meet_right, report.join_left) == (True, True)
+    violation = report.counterexample
+    assert (violation.side, violation.operation, violation.pair) == ("left", "closure", (b, b))
+    assert violation.antichain == (0,)
+
+
+def test_interval_admission_by_predicted_table_size(monkeypatch):
+    from geen_garside import interval as interval_module
+    from geen_garside.core import CapExceededError
+
+    class Enumerated(Exception):
+        pass
+
+    def enumerated(params):
+        raise Enumerated
+
+    monkeypatch.setattr(interval_module, "enumerate_group", enumerated)
+    with pytest.raises(CapExceededError, match=r"\|D\| = 322560 .* 26011238400 bytes"):
+        build_interval(GroupParams(2, 7, 1))
+    # (3,6,1): |D| = 45,045, about 0.5 GB of tables, is admitted (not built here)
+    assert interval_module.interval_size(3, 6) == 45045
+    with pytest.raises(Enumerated):
+        build_interval(GroupParams(3, 6, 1))
+
+
+def test_built_size_must_match_the_prediction(monkeypatch):
+    from geen_garside import interval as interval_module
+    from geen_garside.interval import TheoremViolationError
+
+    assert len(build_interval(GroupParams(4, 3, 1))) == interval_module.interval_size(4, 3)
+    monkeypatch.setattr(interval_module, "interval_size", lambda e, n: 36)
+    with pytest.raises(TheoremViolationError, match="differs from the predicted 36"):
+        build_interval(GroupParams(3, 3, 1))
 
 
 def _transpose(div: list[int]) -> list[int]:
