@@ -20,7 +20,6 @@ from geen_garside import (
     is_balanced,
     lambda_power,
     left_divides,
-    length,
     multiply,
     right_divides,
     transpose,
