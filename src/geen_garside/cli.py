@@ -51,15 +51,6 @@ EXIT_VIOLATION = 4
 
 
 @dataclass(frozen=True)
-class RunConfig:
-    """One grid point."""
-
-    e: int
-    n: int
-    k: int | None = None
-
-
-@dataclass(frozen=True)
 class RegressionRecord:
     key: str
     value: object
@@ -285,7 +276,7 @@ def _verify_suite(args) -> list[str]:
             for lhs, rhs in emit_presentation(g.params).relations:
                 if not g.words_equal([(x, 1) for x in lhs], [(x, 1) for x in rhs]):
                     failures.append(f"garside: relation {lhs} = {rhs} broken")
-            if not embedding_lcm_check(g) and args.n >= 3:
+            if args.n >= 3 and not embedding_lcm_check(g):
                 failures.append("garside: embedding lcm compatibility failed")
         elif suite == "homology":
             g = cached_garside(args.e, args.n, args.k)
@@ -312,18 +303,18 @@ def _cmd_verify(args) -> int:
     return EXIT_OK
 
 
-def default_grid() -> list[RunConfig]:
+def default_grid() -> list[GroupParams]:
     """e in 2..6, n in 2..4, all k."""
     grid = []
     for e in range(2, 7):
         for n in range(2, 5):
             for k in range(1, e):
-                grid.append(RunConfig(e, n, k))
+                grid.append(GroupParams(e, n, k))
     return grid
 
 
-def regression_records(config: RunConfig) -> list[RegressionRecord]:
-    e, n, k = config.e, config.n, config.k
+def regression_records(params: GroupParams) -> list[RegressionRecord]:
+    e, n, k = params.e, params.n, params.k
     interval = cached_interval(e, n, k)
     tag = f"e={e} n={n} k={k}"
     records = [
@@ -350,11 +341,11 @@ def regression_records(config: RunConfig) -> list[RegressionRecord]:
     return records
 
 
-def freeze_regressions(grid: list[RunConfig], path: str) -> list[RegressionRecord]:
+def freeze_regressions(grid: list[GroupParams], path: str) -> list[RegressionRecord]:
     """Write (or check against) a canonical JSONL regression file."""
     records: list[RegressionRecord] = []
-    for config in grid:
-        records.extend(regression_records(config))
+    for params in grid:
+        records.extend(regression_records(params))
     lines = [record.line() for record in records]
     try:
         with open(path) as handle:

@@ -56,6 +56,9 @@ from .interval import (
 )
 from .words import all_reduced_expressions
 
+# Bound on the reduced expressions and on the rewritten words of `matsumoto_check`.
+MATSUMOTO_CAP = 10**5
+
 
 @dataclass(frozen=True, slots=True)
 class NormalForm:
@@ -393,16 +396,17 @@ def is_isomorphic_to_CP(
 # -- rewriting and embeddings ------------------------------------------------
 
 
-def matsumoto_check(g: GarsideStructure, w: GroupElement, cap: int = 10**5) -> bool:
+def matsumoto_check(g: GarsideStructure, w: GroupElement) -> bool:
     """All reduced expressions of a member form one class under the relations.
 
     BFS over words, applying every defining relation at every position in
     both directions.  Relations preserve letter count and group image, so the
     closure can only contain reduced expressions of w; the check is that it
-    contains all of them.
+    contains all of them.  More than MATSUMOTO_CAP reduced expressions, or
+    closure words, raise `CapExceededError`.
     """
     params = g.params
-    expressions = all_reduced_expressions(w, params, cap=cap)
+    expressions = all_reduced_expressions(w, params, cap=MATSUMOTO_CAP)
     target = set(expressions)
     moves = []
     for lhs, rhs in emit_presentation(params).relations:
@@ -419,9 +423,9 @@ def matsumoto_check(g: GarsideStructure, w: GroupElement, cap: int = 10**5) -> b
                 if word[pos : pos + width] == lhs:
                     new = word[:pos] + rhs + word[pos + width :]
                     if new not in seen:
-                        if len(seen) >= cap:
+                        if len(seen) >= MATSUMOTO_CAP:
                             raise CapExceededError(
-                                f"rewriting closure exceeded {cap} words"
+                                f"rewriting closure exceeded {MATSUMOTO_CAP} words"
                             )
                         seen.add(new)
                         frontier.append(new)

@@ -259,15 +259,23 @@ class Interval:
 
 @dataclass(frozen=True, slots=True)
 class LatticeReport:
+    """Meets per side; a join on one side is a complemented meet on the other."""
+
     meet_left: bool
-    join_left: bool
     meet_right: bool
-    join_right: bool
     counterexample: LatticeViolation | None = None
 
     @property
+    def join_left(self) -> bool:
+        return self.meet_right
+
+    @property
+    def join_right(self) -> bool:
+        return self.meet_left
+
+    @property
     def all_ok(self) -> bool:
-        return self.meet_left and self.join_left and self.meet_right and self.join_right
+        return self.meet_left and self.meet_right
 
 
 def _bits(mask: int) -> list[int]:
@@ -500,14 +508,10 @@ def _pairwise_violation(interval: Interval, side: str) -> LatticeViolation | Non
 
 
 def _report(violations: dict[str, LatticeViolation | None]) -> LatticeReport:
-    """Per-side first violations as a report; joins are the other side's meets."""
+    """Per-side first violations as a report."""
     left, right = violations["left"], violations["right"]
     return LatticeReport(
-        meet_left=left is None,
-        join_left=right is None,
-        meet_right=right is None,
-        join_right=left is None,
-        counterexample=left or right,
+        meet_left=left is None, meet_right=right is None, counterexample=left or right
     )
 
 

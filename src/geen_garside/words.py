@@ -9,17 +9,17 @@ Two independent routes produce the same minimal word for an element w:
   t_0), and shifts the resulting 1 onto the diagonal with s_{c+1}..s_i,
   prepending the used letters.
 
-* `reduced_expression_blockwise` never touches the full matrix again after
-  computing the block data: deleting row i and column c and scaling the new
-  first column by the removed entry yields the next block, and the word
-  emitted for each block is a fixed function of (c, exponent).
+* `reduced_expression_blockwise` reads each block straight off the matrix:
+  block i is rows 1..i with their columns renumbered 1..i in order and the
+  first column's exponent fixed by the row sum, and the word emitted for
+  each block is a fixed function of (c, exponent).
 
 Their agreement is a cross-check against transcription slips in either one.
-`length` is the letter count of these words and equals the Cayley-graph
-distance from the identity, for which `cayley_length_table` is the
-independent BFS oracle.  `length_decreases` answers whether a single left
-multiplication by a generator shortens an element, straight from the matrix
-entries, without recomputing any words.
+`length` counts the letters of these words in closed form and equals the
+Cayley-graph distance from the identity, for which `cayley_length_table` is
+the independent BFS oracle.  `length_decreases` answers whether a single
+left multiplication by a generator shortens an element, straight from the
+matrix entries, without recomputing any words.
 """
 
 from __future__ import annotations
@@ -93,30 +93,22 @@ def reduced_expression(w: GroupElement) -> list[Generator]:
     return word
 
 
-def _peel(w: GroupElement):
-    """Yield (i, perm, exps) of the square blocks w_i for i = n..2.
-
-    Block i-1 arises from block i by deleting row i and its column c and
-    scaling the new first column by the deleted entry.  The lists are
-    reused for the next block, so callers copy what they keep.
-    """
-    e = w.e
-    perm = list(w.perm)
-    exps = list(w.exps)
+def _blocks(w: GroupElement) -> list[GroupElement]:
+    """The square blocks w_n, ..., w_2; see `BlockDecomposition.blocks`."""
+    out = []
     for i in range(w.n, 1, -1):
-        yield i, perm, exps
-        c = perm.pop()
-        k = exps.pop()
-        for r in range(i - 1):
-            if perm[r] > c:
-                perm[r] -= 1
-            if perm[r] == 1:
-                exps[r] = (exps[r] + k) % e
+        rows = w.perm[:i]
+        perm = tuple(sum(p <= c for p in rows) for c in rows)
+        exps = list(w.exps[:i])
+        first = perm.index(1)
+        exps[first] = (exps[first] - sum(exps)) % w.e
+        out.append(GroupElement(w.e, perm, tuple(exps)))
+    return out
 
 
 def _block_steps(w: GroupElement) -> list[tuple[int, int, int]]:
-    """(i, c, exponent) of the nonzero entry of row i in block i, for i = n..2."""
-    return [(i, perm[i - 1], exps[i - 1]) for i, perm, exps in _peel(w)]
+    """(i, c, exponent) of the entry of row i in block i, for i = n..2."""
+    return [(b.n, b.perm[-1], b.exps[-1]) for b in _blocks(w)]
 
 
 def _block_word(i: int, c: int, k: int) -> list[Generator]:
@@ -134,12 +126,6 @@ def _block_word(i: int, c: int, k: int) -> list[Generator]:
     ]
 
 
-def _block_length(i: int, c: int, k: int) -> int:
-    if k != 0:
-        return (i - 2) + (2 if c >= 2 else 1) + max(0, c - 2)
-    return i - c
-
-
 class BlockDecomposition:
     """Per-block data of an element: blocks w_n..w_2 and the word each emits."""
 
@@ -153,12 +139,14 @@ class BlockDecomposition:
         return _block_word(*step)
 
     def blocks(self) -> list[GroupElement]:
-        """The square blocks w_n, ..., w_2, each a monomial matrix on 1..i."""
-        e = self.element.e
-        return [
-            GroupElement(e, tuple(perm), tuple(exps))
-            for _, perm, exps in _peel(self.element)
-        ]
+        """The square blocks w_n, ..., w_2, each a monomial matrix on 1..i.
+
+        Block i is rows 1..i of w with their columns renumbered 1..i in
+        order.  Each keeps its exponent except the entry in the first column,
+        which takes the one that makes the row sum 0 mod e: deleting a row
+        carries its exponent only into the leftmost entry so far.
+        """
+        return _blocks(self.element)
 
     def word(self) -> list[Generator]:
         """Concatenation block 2, block 3, ..., block n."""
@@ -173,8 +161,20 @@ def reduced_expression_blockwise(w: GroupElement) -> BlockDecomposition:
 
 
 def length(w: GroupElement) -> int:
-    """Minimal word length of w over the generating set."""
-    return sum(_block_length(*step) for step in _block_steps(w))
+    """Minimal word length of w over the generating set.
+
+    With c_i the number of rows above row i whose entry lies further left,
+    block i has its entry in column c_i + 1 and emits i - 1 + c_i letters if
+    that entry's exponent is non-zero, else i - 1 - c_i.  The raw exponent
+    will do: a carried exponent only reaches rows with c_i = 0, which add
+    i - 1 either way.
+    """
+    perm = w.perm
+    total = 0
+    for i, (c, k) in enumerate(zip(perm, w.exps)):
+        left = sum(p < c for p in perm[:i])
+        total += i + left if k else i - left
+    return total
 
 
 def length_decreases(x: Generator, w: GroupElement) -> bool:

@@ -3,12 +3,12 @@ import os
 
 import pytest
 
+from geen_garside import GroupParams
 from geen_garside.cli import (
     EXIT_CAP,
     EXIT_FALSE,
     EXIT_OK,
     EXIT_USAGE,
-    RunConfig,
     default_grid,
     freeze_regressions,
     regression_records,
@@ -107,10 +107,11 @@ def test_homology_dump(tmp_path, capsys):
 
 
 def test_verify_suites(capsys):
-    for suite in ("lattice", "lcm", "balanced", "garside", "homology", "all"):
-        assert run(["verify", "--e", "3", "--n", "3", "--k", "1",
-                    "--suite", suite]) == EXIT_OK
-        capsys.readouterr()
+    for e, n, k in [(3, 3, 1), (3, 2, 1)]:
+        for suite in ("lattice", "lcm", "balanced", "garside", "homology", "all"):
+            assert run(["verify", "--e", str(e), "--n", str(n), "--k", str(k),
+                        "--suite", suite]) == EXIT_OK
+            capsys.readouterr()
 
 
 def test_usage_error():
@@ -150,7 +151,7 @@ def test_determinism(capsys):
 
 def test_freeze_and_drift(tmp_path):
     path = tmp_path / "regressions.jsonl"
-    grid = [RunConfig(3, 3, 1), RunConfig(3, 3, 2)]
+    grid = [GroupParams(3, 3, 1), GroupParams(3, 3, 2)]
     records = freeze_regressions(grid, str(path))
     assert any(
         r.key == "interval-cardinality e=3 n=3 k=1" and r.value == 35 for r in records
@@ -173,7 +174,7 @@ def test_freeze_empty_grid(tmp_path):
 
 def test_default_grid_caps():
     grid = default_grid()
-    assert RunConfig(6, 4, 5) in grid
+    assert GroupParams(6, 4, 5) in grid
     assert all(c.e ** (c.n - 1) * [1, 1, 2, 6, 24][c.n] <= 10**5 for c in grid)
     ks = {(c.e, c.n, c.k) for c in grid}
     assert (3, 3, 1) in ks and (3, 3, 2) in ks

@@ -21,7 +21,8 @@ from geen_garside import (
     reduced_expression,
     reduced_expression_blockwise,
 )
-from conftest import SMALL_GRID
+from geen_garside.words import _block_steps
+from conftest import LENGTH_ORACLE_GRID
 
 
 WORKED_ELEMENT = GroupElement(3, (4, 2, 3, 1), (0, 2, 1, 0))
@@ -47,6 +48,35 @@ def test_block_matrices_shrink():
     assert [b.n for b in blocks] == [4, 3, 2]
     # removing row 4 / column 1 and scaling the first column by 1
     assert blocks[1] == GroupElement(3, (3, 1, 2), (0, 2, 1))
+
+
+def _peel(w: GroupElement):
+    """Reference blocks w_n..w_2 by literal deletion, as (i, perm, exps).
+
+    Block i-1 arises from block i by deleting row i and its column c and
+    scaling the new first column by the deleted entry.
+    """
+    perm = list(w.perm)
+    exps = list(w.exps)
+    for i in range(w.n, 1, -1):
+        yield i, tuple(perm), tuple(exps)
+        c = perm.pop()
+        k = exps.pop()
+        for r in range(i - 1):
+            if perm[r] > c:
+                perm[r] -= 1
+            if perm[r] == 1:
+                exps[r] = (exps[r] + k) % w.e
+
+
+@pytest.mark.parametrize("e,n", [(3, 4), (2, 5), (3, 5)])
+def test_closed_form_blocks_match_peeling_exhaustive(e, n):
+    for w in enumerate_group(GroupParams(e, n)):
+        peeled = list(_peel(w))
+        assert _block_steps(w) == [(i, p[-1], x[-1]) for i, p, x in peeled]
+        assert reduced_expression_blockwise(w).blocks() == [
+            GroupElement(e, p, x) for _, p, x in peeled
+        ]
 
 
 def test_identity_word_is_empty():
@@ -90,7 +120,7 @@ def test_evaluation_round_trip_sampled_large():
         assert evaluate_word(reduced_expression(w), params) == w
 
 
-@pytest.mark.parametrize("e,n", SMALL_GRID)
+@pytest.mark.parametrize("e,n", LENGTH_ORACLE_GRID + [(2, 5), (3, 5), (2, 6)])
 def test_length_equals_bfs_distance(e, n):
     params = GroupParams(e, n)
     table = cayley_length_table(params)
