@@ -24,6 +24,8 @@ matrix entries, without recomputing any words.
 
 from __future__ import annotations
 
+from bisect import bisect, insort
+
 from .core import (
     CapExceededError,
     Generator,
@@ -93,24 +95,6 @@ def reduced_expression(w: GroupElement) -> list[Generator]:
     return word
 
 
-def _blocks(w: GroupElement) -> list[GroupElement]:
-    """The square blocks w_n, ..., w_2; see `BlockDecomposition.blocks`."""
-    out = []
-    for i in range(w.n, 1, -1):
-        rows = w.perm[:i]
-        perm = tuple(sum(p <= c for p in rows) for c in rows)
-        exps = list(w.exps[:i])
-        first = perm.index(1)
-        exps[first] = (exps[first] - sum(exps)) % w.e
-        out.append(GroupElement(w.e, perm, tuple(exps)))
-    return out
-
-
-def _block_steps(w: GroupElement) -> list[tuple[int, int, int]]:
-    """(i, c, exponent) of the entry of row i in block i, for i = n..2."""
-    return [(b.n, b.perm[-1], b.exps[-1]) for b in _blocks(w)]
-
-
 def _block_word(i: int, c: int, k: int) -> list[Generator]:
     """Word contributed by block i, by the closed-form case split on (c, k)."""
     if k != 0:
@@ -131,7 +115,8 @@ class BlockDecomposition:
 
     def __init__(self, w: GroupElement):
         self.element = w
-        self.steps = _block_steps(w)
+        # (i, c, exponent) of the entry of row i in block i, for i = n..2
+        self.steps = [(b.n, b.perm[-1], b.exps[-1]) for b in self.blocks()]
 
     def block_word(self, i: int) -> list[Generator]:
         """Word contributed by block i (2 <= i <= n)."""
@@ -146,7 +131,16 @@ class BlockDecomposition:
         which takes the one that makes the row sum 0 mod e: deleting a row
         carries its exponent only into the leftmost entry so far.
         """
-        return _blocks(self.element)
+        w = self.element
+        out = []
+        for i in range(w.n, 1, -1):
+            rows = w.perm[:i]
+            perm = tuple(sum(p <= c for p in rows) for c in rows)
+            exps = list(w.exps[:i])
+            first = perm.index(1)
+            exps[first] = (exps[first] - sum(exps)) % w.e
+            out.append(GroupElement(w.e, perm, tuple(exps)))
+        return out
 
     def word(self) -> list[Generator]:
         """Concatenation block 2, block 3, ..., block n."""
@@ -169,10 +163,11 @@ def length(w: GroupElement) -> int:
     will do: a carried exponent only reaches rows with c_i = 0, which add
     i - 1 either way.
     """
-    perm = w.perm
+    above: list[int] = []  # columns of the rows above, sorted
     total = 0
-    for i, (c, k) in enumerate(zip(perm, w.exps)):
-        left = sum(p < c for p in perm[:i])
+    for i, (c, k) in enumerate(zip(w.perm, w.exps)):
+        left = bisect(above, c)
+        insort(above, c)
         total += i + left if k else i - left
     return total
 

@@ -21,7 +21,6 @@ from geen_garside import (
     reduced_expression,
     reduced_expression_blockwise,
 )
-from geen_garside.words import _block_steps
 from conftest import LENGTH_ORACLE_GRID
 
 
@@ -73,8 +72,9 @@ def _peel(w: GroupElement):
 def test_closed_form_blocks_match_peeling_exhaustive(e, n):
     for w in enumerate_group(GroupParams(e, n)):
         peeled = list(_peel(w))
-        assert _block_steps(w) == [(i, p[-1], x[-1]) for i, p, x in peeled]
-        assert reduced_expression_blockwise(w).blocks() == [
+        blocks = reduced_expression_blockwise(w)
+        assert blocks.steps == [(i, p[-1], x[-1]) for i, p, x in peeled]
+        assert blocks.blocks() == [
             GroupElement(e, p, x) for _, p, x in peeled
         ]
 
