@@ -127,9 +127,9 @@ class BlockDecomposition:
         """The square blocks w_n, ..., w_2, each a monomial matrix on 1..i.
 
         Block i is rows 1..i of w with their columns renumbered 1..i in
-        order.  Each keeps its exponent except the entry in the first column,
-        which takes the one that makes the row sum 0 mod e: deleting a row
-        carries its exponent only into the leftmost entry so far.
+        order.  Every entry keeps its exponent except the one in the first
+        column, which takes the exponent that makes the row sum 0 mod e:
+        deleting a row carries its exponent only into the leftmost entry.
         """
         w = self.element
         out = []
