@@ -26,6 +26,7 @@ from .core import (
     identity,
     inverse,
     lambda_power,
+    left_quotient,
     multiply,
     parse_word,
     transpose,

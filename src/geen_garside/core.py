@@ -20,6 +20,11 @@ The distinguished generators are the reflections
 
 and the diagonal element lambda = diag(zeta_e^{-(n-1)}, zeta_e, ..., zeta_e)
 whose powers bound the divisibility intervals built in `interval`.
+
+Elements, and the generator symbols, are NamedTuples: immutable, hashable,
+and equal to the tuple of their fields, so building, hashing and comparing
+them runs in C.  `left_quotient` forms a^(-1) b in one pass, without the
+intermediate inverse.
 """
 
 from __future__ import annotations
@@ -28,6 +33,7 @@ import itertools
 import json
 import os
 from dataclasses import dataclass
+from typing import NamedTuple
 
 DEFAULT_GROUP_CAP = 10**6
 
@@ -80,9 +86,11 @@ class GroupParams:
         return result
 
 
-@dataclass(frozen=True, slots=True, order=True)
-class Generator:
-    """Atom symbol: kind 't' with index mod e, or kind 's' with 3 <= index <= n."""
+class Generator(NamedTuple):
+    """Atom symbol: kind 't' with index mod e, or kind 's' with 3 <= index <= n.
+
+    Generators sort by (kind, index).
+    """
 
     kind: str
     index: int
@@ -139,8 +147,7 @@ def _check_generator(g: Generator, params: GroupParams) -> None:
         raise ValueError(f"unknown generator kind {g.kind!r}")
 
 
-@dataclass(frozen=True, slots=True)
-class GroupElement:
+class GroupElement(NamedTuple):
     """A monomial matrix of G(e,e,n) as (permutation, exponent vector mod e)."""
 
     e: int
@@ -169,14 +176,33 @@ class GroupElement:
 
     @staticmethod
     def from_json(text: str) -> "GroupElement":
+        """Parse the form written by `to_json`; any malformed payload raises ValueError."""
         data = json.loads(text)
-        w = GroupElement(int(data["e"]), tuple(data["perm"]), tuple(data["exps"]))
-        _validate_element(w, int(data["n"]))
+        if not isinstance(data, dict):
+            raise ValueError(f"element must be a JSON object, got {text!r}")
+        missing = {"e", "n", "perm", "exps"} - data.keys()
+        if missing:
+            raise ValueError(f"element is missing {sorted(missing)}")
+        e, n, perm, exps = data["e"], data["n"], data["perm"], data["exps"]
+        if not (_is_int(e) and _is_int(n)):
+            raise ValueError(f"e and n must be integers, got e={e!r}, n={n!r}")
+        for name, entries in (("perm", perm), ("exps", exps)):
+            if not (isinstance(entries, list) and all(map(_is_int, entries))):
+                raise ValueError(f"{name} must be a list of integers, got {entries!r}")
+        if e < 2:
+            raise ValueError(f"e must be >= 2, got {e}")
+        w = GroupElement(e, tuple(perm), tuple(exps))
+        _validate_element(w, n)
         return w
 
 
-def _validate_element(w: GroupElement, n: int | None = None) -> None:
-    if n is not None and len(w.perm) != n:
+def _is_int(value) -> bool:
+    """Whether a parsed JSON value is an integer (a bool is not)."""
+    return type(value) is int
+
+
+def _validate_element(w: GroupElement, n: int) -> None:
+    if len(w.perm) != n:
         raise ValueError(f"perm has length {len(w.perm)}, expected n={n}")
     if sorted(w.perm) != list(range(1, len(w.perm) + 1)):
         raise ValueError(f"perm {w.perm} is not a permutation of 1..{len(w.perm)}")
@@ -224,9 +250,33 @@ def multiply(u: GroupElement, v: GroupElement) -> GroupElement:
     e = u.e
     vperm = v.perm
     vexps = v.exps
-    perm = tuple(vperm[c - 1] for c in u.perm)
-    exps = tuple((a + vexps[c - 1]) % e for a, c in zip(u.exps, u.perm))
+    perm = tuple([vperm[c - 1] for c in u.perm])
+    exps = tuple([(a + vexps[c - 1]) % e for a, c in zip(u.exps, u.perm)])
     return GroupElement(e, perm, exps)
+
+
+def left_quotient(a: GroupElement, b: GroupElement) -> GroupElement:
+    """The product a^(-1) b, in one pass.
+
+    Row i of a^(-1) is nonzero at column j where sigma_a(j) = i, with
+    exponent -eps_a(j); so row sigma_a(j) of the quotient is row j of b
+    with eps_a(j) taken off: column sigma_b(j), exponent eps_b(j) - eps_a(j).
+    """
+    if a.e != b.e or len(a.perm) != len(b.perm):
+        raise ParameterMismatchError(
+            f"cannot divide elements of G({a.e},{a.e},{len(a.perm)}) "
+            f"and G({b.e},{b.e},{len(b.perm)})"
+        )
+    e = a.e
+    n = len(a.perm)
+    aperm, aexps, bperm, bexps = a.perm, a.exps, b.perm, b.exps
+    perm = [0] * n
+    exps = [0] * n
+    for j in range(n):
+        row = aperm[j] - 1
+        perm[row] = bperm[j]
+        exps[row] = (bexps[j] - aexps[j]) % e
+    return GroupElement(e, tuple(perm), tuple(exps))
 
 
 def inverse(w: GroupElement) -> GroupElement:

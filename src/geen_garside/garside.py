@@ -35,6 +35,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 from .core import (
     CapExceededError,
@@ -60,8 +61,7 @@ from .words import all_reduced_expressions
 MATSUMOTO_CAP = 10**5
 
 
-@dataclass(frozen=True, slots=True)
-class NormalForm:
+class NormalForm(NamedTuple):
     """Canonical form Delta^p f_1 ... f_m; factors are interval ordinals."""
 
     delta_power: int

@@ -8,11 +8,12 @@ column minima its bullets; then w divides lambda^k exactly when every
 non-bullet entry is 1 or zeta_e^k.  `build_interval` enumerates the members,
 computes both divisibility relations as bitsets over member ordinals and the
 complements s^(-1) lambda^k, lambda^k s^(-1), and checks the closed-form set
-against a divisor test on the whole group: length additivity
-len(a) + len(a^(-1) b) = len(b), which never looks at the staircase.  It
-also records, per atom, the ordinal of x*s for every member s that the atom
-x left-divides: the integer tables through which the Garside layer walks a
-simple down to the identity one atom at a time, with no group arithmetic.
+against a divisor test on the whole group that never looks at the staircase:
+length additivity len(a) + len(a^(-1) b) = len(b), with a^(-1) b formed in
+one pass by `left_quotient`.  It also records, per atom, the ordinal of x*s
+for every member s that the atom x left-divides: the integer tables through
+which the Garside layer walks a simple down to the identity one atom at a
+time, with no group arithmetic.
 
 Meets are bitset intersections followed by an extremality check.
 s -> s^(-1) lambda^k turns left divisibility upside down into right
@@ -43,6 +44,7 @@ from .core import (
     generator_matrix,
     inverse,
     lambda_power,
+    left_quotient,
     multiply,
     transpose,
     transpose_generator,
@@ -115,12 +117,12 @@ def left_divides(a: GroupElement, b: GroupElement) -> bool:
     """a <= b in left divisibility: len(a) + len(a^(-1) b) = len(b).
 
     This is the definition of the order, b = a * (a^(-1) b) with additive
-    lengths, evaluated with the row-reduction length; it never consults the
-    staircase criterion of `in_interval`, so it can serve as its oracle.
+    lengths, evaluated with the row-reduction length on the quotient a^(-1) b
+    that `left_quotient` computes; it never consults the staircase criterion
+    of `in_interval`, so it can serve as its oracle.  Operands from
+    different groups raise ParameterMismatchError there.
     """
-    if a.e != b.e or a.n != b.n:
-        raise ValueError("elements live in different groups")
-    return length(a) + length(multiply(inverse(a), b)) == length(b)
+    return length(a) + length(left_quotient(a, b)) == length(b)
 
 
 def right_divides(a: GroupElement, b: GroupElement) -> bool:
@@ -388,7 +390,7 @@ def build_interval(params: GroupParams) -> Interval:
         div_left[b] = left_mask
         div_right[b] = right_mask
 
-    comp_left = [index.get(multiply(inverse(w), delta)) for w in members]
+    comp_left = [index.get(left_quotient(w, delta)) for w in members]
     comp_right = [index.get(multiply(delta, inverse(w))) for w in members]
     if None in comp_left or None in comp_right:
         raise TheoremViolationError("the complement of a simple left the interval")

@@ -120,6 +120,28 @@ def test_usage_error():
     assert run(["length", "--e", "3", "--n", "2", "--element", "not json"]) == EXIT_USAGE
 
 
+@pytest.mark.parametrize(
+    "command, element",
+    [
+        ("length", "[1,2]"),
+        ("length", '"x"'),
+        ("length", "null"),
+        ("length", '{"e":3,"n":3,"perm":[1,2,3],"exps":[0,1.5,1.5]}'),
+        ("reduce", '{"e":3,"n":3,"perm":[1,2,3],"exps":[1,true,true]}'),
+        ("length", '{"e":3.7,"n":3,"perm":[1,2,3],"exps":[0,0,0]}'),
+        ("length", '{"e":3,"n":true,"perm":[1],"exps":[0]}'),
+        ("length", '{"e":3,"n":3,"perm":[1,2,3.0],"exps":[0,0,0]}'),
+        ("length", '{"e":3,"n":3,"perm":[1,2,3]}'),
+        ("length", '{"e":0,"n":0,"perm":[],"exps":[]}'),
+    ],
+)
+def test_malformed_element_is_a_usage_error(command, element, capsys):
+    assert run([command, "--e", "3", "--n", "3", "--element", element]) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+
+
 def test_cap_exceeded(capsys, monkeypatch):
     monkeypatch.setenv("GARSIDE_CAP", "10")
     assert run(["bfs-length", "--e", "6", "--n", "4", "--element",

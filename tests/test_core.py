@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import pytest
 
@@ -7,6 +8,7 @@ from geen_garside import (
     Generator,
     GroupElement,
     GroupParams,
+    NormalForm,
     ParameterMismatchError,
     atoms,
     enumerate_group,
@@ -15,6 +17,8 @@ from geen_garside import (
     identity,
     inverse,
     lambda_power,
+    left_divides,
+    left_quotient,
     multiply,
     parse_word,
     transpose,
@@ -226,6 +230,62 @@ def test_json_round_trip():
     assert GroupElement.from_json(w.to_json()) == w
     with pytest.raises(ValueError):
         GroupElement.from_json('{"e":3,"n":2,"perm":[1,2],"exps":[1,1]}')
+
+
+def test_left_quotient_matches_inverse_product_exhaustive_g333():
+    group = enumerate_group(GroupParams(3, 3))
+    for a in group:
+        inv = inverse(a)
+        for b in group:
+            assert left_quotient(a, b) == multiply(inv, b)
+
+
+def test_left_quotient_matches_inverse_product_sampled_g444():
+    group = enumerate_group(GroupParams(4, 4))
+    rng = random.Random(444)
+    for _ in range(3000):
+        a, b = rng.choice(group), rng.choice(group)
+        assert left_quotient(a, b) == multiply(inverse(a), b)
+
+
+def test_left_quotient_refuses_mixed_groups():
+    a = identity(GroupParams(3, 3))
+    for b in (identity(GroupParams(4, 3)), identity(GroupParams(3, 4))):
+        for op in (left_quotient, multiply, left_divides):
+            with pytest.raises(ParameterMismatchError):
+                op(a, b)
+            with pytest.raises(ParameterMismatchError):
+                op(b, a)
+
+
+@pytest.mark.parametrize(
+    "value, fields, text",
+    [
+        (
+            GroupElement(3, (1, 2, 3), (0, 0, 0)),
+            (3, (1, 2, 3), (0, 0, 0)),
+            "GroupElement(e=3, perm=(1, 2, 3), exps=(0, 0, 0))",
+        ),
+        (Generator("s", 3), ("s", 3), "Generator(kind='s', index=3)"),
+        (NormalForm(2, (5, 7)), (2, (5, 7)), "NormalForm(delta_power=2, factors=(5, 7))"),
+    ],
+)
+def test_value_records_hash_as_their_fields(value, fields, text):
+    """Set and dict order, and so every golden file, rests on these hashes."""
+    assert hash(value) == hash(fields)
+    assert value == fields
+    assert repr(value) == text
+    for name in type(value)._fields:
+        with pytest.raises(AttributeError):
+            setattr(value, name, getattr(value, name))
+
+
+def test_generators_sort_by_kind_then_index():
+    gens = [Generator("t", 2), Generator("s", 4), Generator("t", 0), Generator("s", 3)]
+    assert sorted(gens) == [
+        Generator("s", 3), Generator("s", 4), Generator("t", 0), Generator("t", 2)
+    ]
+    assert str(Generator("t", 2)) == "t2"
 
 
 def test_word_parsing():
