@@ -25,6 +25,12 @@ Elements, and the generator symbols, are NamedTuples: immutable, hashable,
 and equal to the tuple of their fields, so building, hashing and comparing
 them runs in C.  `left_quotient` forms a^(-1) b in one pass, without the
 intermediate inverse.
+
+Data that depends on the permutation alone is tabulated once per
+permutation, not once per element: `_inverse_order` here (read by
+`inverse`, `transpose` and `left_quotient`) and the row counts of
+`words.length`.  Each table is keyed by the permutation tuple, so it holds
+at most n! entries per n, and it has no size option.
 """
 
 from __future__ import annotations
@@ -33,6 +39,7 @@ import itertools
 import json
 import os
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import NamedTuple
 
 DEFAULT_GROUP_CAP = 10**6
@@ -255,6 +262,18 @@ def multiply(u: GroupElement, v: GroupElement) -> GroupElement:
     return GroupElement(e, perm, exps)
 
 
+@lru_cache(maxsize=None)
+def _inverse_order(perm: tuple[int, ...]) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """(sigma^(-1), the 0-based rows j in increasing sigma(j)) of a permutation.
+
+    Row i of the inverse or the transpose of w is row order[i-1] of w moved
+    to column sigma^(-1)(i).  The table holds one entry per permutation
+    seen, at most n! per n.
+    """
+    order = tuple(sorted(range(len(perm)), key=perm.__getitem__))
+    return tuple([j + 1 for j in order]), order
+
+
 def left_quotient(a: GroupElement, b: GroupElement) -> GroupElement:
     """The product a^(-1) b, in one pass.
 
@@ -268,40 +287,26 @@ def left_quotient(a: GroupElement, b: GroupElement) -> GroupElement:
             f"and G({b.e},{b.e},{len(b.perm)})"
         )
     e = a.e
-    n = len(a.perm)
-    aperm, aexps, bperm, bexps = a.perm, a.exps, b.perm, b.exps
-    perm = [0] * n
-    exps = [0] * n
-    for j in range(n):
-        row = aperm[j] - 1
-        perm[row] = bperm[j]
-        exps[row] = (bexps[j] - aexps[j]) % e
-    return GroupElement(e, tuple(perm), tuple(exps))
+    order = _inverse_order(a.perm)[1]
+    aexps, bperm, bexps = a.exps, b.perm, b.exps
+    perm = tuple([bperm[j] for j in order])
+    exps = tuple([(bexps[j] - aexps[j]) % e for j in order])
+    return GroupElement(e, perm, exps)
 
 
 def inverse(w: GroupElement) -> GroupElement:
     """Inverse = conjugate transpose: sigma^(-1) with negated, relabeled exponents."""
-    n = len(w.perm)
-    perm = [0] * n
-    exps = [0] * n
-    for i in range(n):
-        c = w.perm[i]
-        perm[c - 1] = i + 1
-        exps[c - 1] = (-w.exps[i]) % w.e
-    return GroupElement(w.e, tuple(perm), tuple(exps))
+    perm, order = _inverse_order(w.perm)
+    e, exps = w.e, w.exps
+    return GroupElement(e, perm, tuple([-exps[j] % e for j in order]))
 
 
 def transpose(w: GroupElement) -> GroupElement:
     """Plain transpose: the length-preserving antiautomorphism sending t_i to
     t_{-i} and fixing every s_j."""
-    n = len(w.perm)
-    perm = [0] * n
-    exps = [0] * n
-    for i in range(n):
-        c = w.perm[i]
-        perm[c - 1] = i + 1
-        exps[c - 1] = w.exps[i]
-    return GroupElement(w.e, tuple(perm), tuple(exps))
+    perm, order = _inverse_order(w.perm)
+    exps = w.exps
+    return GroupElement(w.e, perm, tuple([exps[j] for j in order]))
 
 
 def transpose_generator(g: Generator, params: GroupParams) -> Generator:

@@ -5,9 +5,11 @@ Left divisibility a <= b means b = a*c with additive lengths; right
 divisibility mirrors it.  The interval below lambda^k has a closed-form
 membership test: call the nonzero entries of w that are strict left-to-right
 column minima its bullets; then w divides lambda^k exactly when every
-non-bullet entry is 1 or zeta_e^k.  `build_interval` enumerates the members,
-computes both divisibility relations as bitsets over member ordinals and the
-complements s^(-1) lambda^k, lambda^k s^(-1), and checks the closed-form set
+non-bullet entry is 1 or zeta_e^k, which `in_interval` decides in one pass
+over the rows with a running column minimum, stopping at the first entry
+that fails.  `build_interval` enumerates the members, computes both
+divisibility relations as bitsets over member ordinals and the complements
+s^(-1) lambda^k, lambda^k s^(-1), and checks the closed-form set
 against a divisor test on the whole group that never looks at the staircase:
 length additivity len(a) + len(a^(-1) b) = len(b), with a^(-1) b formed in
 one pass by `left_quotient`.  It also records, per atom, the ordinal of x*s
@@ -86,16 +88,6 @@ class LatticeViolationError(TheoremViolationError):
         )
 
 
-def _staircase(w: GroupElement) -> list[bool]:
-    """Per row, whether its entry is a strict running minimum of the columns."""
-    out = []
-    best = len(w.perm) + 1
-    for c in w.perm:
-        out.append(c < best)
-        best = min(best, c)
-    return out
-
-
 def bullet_rows(w: GroupElement) -> list[int]:
     """Rows (1-based) whose entry is a strict running minimum of the columns.
 
@@ -103,14 +95,31 @@ def bullet_rows(w: GroupElement) -> list[int]:
     above and to the left, i.e. the corners of the staircase separating the
     zero region of the matrix.
     """
-    return [i for i, bullet in enumerate(_staircase(w), start=1) if bullet]
+    out = []
+    best = len(w.perm) + 1
+    for i, c in enumerate(w.perm, start=1):
+        if c < best:
+            out.append(i)
+            best = c
+    return out
 
 
 def in_interval(w: GroupElement, k: int) -> bool:
-    """Membership of w in [1, lambda^k]: non-bullet entries must be 1 or zeta^k."""
+    """Membership of w in [1, lambda^k]: non-bullet entries must be 1 or zeta^k.
+
+    One pass keeps the running column minimum, so the bullets of
+    `bullet_rows` are the rows that lower it, and stops at the first
+    non-bullet exponent outside {0, k}.
+    """
     if not 1 <= k <= w.e - 1:
         raise ValueError(f"k must satisfy 1 <= k <= e-1, got {k}")
-    return all(bullet or a in (0, k) for bullet, a in zip(_staircase(w), w.exps))
+    best = len(w.perm) + 1
+    for c, a in zip(w.perm, w.exps):
+        if c < best:
+            best = c
+        elif a and a != k:
+            return False
+    return True
 
 
 def left_divides(a: GroupElement, b: GroupElement) -> bool:
@@ -311,7 +320,8 @@ def divisor_theorem_oracle(interval: Interval, group: list[GroupElement]) -> Non
     for w in group:
         lw = left_divides(w, delta)
         rw = left_divides(transpose(w), delta_t)
-        if lw != (w in member_set) or rw != (w in member_set):
+        member = w in member_set
+        if lw != member or rw != member:
             raise TheoremViolationError(
                 f"divisors of lambda^{interval.k} disagree with the staircase "
                 f"criterion at {w}"

@@ -17,14 +17,16 @@ Two independent routes produce the same minimal word for an element w:
 Their agreement is a cross-check against transcription slips in either one.
 `length` counts the letters of these words in closed form and equals the
 Cayley-graph distance from the identity, for which `cayley_length_table` is
-the independent BFS oracle.  `length_decreases` answers whether a single
-left multiplication by a generator shortens an element, straight from the
-matrix entries, without recomputing any words.
+the independent BFS oracle; the part of that count fixed by the permutation
+is tabulated once per permutation by `_row_shape`.  `length_decreases`
+answers whether a single left multiplication by a generator shortens an
+element, straight from the matrix entries, without recomputing any words.
 """
 
 from __future__ import annotations
 
-from bisect import bisect, insort
+from functools import lru_cache
+from itertools import compress
 
 from .core import (
     CapExceededError,
@@ -154,6 +156,18 @@ def reduced_expression_blockwise(w: GroupElement) -> BlockDecomposition:
     return BlockDecomposition(w)
 
 
+@lru_cache(maxsize=None)
+def _row_shape(perm: tuple[int, ...]) -> tuple[int, tuple[int, ...]]:
+    """(sum of i - 1 - c_i over the rows, (2 c_i per row)) for a permutation.
+
+    c_i counts the rows above row i whose entry lies further left.  The
+    table holds one entry per permutation seen, at most n! per n.
+    """
+    doubled = tuple(2 * sum(p < c for p in perm[:i]) for i, c in enumerate(perm))
+    n = len(perm)
+    return n * (n - 1) // 2 - sum(doubled) // 2, doubled
+
+
 def length(w: GroupElement) -> int:
     """Minimal word length of w over the generating set.
 
@@ -161,15 +175,12 @@ def length(w: GroupElement) -> int:
     block i has its entry in column c_i + 1 and emits i - 1 + c_i letters if
     that entry's exponent is non-zero, else i - 1 - c_i.  The raw exponent
     will do: a carried exponent only reaches rows with c_i = 0, which add
-    i - 1 either way.
+    i - 1 either way.  So the length is the permutation's sum of i - 1 - c_i,
+    looked up in `_row_shape`, plus 2 c_i for each row with a non-zero
+    exponent.
     """
-    above: list[int] = []  # columns of the rows above, sorted
-    total = 0
-    for i, (c, k) in enumerate(zip(w.perm, w.exps)):
-        left = bisect(above, c)
-        insort(above, c)
-        total += i + left if k else i - left
-    return total
+    base, doubled = _row_shape(w.perm)
+    return base + sum(compress(doubled, w.exps))
 
 
 def length_decreases(x: Generator, w: GroupElement) -> bool:

@@ -122,6 +122,40 @@ def test_inverse_exhaustive_g333():
         assert multiply(inverse(w), w).is_identity()
 
 
+def _transpose_by_entries(w):
+    """Entry (i, sigma(i)) of w goes to (sigma(i), i) with the same exponent."""
+    n = w.n
+    perm = [0] * n
+    exps = [0] * n
+    for i in range(1, n + 1):
+        column, exponent = w.entry_of_row(i)
+        perm[column - 1] = i
+        exps[column - 1] = exponent
+    return GroupElement(w.e, tuple(perm), tuple(exps))
+
+
+def test_inverse_and_transpose_exhaustive_g335():
+    """Every one of the 120 permutations of n = 5, against references that
+    never read the per-permutation table.  e = 3, since mod 2 a negated
+    exponent equals itself."""
+    group = enumerate_group(GroupParams(3, 5))
+    assert len(group) == 9720
+    assert len({w.perm for w in group}) == 120
+    for w in group:
+        assert multiply(w, inverse(w)).is_identity()
+        assert multiply(inverse(w), w).is_identity()
+        assert transpose(w) == _transpose_by_entries(w)
+        assert transpose(transpose(w)) == w
+
+
+def test_left_quotient_is_a_left_quotient_sampled_g335():
+    group = enumerate_group(GroupParams(3, 5))
+    rng = random.Random(335)
+    for _ in range(3000):
+        a, b = rng.choice(group), rng.choice(group)
+        assert multiply(a, left_quotient(a, b)) == b
+
+
 def test_inverse_of_generators():
     params = GroupParams(4, 3)
     assert inverse(identity(params)).is_identity()

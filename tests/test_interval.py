@@ -1,3 +1,7 @@
+import os
+import subprocess
+import sys
+
 import pytest
 
 from geen_garside import (
@@ -52,6 +56,43 @@ def test_in_interval_examples():
     assert in_interval(one, 1) and in_interval(one, 2)
     with pytest.raises(ValueError):
         in_interval(one, 0)
+
+
+def _in_interval_by_definition(w, k):
+    """The paper's criterion: every non-bullet entry is 1 or zeta^k."""
+    bullets = set(bullet_rows(w))
+    return all(a in (0, k) for i, a in enumerate(w.exps, start=1) if i not in bullets)
+
+
+@pytest.mark.parametrize("e,n", [(3, 4), (4, 3), (6, 3)])
+def test_in_interval_matches_the_definition_exhaustive(e, n):
+    params = GroupParams(e, n)
+    group = enumerate_group(params)
+    for k in all_k(e):
+        for w in group:
+            assert in_interval(w, k) == _in_interval_by_definition(w, k), (w, k)
+    for k in (0, e):
+        with pytest.raises(ValueError):
+            in_interval(identity(params), k)
+
+
+def test_permutation_tables_hold_one_entry_per_permutation():
+    """A (3,5,1) build leaves exactly 5! = 120 entries in each table keyed by
+    a permutation, however many elements (3^4 * 120 = 9,720) it touched."""
+    code = (
+        "from geen_garside import GroupParams, build_interval\n"
+        "from geen_garside.core import _inverse_order\n"
+        "from geen_garside.words import _row_shape\n"
+        "build_interval(GroupParams(3, 5, 1))\n"
+        "print(_inverse_order.cache_info().currsize, _row_shape.cache_info().currsize)\n"
+    )
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    env = dict(os.environ, PYTHONPATH=os.path.join(root, "src"))
+    result = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=300,
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.split() == ["120", "120"]
 
 
 def test_left_divides_basics():
