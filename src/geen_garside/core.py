@@ -57,10 +57,18 @@ def admit_group(params: GroupParams) -> None:
     """Refuse a group G(e,e,n) whose order exceeds the group-size cap.
 
     The cap is DEFAULT_GROUP_CAP unless the GARSIDE_CAP environment variable
-    sets it; the error names the predicted order and that variable.
+    sets it; the error names the predicted order and that variable.  A
+    GARSIDE_CAP that is not a positive integer raises ValueError naming it.
     """
     value = os.environ.get("GARSIDE_CAP")
-    cap = int(value) if value else DEFAULT_GROUP_CAP
+    cap = DEFAULT_GROUP_CAP
+    if value:
+        try:
+            cap = int(value)
+        except ValueError:
+            cap = 0
+        if cap < 1:
+            raise ValueError(f"GARSIDE_CAP={value!r} is not a positive integer")
     order = params.order()
     if order > cap:
         raise CapExceededError(

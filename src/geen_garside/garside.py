@@ -239,10 +239,9 @@ class GarsideStructure:
         return w
 
     def is_left_greedy(self, nf: NormalForm) -> bool:
-        div = self._div_left
+        meet = self.interval.meet
         for a, b in zip(nf.factors, nf.factors[1:]):
-            common = div[self.comp_left[a]] & div[b]
-            if common.bit_length() - 1 != self.identity:
+            if meet("left", self.comp_left[a], b) != self.identity:
                 return False
         return all(f not in (self.identity, self.delta) for f in nf.factors)
 

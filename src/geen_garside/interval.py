@@ -17,7 +17,9 @@ for every member s that the atom x left-divides: the integer tables through
 which the Garside layer walks a simple down to the identity one atom at a
 time, with no group arithmetic.
 
-Meets are bitset intersections followed by an extremality check.
+Meets are bitset intersections followed by an extremality check,
+`_meet_violation`, the one check behind `Interval.meet` and the lattice
+verifiers alike.
 s -> s^(-1) lambda^k turns left divisibility upside down into right
 divisibility, so each join is the complement of a meet on the other side.
 `verify_lattice` proves the lattice property from the tables in about
@@ -41,6 +43,7 @@ from .core import (
     Generator,
     GroupElement,
     GroupParams,
+    admit_group,
     atoms,
     enumerate_group,
     generator_matrix,
@@ -153,10 +156,12 @@ def balanced_max_length(params: GroupParams) -> list[GroupElement]:
     """The balanced elements among those of maximal length: the lambda^k.
 
     The equality with {lambda^k : 1 <= k <= e-1} is a theorem; its failure
-    is raised as a violation.
+    is raised as a violation.  The group is admitted before the (e-1)^(n-1)
+    candidates are listed, since each balance test scans all of it.
     """
     from .words import maximal_length_elements
 
+    admit_group(params)
     found = [w for w in maximal_length_elements(params) if is_balanced(w)]
     expected = {lambda_power(params, k) for k in range(1, params.e)}
     if set(found) != expected:
@@ -236,13 +241,10 @@ class Interval:
         Ordinals refine length, so only the top common divisor can be it.
         """
         div = self.div_left if side == "left" else self.div_right
-        common = div[a] & div[b]
-        top = common.bit_length() - 1
-        if common & ~div[top]:
-            raise LatticeViolationError(
-                LatticeViolation(side, "meet", (a, b), _maximal(common, div))
-            )
-        return top
+        violation = _meet_violation(side, div, a, b)
+        if violation:
+            raise LatticeViolationError(violation)
+        return (div[a] & div[b]).bit_length() - 1
 
     def join(self, side: str, a: int, b: int) -> int:
         """Least common multiple of two members; lambda^k always bounds it.
@@ -305,6 +307,21 @@ def _maximal(common: int, div: list[int]) -> tuple[int, ...]:
         a for a in members
         if not any(b != a and (div[b] >> a) & 1 for b in members)
     )
+
+
+def _meet_violation(
+    side: str, div: list[int], a: int, b: int
+) -> LatticeViolation | None:
+    """The extremality check behind every meet, or None if a and b pass it.
+
+    The top common divisor of a and b is their meet exactly when every
+    common divisor divides it; otherwise the maximal common divisors are
+    the antichain of the violation.
+    """
+    common = div[a] & div[b]
+    if common & ~div[common.bit_length() - 1]:
+        return LatticeViolation(side, "meet", (a, b), _maximal(common, div))
+    return None
 
 
 def divisor_theorem_oracle(interval: Interval, group: list[GroupElement]) -> None:
@@ -440,8 +457,8 @@ def verify_lattice(interval: Interval) -> LatticeReport:
       closure of the cover relation, which lowers length by one: any table
       passing this is a bounded poset graded by length, whatever it was
       before, and covers(b) are exactly its lower covers.
-    * cover pairs: every two lower covers of b pass the extremality check
-      of `Interval.meet`.
+    * cover pairs: every two lower covers of b pass `_meet_violation`, the
+      extremality check of `Interval.meet`.
 
     A finite bounded poset in which any two elements covered by a common
     element have a meet is a lattice: the dual of Bjorner-Edelman-Ziegler,
@@ -477,23 +494,20 @@ def _cover_pair_violation(interval: Interval, side: str) -> LatticeViolation | N
         if wrong:
             return _closure_violation(side, div, b, wrong)
         for i, a in enumerate(covers):
-            div_a = div[a]
             for c in covers[i + 1:]:
-                # the check of Interval.meet, on a pair of lower covers
-                common = div_a & div[c]
-                if common & ~div[common.bit_length() - 1]:
-                    return LatticeViolation(side, "meet", (a, c), _maximal(common, div))
+                violation = _meet_violation(side, div, a, c)
+                if violation:
+                    return violation
     return None
 
 
 def _closure_violation(side: str, div: list[int], b: int, wrong: int) -> LatticeViolation:
     """The first pair (b, x) failing the meet check, else the bits of div[b]
     that disagree with the closure, as a "closure" violation at (b, b)."""
-    div_b = div[b]
     for x in range(len(div)):
-        common = div_b & div[x]
-        if common & ~div[common.bit_length() - 1]:
-            return LatticeViolation(side, "meet", (b, x), _maximal(common, div))
+        violation = _meet_violation(side, div, b, x)
+        if violation:
+            return violation
     return LatticeViolation(side, "closure", (b, b), tuple(_bits(wrong)))
 
 
@@ -510,12 +524,10 @@ def _pairwise_violation(interval: Interval, side: str) -> LatticeViolation | Non
     div = interval.div_left if side == "left" else interval.div_right
     size = len(interval)
     for a in range(size):
-        div_a = div[a]
         for b in range(a, size):
-            # the check of Interval.meet, inlined over all pairs
-            common = div_a & div[b]
-            if common & ~div[common.bit_length() - 1]:
-                return LatticeViolation(side, "meet", (a, b), _maximal(common, div))
+            violation = _meet_violation(side, div, a, b)
+            if violation:
+                return violation
     return None
 
 

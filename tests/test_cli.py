@@ -3,7 +3,7 @@ import os
 
 import pytest
 
-from geen_garside import GroupParams
+from geen_garside import CapExceededError, GroupParams
 from geen_garside.cli import (
     EXIT_CAP,
     EXIT_FALSE,
@@ -146,6 +146,30 @@ def test_cap_exceeded(capsys, monkeypatch):
     monkeypatch.setenv("GARSIDE_CAP", "10")
     assert run(["bfs-length", "--e", "6", "--n", "4", "--element",
                 '{"e":6,"n":4,"perm":[1,2,3,4],"exps":[0,0,0,0]}']) == EXIT_CAP
+
+
+@pytest.mark.parametrize("value", ["abc", "0", "-5", "1.5"])
+def test_unparsable_cap_names_the_setting(capsys, monkeypatch, value):
+    monkeypatch.setenv("GARSIDE_CAP", value)
+    assert run(["bfs-length", "--e", "3", "--n", "2", "--element",
+                '{"e":3,"n":2,"perm":[1,2],"exps":[1,2]}']) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and f"GARSIDE_CAP={value!r}" in err
+
+
+def test_balanced_suite_admits_the_group_before_listing(capsys, monkeypatch):
+    """|G(3,3,3)| = 54 is refused before any maximal-length element is listed."""
+    from geen_garside import interval, words
+
+    def forbidden(params):
+        raise AssertionError("the maximal-length elements were listed")
+
+    monkeypatch.setenv("GARSIDE_CAP", "53")
+    monkeypatch.setattr(words, "maximal_length_elements", forbidden)
+    with pytest.raises(CapExceededError, match=r"\| = 54 exceeds .*GARSIDE_CAP"):
+        interval.balanced_max_length(GroupParams(3, 3))
+    assert run(["verify", "--e", "3", "--n", "3", "--k", "1", "--suite", "balanced"]) == EXIT_CAP
+    assert "| = 54 exceeds" in capsys.readouterr().err
 
 
 def test_interval_cap_refuses_before_enumerating(capsys, monkeypatch):

@@ -9,14 +9,17 @@ from geen_garside.snf import mat_mul, quotient_group
 
 
 def test_zero_matrix():
-    res = smith_normal_form([[0, 0], [0, 0], [0, 0]])
-    assert res.rank == 0
-    assert res.invariant_factors == []
+    for matrix in ([[0, 0], [0, 0], [0, 0]], [[0]], [[0, 0, 0]], [[0], [0], [0]]):
+        res = smith_normal_form(matrix)
+        assert res.rank == 0
+        assert res.invariant_factors == []
+        assert res.diagonal == [0] * min(len(matrix), len(matrix[0]))
 
 
 def test_empty_is_fine():
-    res = smith_normal_form([])
-    assert res.rank == 0 and res.diagonal == []
+    for matrix in ([], [[]], [[], [], []]):
+        res = smith_normal_form(matrix)
+        assert res.rank == 0 and res.diagonal == []
 
 
 def test_diag_2_3_gives_1_6():
@@ -30,6 +33,8 @@ def test_divisibility_chain():
     assert factors == [2, 2, 60]
     for a, b in zip(factors, factors[1:]):
         assert b % a == 0
+    assert smith_normal_form([[4, 6, -10]]).diagonal == [2]
+    assert smith_normal_form([[4], [6], [-10]]).diagonal == [2]
 
 
 def _random_matrix(rng, rows, cols, bound=9):
@@ -57,16 +62,23 @@ def _minor_gcd(matrix, size):
     return out
 
 
-@pytest.mark.parametrize("seed", range(8))
+@pytest.mark.parametrize("seed", range(16))
 def test_invariant_factors_are_quotients_of_minor_gcds(seed):
     """d_1 ... d_i is the gcd of the i x i minors, for every i.
 
-    Mostly zero entries leave diagonals that need the divisibility fix.
+    Seeds below 8 draw mostly zero entries, whose pivots need the (gcd, lcm)
+    chain; the others draw every entry nonzero, so that elimination rounds
+    leave remainders and the least remainder becomes the next pivot.
     """
     rng = random.Random(seed)
     rows, cols = rng.randint(1, 6), rng.randint(1, 6)
+    nonzero = [v for v in range(-9, 10) if v]
     matrix = [
-        [rng.randint(-9, 9) if rng.random() < 0.3 else 0 for _ in range(cols)]
+        [
+            rng.choice(nonzero) if seed >= 8
+            else rng.randint(-9, 9) if rng.random() < 0.3 else 0
+            for _ in range(cols)
+        ]
         for _ in range(rows)
     ]
     res = smith_normal_form(matrix)
