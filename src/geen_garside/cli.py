@@ -166,6 +166,8 @@ def _cmd_bfs_length(args) -> int:
 
 
 def _cmd_interval(args) -> int:
+    if args.export and args.export[0] not in ("dot", "json"):
+        raise ValueError(f"unknown export format {args.export[0]!r}; use dot or json")
     interval = cached_interval(args.e, args.n, args.k)
     summary = {
         "e": args.e,

@@ -317,13 +317,6 @@ def transpose(w: GroupElement) -> GroupElement:
     return GroupElement(w.e, perm, tuple([exps[j] for j in order]))
 
 
-def transpose_generator(g: Generator, params: GroupParams) -> Generator:
-    """Image of a generator under the transpose map."""
-    if g.kind == "t":
-        return Generator("t", (-g.index) % params.e)
-    return g
-
-
 def evaluate_word(letters, params: GroupParams) -> GroupElement:
     """Product in G(e,e,n) of a word over the generating set."""
     w = identity(params)

@@ -16,8 +16,9 @@ Homology is ker(d_r)/im(d_{r+1}), read off integer Smith diagonals: H_1 is
 the cokernel of d_2, and H_2 is the cokernel of d_3 with the rank of d_2
 taken off its free part, so no kernel basis is ever formed.  Above the
 interval, cells and their faces are only ordinals: the cofactors that the
-boundary maps need are left quotients of complements, stripped atom by atom
-through the interval's atom tables.
+boundary maps need are left quotients of complements, which the Garside
+layer's `normalize_pair` computes by the same atom-by-atom walk that makes
+normal forms left-weighted.
 """
 
 from __future__ import annotations
@@ -107,8 +108,10 @@ class CellComplex:
 
         With whole = c * base, the left complements satisfy
         comp_right[base] = comp_right[whole] * c, so c is the left quotient
-        of comp_right[base] by comp_right[whole]: both are stripped of the
-        latter's atoms, one at a time, through the interval's atom tables.
+        of comp_right[base] by comp_right[whole].  `normalize_pair` on
+        (a, comp_right[base]) with comp_left[a] = comp_right[whole], that is
+        a = comp_right[comp_right[whole]], moves all of comp_right[whole]
+        into a, since it divides comp_right[base]; its second factor is c.
         """
         iv = self.interval
         whole = iv.comp_right[self.lcm(tuple(sorted((alpha,) + tail)))]
@@ -117,11 +120,7 @@ class CellComplex:
             raise TheoremViolationError(
                 "lcm(tail) does not right-divide lcm(alpha, tail)"
             )
-        head, down = iv.head_left, iv.down_left
-        while whole != iv.identity_ordinal:
-            row = down[head[whole]]
-            whole, c = row[whole], row[c]
-        return c
+        return self.g.normalize_pair(iv.comp_right[whole], c)[1]
 
 
 def complex_of(g: GarsideStructure) -> CellComplex:

@@ -7,15 +7,15 @@ membership test: call the nonzero entries of w that are strict left-to-right
 column minima its bullets; then w divides lambda^k exactly when every
 non-bullet entry is 1 or zeta_e^k, which `in_interval` decides in one pass
 over the rows with a running column minimum, stopping at the first entry
-that fails.  `build_interval` enumerates the members, computes both
-divisibility relations as bitsets over member ordinals and the complements
-s^(-1) lambda^k, lambda^k s^(-1), and checks the closed-form set
-against a divisor test on the whole group that never looks at the staircase:
-length additivity len(a) + len(a^(-1) b) = len(b), with a^(-1) b formed in
-one pass by `left_quotient`.  It also records, per atom, the ordinal of x*s
-for every member s that the atom x left-divides: the integer tables through
-which the Garside layer walks a simple down to the identity one atom at a
-time, with no group arithmetic.
+that fails.  `build_interval` makes one pass of group arithmetic over the
+members: the products x*s for the atoms x that left-divide them.  Their
+ordinals give the right divisibility table and the atom tables the Garside
+layer walks a simple down with; the left table follows from them through
+transposes, and lambda^k s^(-1) as the inverse permutation of s^(-1)
+lambda^k, by integer lookups.  The member set is checked against a divisor
+test on the whole group that never looks at the staircase: length additivity
+len(a) + len(a^(-1) b) = len(b), with a^(-1) b formed in one pass by
+`left_quotient`.
 
 Meets are bitset intersections followed by an extremality check,
 `_meet_violation`, the one check behind `Interval.meet` and the lattice
@@ -47,12 +47,10 @@ from .core import (
     atoms,
     enumerate_group,
     generator_matrix,
-    inverse,
     lambda_power,
     left_quotient,
     multiply,
     transpose,
-    transpose_generator,
 )
 from .words import length, length_decreases
 
@@ -190,7 +188,8 @@ class Interval:
     """
 
     def __init__(
-        self, params: GroupParams, members, lengths, tables, complements, atom_tables
+        self, params: GroupParams, members, lengths, index, tables, complements,
+        atom_tables,
     ):
         self.params = params
         self.e, self.n, self.k = params.e, params.n, params.k
@@ -201,9 +200,7 @@ class Interval:
             while len(self.layer_start) <= ell:
                 self.layer_start.append(i)
         self.layer_start.append(len(self.lengths))
-        self.index: dict[GroupElement, int] = {
-            w: i for i, w in enumerate(self.members)
-        }
+        self.index: dict[GroupElement, int] = index
         self.div_left, self.div_right = tables
         self.comp_left, self.comp_right = complements
         self.head_left, self.down_left = atom_tables
@@ -354,12 +351,15 @@ def build_interval(params: GroupParams) -> Interval:
     """Construct [1, lambda^k] with both divisibility tables, the complements
     and the atom tables.
 
-    Divisibility is built length layer by length layer from covers: the
-    predecessors of b on the left are the products b*x that are shorter by
-    one, and on the right the products x*b.  The ordinals of the x*b are the
-    atom tables, since x*b = x^(-1) b for a reflection x.  Last, the
-    member set is checked by `divisor_theorem_oracle` against divisor tests
-    of lambda^k over the whole group, on both sides.
+    The one arithmetic pass forms x*b, for b in ordinal order and the atoms
+    x that shorten b: the atom tables (x*b = x^(-1) b for a reflection x)
+    and the lower covers of b on the right.  lambda^k is diagonal, so with
+    flip[s] the ordinal of s^T, the left covers of b are
+    flip[down_left[p][flip[b]]], as (b x)^T = x^T b^T.  comp_left is one
+    `left_quotient` per member and comp_right its inverse permutation.  A
+    transpose leaving the interval, or a comp_left that is not a permutation,
+    is a theorem violation.  Last, `divisor_theorem_oracle` checks the
+    member set against divisor tests of lambda^k over the whole group.
 
     Before anything is enumerated, |D| is predicted by `interval_size` and
     the interval is refused with CapExceededError when its two bitset
@@ -392,41 +392,43 @@ def build_interval(params: GroupParams) -> Interval:
     if delta not in index or index[delta] != len(members) - 1:
         raise TheoremViolationError("lambda^k is not the top member of its interval")
 
+    flip = [index.get(transpose(w)) for w in members]
+    if None in flip:
+        raise TheoremViolationError("the transpose of a member left the interval")
+
     gens = [(x, generator_matrix(x, params)) for x in atoms(params)]
-    gens_t = [
-        (transpose_generator(x, params), generator_matrix(x, params)) for x in atoms(params)
-    ]
     size = len(members)
-    div_left = [0] * size
     div_right = [0] * size
     head_left = [-1] * size
     down_left = [[-1] * size for _ in gens]
     for b, w in enumerate(members):
-        left_mask = 1 << b
-        right_mask = 1 << b
-        wt = transpose(w)
-        for p, ((xt, xmat), (x, _)) in enumerate(zip(gens_t, gens)):
-            # b*x is shorter by one exactly when x^T shortens b^T on the left.
-            if length_decreases(xt, wt):
-                left_mask |= div_left[index[multiply(w, xmat)]]
+        mask = 1 << b
+        for p, (x, xmat) in enumerate(gens):
             if length_decreases(x, w):
                 below = down_left[p][b] = index[multiply(xmat, w)]
-                right_mask |= div_right[below]
+                mask |= div_right[below]
                 if head_left[b] < 0:
                     head_left[b] = p
-        div_left[b] = left_mask
-        div_right[b] = right_mask
+        div_right[b] = mask
+    # (b x)^T = x^T b^T: the left covers of b transpose the right ones of b^T.
+    div_left = [0] * size
+    for b, bt in enumerate(flip):
+        mask = 1 << b
+        for row in down_left:
+            if row[bt] >= 0:
+                mask |= div_left[flip[row[bt]]]
+        div_left[b] = mask
 
     comp_left = [index.get(left_quotient(w, delta)) for w in members]
-    comp_right = [index.get(multiply(delta, inverse(w))) for w in members]
-    if None in comp_left or None in comp_right:
-        raise TheoremViolationError("the complement of a simple left the interval")
-    # On a finite set, comp_right o comp_left = id makes both bijections.
-    if any(comp_right[c] != s for s, c in enumerate(comp_left)):
-        raise TheoremViolationError("the two complements are not mutually inverse")
+    if set(comp_left) != set(range(size)):
+        raise TheoremViolationError("the complement is not a permutation of the simples")
+    # lambda^k (s^(-1) lambda^k)^(-1) = s
+    comp_right = [0] * size
+    for s, c in enumerate(comp_left):
+        comp_right[c] = s
 
     interval = Interval(
-        params, members, [lengths[w] for w in members],
+        params, members, [lengths[w] for w in members], index,
         (div_left, div_right), (comp_left, comp_right), (head_left, down_left),
     )
 

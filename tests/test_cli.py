@@ -60,6 +60,23 @@ def test_interval_summary_and_exports(tmp_path, capsys):
     assert len(data["left_divides"]) == 35
 
 
+def test_interval_export_rejects_an_unknown_format(tmp_path, capsys, monkeypatch):
+    import geen_garside.cli as cli
+
+    def refuse(*args):
+        raise AssertionError("the interval was built before the format was checked")
+
+    monkeypatch.setattr(cli, "cached_interval", refuse)
+    out = tmp_path / "out.txt"
+    code = run(["interval", "--e", "2", "--n", "2", "--k", "1",
+                "--export", "xml", str(out)])
+    assert code == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "'xml'" in captured.err
+    assert not out.exists()
+
+
 def test_nf_json_shape(capsys):
     assert run(["nf", "--e", "3", "--n", "3", "--k", "1",
                 "--word", "t0 s3 t1^-1"]) == EXIT_OK

@@ -488,3 +488,60 @@ def test_divisor_theorem_oracle_reports_a_disagreement(monkeypatch):
     )
     with pytest.raises(TheoremViolationError, match="staircase criterion"):
         divisor_theorem_oracle(iv, group)
+
+
+def test_divisibility_tables_against_the_definition_on_small_grid_points():
+    """Every bit of both tables equals the length-additivity test: bit a of
+    div_left[b] is left_divides(a, b), bit a of div_right[b] right_divides.
+    Covers each default-grid point with |D| <= 200 (n = 2, 3 and (2,4,1))."""
+    checked = 0
+    for c in default_grid():
+        interval = cached_interval(c.e, c.n, c.k)
+        if len(interval) > 200:
+            continue
+        checked += 1
+        members = interval.members
+        for b, wb in enumerate(members):
+            left, right = interval.div_left[b], interval.div_right[b]
+            for a, wa in enumerate(members):
+                assert (left >> a) & 1 == left_divides(wa, wb), (c, a, b)
+                assert (right >> a) & 1 == right_divides(wa, wb), (c, a, b)
+    assert checked == 31
+
+
+def test_build_makes_one_product_per_right_cover(monkeypatch):
+    """The only group products of a build are the x*b of the atom tables;
+    the left table and comp_right come from lookups."""
+    from geen_garside import core
+    from geen_garside import interval as interval_module
+
+    calls = []
+    honest = interval_module.multiply
+
+    def counted(u, v):
+        calls.append(1)
+        return honest(u, v)
+
+    monkeypatch.setattr(interval_module, "multiply", counted)
+    interval = build_interval(GroupParams(3, 5, 1))
+    covers = sum(1 for row in interval.down_left for v in row if v >= 0)
+    assert covers == 9072
+    assert len(calls) == covers
+    assert not hasattr(interval_module, "inverse")
+    assert not hasattr(core, "transpose_generator")
+
+
+def test_build_checks_transposes_and_complements(monkeypatch):
+    from geen_garside import interval as interval_module
+    from geen_garside.interval import TheoremViolationError
+
+    params = GroupParams(3, 3, 1)
+    outsider = next(w for w in enumerate_group(params) if not in_interval(w, 1))
+    with monkeypatch.context() as m:
+        m.setattr(interval_module, "transpose", lambda w: outsider)
+        with pytest.raises(TheoremViolationError, match="transpose of a member"):
+            build_interval(params)
+    with monkeypatch.context() as m:
+        m.setattr(interval_module, "left_quotient", lambda a, b: identity(params))
+        with pytest.raises(TheoremViolationError, match="not a permutation"):
+            build_interval(params)
