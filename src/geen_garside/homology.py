@@ -8,9 +8,12 @@ head condition: each atom must be the least atom right-dividing the right
 lcm of the tail it starts.  Chains carry coefficients in the monoid ring;
 `differential_generic` implements the recursive contracting-homotopy
 definition of the boundary maps verbatim (it is the ground truth), while
-`differential_closed_form` types out the worked-out row formulas.  With
-trivial coefficients every monoid coefficient collapses to its integer term
-count, giving the integer matrices d_1, d_2, d_3.
+`differential_closed_form` types out the worked-out row formulas.  The
+homotopy is a function of (degree, coefficient, cell) alone, so each call of
+`differential_generic` memoizes it per monomial and computes every monomial
+once; the memo is dropped when the call returns.  With trivial coefficients
+every monoid coefficient collapses to its integer term count, giving the
+integer matrices d_1, d_2, d_3.
 
 Homology is ker(d_r)/im(d_{r+1}), read off integer Smith diagonals: H_1 is
 the cokernel of d_2, and H_2 is the cokernel of d_3 with the rank of d_2
@@ -253,6 +256,12 @@ class _GenericDifferential:
     partial[alpha, A] = cofactor * [A] - u(cofactor * [A]) with
     u_r = s_{r-1} o partial_r, u_0(f[()]) = [()], and s peeling the least
     right-dividing atom off the coefficient at each step.
+
+    One instance serves one `differential_generic` call.  It memoizes
+    partial on cells and s on monomials (r, nf, cell), so the recursion
+    computes each of them once; the memoized chains are shared between
+    callers and never modified.  GENERIC_OP_CAP bounds the monomials and
+    chain products actually computed, not the memo hits.
     """
 
     def __init__(self, cx: CellComplex):
@@ -260,13 +269,16 @@ class _GenericDifferential:
         self.g = cx.g
         self.identity_nf = NormalForm(0, ())
         self._partial_memo: dict[tuple[int, ...], Chain] = {}
+        self._s_memo: dict[tuple[int, NormalForm, tuple[int, ...]], Chain] = {}
         self.ops = 0
 
     def _tick(self) -> None:
         self.ops += 1
         if self.ops > GENERIC_OP_CAP:
             raise CapExceededError(
-                f"generic differential exceeded {GENERIC_OP_CAP} operations"
+                "generic differential exceeded homology.GENERIC_OP_CAP = "
+                f"{GENERIC_OP_CAP} homotopy monomials and chain products "
+                "actually computed"
             )
 
     @staticmethod
@@ -348,6 +360,18 @@ class _GenericDifferential:
         return out
 
     def s_monomial(self, r: int, nf: NormalForm, cell: tuple[int, ...]) -> Chain:
+        """s_r on the monomial nf[cell], computed once per (r, nf, cell).
+
+        The returned chain is the one kept in the memo and shared by every
+        caller, so it is read-only: callers fold it into chains of their own.
+        """
+        key = (r, nf, cell)
+        chain = self._s_memo.get(key)
+        if chain is None:
+            chain = self._s_memo[key] = self._s_monomial(r, nf, cell)
+        return chain
+
+    def _s_monomial(self, r: int, nf: NormalForm, cell: tuple[int, ...]) -> Chain:
         self._tick()
         if r == 0:
             if nf == self.identity_nf:

@@ -165,6 +165,21 @@ def test_cap_exceeded(capsys, monkeypatch):
                 '{"e":6,"n":4,"perm":[1,2,3,4],"exps":[0,0,0,0]}']) == EXIT_CAP
 
 
+def test_generic_op_cap_names_the_setting(capsys, monkeypatch):
+    from geen_garside import homology
+
+    args = ["homology", "--e", "3", "--n", "3", "--k", "1", "--order", "2",
+            "--method", "generic"]
+    assert run(args) == EXIT_OK
+    assert capsys.readouterr().out.strip() == '{"free_rank":0,"torsion":[3]}'
+    monkeypatch.setattr(homology, "GENERIC_OP_CAP", 5)
+    assert run(args) == EXIT_CAP
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "homology.GENERIC_OP_CAP = 5" in captured.err
+    assert "actually computed" in captured.err
+
+
 @pytest.mark.parametrize("value", ["abc", "0", "-5", "1.5"])
 def test_unparsable_cap_names_the_setting(capsys, monkeypatch, value):
     monkeypatch.setenv("GARSIDE_CAP", value)

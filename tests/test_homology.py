@@ -19,6 +19,7 @@ from geen_garside import (
     predicted_h2,
 )
 from geen_garside import garside, homology
+from geen_garside.cli import default_grid
 from geen_garside.homology import atom_order
 from geen_garside.snf import smith_normal_form
 from conftest import all_k
@@ -174,7 +175,9 @@ def test_generic_d1_augments_to_zero():
     assert d1 == [[0] * len(enumerate_cells(g, 1))]
 
 
-@pytest.mark.parametrize("e,n,k", [(3, 3, 1), (4, 3, 2), (3, 4, 1)])
+@pytest.mark.parametrize(
+    "e,n,k", [(c.e, c.n, c.k) for c in default_grid() if c.n >= 3]
+)
 def test_generic_equals_closed_form(e, n, k):
     g = cached_garside(e, n, k)
     d2c = differential_closed_form(g, 2)
@@ -183,6 +186,33 @@ def test_generic_equals_closed_form(e, n, k):
     assert differential_generic(g, 3) == d3c
     assert chain_condition_holds(d2c, d3c)
     assert differential(g, 2, method="both") == d2c
+
+
+@pytest.mark.parametrize("e,n,k", [(3, 4, 1), (4, 4, 2)])
+def test_generic_homotopy_is_computed_once_per_monomial(monkeypatch, e, n, k):
+    """Each (r, nf, cell) takes the miss path of s_monomial once per
+    differential, and every chain kept in the memo is left as it was stored."""
+    import copy
+
+    computed = []
+    original = homology._GenericDifferential._s_monomial
+
+    def spy(self, r, nf, cell):
+        chain = original(self, r, nf, cell)
+        computed.append((self, (r, nf, cell), chain, copy.deepcopy(chain)))
+        return chain
+
+    monkeypatch.setattr(homology._GenericDifferential, "_s_monomial", spy)
+    g = cached_garside(e, n, k)
+    for r in (2, 3):
+        computed.clear()
+        assert differential_generic(g, r) == differential_closed_form(g, r)
+        assert len({d for d, _, _, _ in computed}) == 1
+        keys = [key for _, key, _, _ in computed]
+        assert keys and len(set(keys)) == len(keys)
+        for d, key, chain, snapshot in computed:
+            assert d._s_memo[key] is chain
+            assert chain == snapshot, key
 
 
 @pytest.mark.parametrize("e,n", [(2, 3), (3, 3), (5, 3), (2, 4), (3, 4)])
@@ -262,8 +292,9 @@ def test_predicted_h2_pinned_to_frozen_values():
 @pytest.mark.parametrize(
     "e,n,k,expected",
     [(2, 5, 1, AbelianGroup(0, (2, 2))), (3, 5, 1, AbelianGroup(0, (6,))),
-     (3, 5, 2, AbelianGroup(0, (6,)))],
-    ids=["2-5-1", "3-5-1", "3-5-2"],
+     (3, 5, 2, AbelianGroup(0, (6,))), (4, 5, 2, AbelianGroup(1, (2, 2))),
+     (6, 5, 3, AbelianGroup(2, (2, 2)))],
+    ids=["2-5-1", "3-5-1", "3-5-2", "4-5-2", "6-5-3"],
 )
 def test_h2_n5_matches_prediction_by_both_methods(e, n, k, expected):
     """n = 5: homology_group with method="both" checks the closed-form
