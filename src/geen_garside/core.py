@@ -135,13 +135,12 @@ def parse_word(text: str, params: GroupParams, *, allow_inverses: bool = False):
                 raise ValueError(f"inverse letter {token!r} not accepted here")
             sign = -1
             token = token[:-3]
-        if len(token) < 2 or token[0] not in "ts":
+        digits = token[1:]
+        # ASCII digits only: int() would also take a sign, "_" and any
+        # Unicode decimal digit
+        if token[:1] not in ("t", "s") or not (digits.isascii() and digits.isdigit()):
             raise ValueError(f"bad generator token {token!r}")
-        try:
-            index = int(token[1:])
-        except ValueError:
-            raise ValueError(f"bad generator token {token!r}") from None
-        gen = Generator(token[0], index)
+        gen = Generator(token[0], int(digits))
         _check_generator(gen, params)
         letters.append((gen, sign) if allow_inverses else gen)
     return letters

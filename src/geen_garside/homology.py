@@ -2,18 +2,19 @@
 Low-degree integral homology of the interval Garside groups via their
 finite free resolution.
 
-Cells in degree r are increasing r-tuples of atoms under the order
-s_n < s_{n-1} < ... < s_3 < t_0 < t_1 < ... < t_{e-1}, subject to the
-head condition: each atom must be the least atom right-dividing the right
-lcm of the tail it starts.  Chains carry coefficients in the monoid ring;
-`differential_generic` implements the recursive contracting-homotopy
-definition of the boundary maps verbatim (it is the ground truth), while
-`differential_closed_form` types out the worked-out row formulas.  The
-homotopy is a function of (degree, coefficient, cell) alone, so each call of
-`differential_generic` memoizes it per monomial and computes every monomial
-once; the memo is dropped when the call returns.  With trivial coefficients
-every monoid coefficient collapses to its integer term count, giving the
-integer matrices d_1, d_2, d_3.
+Cells in degree r are the increasing r-tuples of atoms, under the order
+s_n < s_{n-1} < ... < s_3 < t_0 < t_1 < ... < t_{e-1}, that pass the head
+condition: each atom must be the least atom right-dividing the right lcm of
+the tail it starts.  Chains carry coefficients in the monoid ring and are
+flat dicts (cell, normal form) -> integer; `differential_generic`
+implements the recursive contracting-homotopy definition of the boundary
+maps verbatim (it is the ground truth), while `differential_closed_form`
+types out the worked-out row formulas.  The homotopy is a function of
+(degree, coefficient, cell) alone, so each call of `differential_generic`
+memoizes it per monomial and computes every monomial once; the memo is
+dropped when the call returns.  With trivial coefficients every monoid
+coefficient collapses to its integer term count, giving the integer
+matrices d_1, d_2, d_3.
 
 Homology is ker(d_r)/im(d_{r+1}), read off integer Smith diagonals: H_1 is
 the cokernel of d_2, and H_2 is the cokernel of d_3 with the rank of d_2
@@ -27,6 +28,7 @@ normal forms left-weighted.
 from __future__ import annotations
 
 import math
+from itertools import combinations
 
 from .core import CapExceededError, Generator, GroupParams
 from .garside import GarsideStructure, NormalForm
@@ -83,28 +85,11 @@ class CellComplex:
         )
 
     def cells(self, r: int) -> list[tuple[int, ...]]:
-        if r == 0:
-            return [()]
-        out: list[tuple[int, ...]] = []
-        count = len(self.order)
+        """The r-cells: the increasing atom tuples that pass the head condition.
 
-        def extend(prefix: tuple[int, ...], depth: int, start_below: int):
-            if depth == 0:
-                out.append(prefix)
-                return
-            for p in range(start_below - 1, -1, -1):
-                candidate = (p,) + prefix
-                if self.head_atom(self.lcm(candidate)) == p:
-                    extend(candidate, depth - 1, p)
-
-        # build from the right: tails must already satisfy their conditions
-        for p in range(count - 1, -1, -1):
-            extend((p,), r - 1, p)
-        out.sort()
-        return out
-
-    def cell_generators(self, positions: tuple[int, ...]) -> Cell:
-        return tuple(self.order[p] for p in positions)
+        `combinations` yields them in lexicographic order of positions.
+        """
+        return [c for c in combinations(range(len(self.order)), r) if self.is_cell(c)]
 
     def cofactor(self, alpha: int, tail: tuple[int, ...]) -> int:
         """Simple c with c * lcm(tail) = lcm(alpha, tail), as an ordinal.
@@ -139,7 +124,7 @@ def enumerate_cells(g: GarsideStructure, r: int) -> list[Cell]:
     if not 0 <= r <= 3:
         raise ValueError("only cells of dimension <= 3 are supported")
     cx = complex_of(g)
-    return [cx.cell_generators(c) for c in cx.cells(r)]
+    return [tuple(cx.order[p] for p in c) for c in cx.cells(r)]
 
 
 # -- closed-form differentials ------------------------------------------------
@@ -246,8 +231,17 @@ def differential_closed_form(g: GarsideStructure, r: int) -> list[list[int]]:
 
 # -- the recursive definition --------------------------------------------------
 
-# A chain is a dict cell -> dict NormalForm -> int, cells as position tuples.
-Chain = dict[tuple[int, ...], dict[NormalForm, int]]
+# A chain is a flat dict (cell, coefficient) -> int, cells as position tuples.
+Chain = dict[tuple[tuple[int, ...], NormalForm], int]
+
+
+def _add(chain: Chain, key: tuple[tuple[int, ...], NormalForm], coeff: int) -> None:
+    """chain[key] += coeff, dropping the entry when it cancels to zero."""
+    value = chain.get(key, 0) + coeff
+    if value:
+        chain[key] = value
+    else:
+        chain.pop(key, None)
 
 
 class _GenericDifferential:
@@ -255,7 +249,8 @@ class _GenericDifferential:
 
     partial[alpha, A] = cofactor * [A] - u(cofactor * [A]) with
     u_r = s_{r-1} o partial_r, u_0(f[()]) = [()], and s peeling the least
-    right-dividing atom off the coefficient at each step.
+    right-dividing atom off the coefficient at each step.  A chain is one
+    flat dict from (cell, coefficient) to its nonzero integer multiplicity.
 
     One instance serves one `differential_generic` call.  It memoizes
     partial on cells and s on monomials (r, nf, cell), so the recursion
@@ -281,35 +276,8 @@ class _GenericDifferential:
                 "actually computed"
             )
 
-    @staticmethod
-    def _add(chain: Chain, cell, nf, coeff) -> None:
-        if coeff == 0:
-            return
-        bucket = chain.setdefault(cell, {})
-        value = bucket.get(nf, 0) + coeff
-        if value:
-            bucket[nf] = value
-        else:
-            del bucket[nf]
-            if not bucket:
-                del chain[cell]
-
-    def _combine(self, target: Chain, source: Chain, scale: int = 1) -> None:
-        for cell, bucket in source.items():
-            for nf, coeff in bucket.items():
-                self._add(target, cell, nf, scale * coeff)
-
-    def _left_multiply(self, nf: NormalForm, chain: Chain) -> Chain:
-        out: Chain = {}
-        for cell, bucket in chain.items():
-            for coeff_nf, coeff in bucket.items():
-                self._add(out, cell, self.g.nf_product(nf, coeff_nf), coeff)
-        return out
-
-    def _d_of(self, nf: NormalForm) -> tuple[int, NormalForm] | None:
+    def _d_of(self, nf: NormalForm) -> tuple[int, NormalForm]:
         """(atom position, quotient) for the least atom right-dividing nf."""
-        if nf == self.identity_nf:
-            return None
         g = self.g
         for p, ordinal in enumerate(self.cx.atom_ordinal):
             quotient = g.nf_right_quotient(nf, ordinal)
@@ -324,39 +292,32 @@ class _GenericDifferential:
             return memo
         alpha, tail = cell[0], cell[1:]
         cofactor = self.cx.cofactor(alpha, tail)
-        base: Chain = {tail: {self.g.nf_of_simple(cofactor): 1}}
-        out: Chain = {}
-        self._combine(out, base)
-        self._combine(out, self.u(len(tail), base), -1)
+        base: Chain = {(tail, self.g.nf_of_simple(cofactor)): 1}
+        out = dict(base)
+        for key, coeff in self.u(len(tail), base).items():
+            _add(out, key, -coeff)
         self._partial_memo[cell] = out
         return out
 
-    def partial(self, r: int, chain: Chain) -> Chain:
+    def partial(self, chain: Chain) -> Chain:
         out: Chain = {}
-        for cell, bucket in chain.items():
-            cell_boundary = self.partial_cell(cell)
-            for nf, coeff in bucket.items():
-                for bcell, bbucket in cell_boundary.items():
-                    for bnf, bcoeff in bbucket.items():
-                        self._tick()
-                        self._add(
-                            out, bcell, self.g.nf_product(nf, bnf), coeff * bcoeff
-                        )
+        for (cell, nf), coeff in chain.items():
+            for (bcell, bnf), bcoeff in self.partial_cell(cell).items():
+                self._tick()
+                _add(out, (bcell, self.g.nf_product(nf, bnf)), coeff * bcoeff)
         return out
 
     def u(self, r: int, chain: Chain) -> Chain:
         if r == 0:
-            total = sum(
-                coeff for bucket in chain.values() for coeff in bucket.values()
-            )
-            return {(): {self.identity_nf: total}} if total else {}
-        return self.s(r - 1, self.partial(r, chain))
+            total = sum(chain.values())
+            return {((), self.identity_nf): total} if total else {}
+        return self.s(r - 1, self.partial(chain))
 
     def s(self, r: int, chain: Chain) -> Chain:
         out: Chain = {}
-        for cell, bucket in chain.items():
-            for nf, coeff in bucket.items():
-                self._combine(out, self.s_monomial(r, nf, cell), coeff)
+        for (cell, nf), coeff in chain.items():
+            for key, value in self.s_monomial(r, nf, cell).items():
+                _add(out, key, coeff * value)
         return out
 
     def s_monomial(self, r: int, nf: NormalForm, cell: tuple[int, ...]) -> Chain:
@@ -376,10 +337,10 @@ class _GenericDifferential:
         if r == 0:
             if nf == self.identity_nf:
                 return {}
-            peeled = self._d_of(nf)
-            alpha, quotient = peeled
-            out: Chain = {(alpha,): {quotient: 1}}
-            self._combine(out, self.s_monomial(0, quotient, ()))
+            alpha, quotient = self._d_of(nf)
+            out: Chain = {((alpha,), quotient): 1}
+            for key, coeff in self.s_monomial(0, quotient, ()).items():
+                _add(out, key, coeff)
             return out
         product = self.g.nf_product(nf, self.g.nf_of_simple(self.cx.lcm(cell)))
         alpha, _ = self._d_of(product)
@@ -394,9 +355,14 @@ class _GenericDifferential:
         new_cell = (alpha,) + cell
         if not self.cx.is_cell(new_cell):
             raise TheoremViolationError(f"homotopy produced a non-cell {new_cell}")
-        out = {new_cell: {y: 1}}
-        inner: Chain = {cell: {self.g.nf_of_simple(cofactor): 1}}
-        self._combine(out, self.s(r, self._left_multiply(y, self.u(r, inner))))
+        # s_r(y * u_r(cofactor[cell])); left multiplication by y is injective,
+        # so the shifted monomials are distinct and s can take them one by one
+        out = {(new_cell, y): 1}
+        inner: Chain = {(cell, self.g.nf_of_simple(cofactor)): 1}
+        for (ucell, unf), coeff in self.u(r, inner).items():
+            shifted = self.g.nf_product(y, unf)
+            for key, value in self.s_monomial(r, shifted, ucell).items():
+                _add(out, key, coeff * value)
         return out
 
 
@@ -411,8 +377,8 @@ def differential_generic(g: GarsideStructure, r: int) -> list[list[int]]:
     row_of = {c: i for i, c in enumerate(cells_lo)}
     matrix = zero_matrix(len(cells_lo), len(cells_hi))
     for col, cell in enumerate(cells_hi):
-        for bcell, bucket in differential.partial_cell(cell).items():
-            matrix[row_of[bcell]][col] += sum(bucket.values())
+        for (bcell, _), coeff in differential.partial_cell(cell).items():
+            matrix[row_of[bcell]][col] += coeff
     return matrix
 
 

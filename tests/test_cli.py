@@ -135,6 +135,7 @@ def test_usage_error():
     assert run(["reduce", "--e", "3"]) == EXIT_USAGE
     assert run(["nonsense"]) == EXIT_USAGE
     assert run(["length", "--e", "3", "--n", "2", "--element", "not json"]) == EXIT_USAGE
+    assert run(["nf", "--e", "3", "--n", "3", "--k", "1", "--word", "s+3"]) == EXIT_USAGE
 
 
 @pytest.mark.parametrize(

@@ -334,3 +334,7 @@ def test_word_parsing():
         parse_word("q7", params)
     with pytest.raises(ValueError):
         parse_word("t9", params)
+    # indices are ASCII digits only: no sign, underscore or other Unicode digit
+    for text in ("s+3", "t\u0660", "t-0", "t0_0", "s\u00b3"):
+        with pytest.raises(ValueError):
+            parse_word(text, params, allow_inverses=True)

@@ -54,11 +54,26 @@ def test_two_cells_t_pairs_start_at_t0():
         assert t_pairs == [(t(0, e), t(i, e)) for i in range(1, e)]
 
 
-def test_two_cells_full_census_334():
-    g = cached_garside(3, 4, 1)
-    cells = enumerate_cells(g, 2)
-    # pairs: (e-1) two-t + (n-2)*e s-t + C(n-2,2) s-s
-    assert len(cells) == 2 + 2 * 3 + 1
+@pytest.mark.parametrize(
+    "e,n,k",
+    [(c.e, c.n, c.k) for c in default_grid()]
+    + [(2, 5, 1), (3, 5, 1), (3, 5, 2), (4, 5, 2)],
+)
+def test_cell_census(e, n, k):
+    """|C_r| for r = 0..3 by a count independent of the head-condition filter
+    that `cells` runs: a cell is an increasing set of s's followed by no t,
+    one t_i, or t_0 t_i."""
+    from math import comb
+
+    s = n - 2
+    expected = [
+        1,
+        e + s,
+        (e - 1) + s * e + comb(s, 2),  # t0 t_i, s t_i, s s
+        s * (e - 1) + comb(s, 2) * e + comb(s, 3),  # s t0 t_i, s s t_i, s s s
+    ]
+    g = cached_garside(e, n, k)
+    assert [len(enumerate_cells(g, r)) for r in range(4)] == expected
 
 
 def test_three_cells_with_two_ts():
