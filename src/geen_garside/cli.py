@@ -286,17 +286,11 @@ def _verify_suite(args) -> list[str]:
             d3 = differential(g, 3, "closed")
             if not chain_condition_holds(d2, d3):
                 failures.append("homology: d2*d3 != 0")
-        else:
-            raise ValueError(f"unknown suite {suite!r}")
     return failures
 
 
 def _cmd_verify(args) -> int:
-    try:
-        failures = _verify_suite(args)
-    except TheoremViolationError as exc:
-        print(f"theorem violation: {exc}", file=sys.stderr)
-        return EXIT_VIOLATION
+    failures = _verify_suite(args)
     if failures:
         for failure in failures:
             print(failure, file=sys.stderr)

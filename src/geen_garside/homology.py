@@ -9,12 +9,12 @@ the tail it starts.  Chains carry coefficients in the monoid ring and are
 flat dicts (cell, normal form) -> integer; `differential_generic`
 implements the recursive contracting-homotopy definition of the boundary
 maps verbatim (it is the ground truth), while `differential_closed_form`
-types out the worked-out row formulas.  The homotopy is a function of
-(degree, coefficient, cell) alone, so each call of `differential_generic`
-memoizes it per monomial and computes every monomial once; the memo is
-dropped when the call returns.  With trivial coefficients every monoid
-coefficient collapses to its integer term count, giving the integer
-matrices d_1, d_2, d_3.
+types out the worked-out row formulas.  The homotopy maps u and s act on
+single monomials (degree, coefficient, cell), so each call of
+`differential_generic` memoizes s per monomial and computes every monomial
+once; the memo is dropped when the call returns.  With trivial coefficients
+every monoid coefficient collapses to its integer term count, giving the
+integer matrices d_1, d_2, d_3.
 
 Homology is ker(d_r)/im(d_{r+1}), read off integer Smith diagonals: H_1 is
 the cokernel of d_2, and H_2 is the cokernel of d_3 with the rank of d_2
@@ -247,8 +247,9 @@ def _add(chain: Chain, key: tuple[tuple[int, ...], NormalForm], coeff: int) -> N
 class _GenericDifferential:
     """The boundary maps from the recursive contracting homotopy, verbatim.
 
-    partial[alpha, A] = cofactor * [A] - u(cofactor * [A]) with
-    u_r = s_{r-1} o partial_r, u_0(f[()]) = [()], and s peeling the least
+    partial[alpha, A] = c[A] - u_r(c[A]) for the cofactor c of alpha over A.
+    u and s are defined on monomials nf[cell] and extended linearly:
+    u_0(nf[()]) = [()], u_r = s_{r-1} o partial_r, and s peels the least
     right-dividing atom off the coefficient at each step.  A chain is one
     flat dict from (cell, coefficient) to its nonzero integer multiplicity.
 
@@ -291,33 +292,27 @@ class _GenericDifferential:
         if memo is not None:
             return memo
         alpha, tail = cell[0], cell[1:]
-        cofactor = self.cx.cofactor(alpha, tail)
-        base: Chain = {(tail, self.g.nf_of_simple(cofactor)): 1}
-        out = dict(base)
-        for key, coeff in self.u(len(tail), base).items():
+        cofactor = self.g.nf_of_simple(self.cx.cofactor(alpha, tail))
+        out: Chain = {(tail, cofactor): 1}
+        for key, coeff in self.u(len(tail), cofactor, tail).items():
             _add(out, key, -coeff)
         self._partial_memo[cell] = out
         return out
 
-    def partial(self, chain: Chain) -> Chain:
-        out: Chain = {}
-        for (cell, nf), coeff in chain.items():
-            for (bcell, bnf), bcoeff in self.partial_cell(cell).items():
-                self._tick()
-                _add(out, (bcell, self.g.nf_product(nf, bnf)), coeff * bcoeff)
-        return out
+    def u(self, r: int, nf: NormalForm, cell: tuple[int, ...]) -> Chain:
+        """u_r on the monomial nf[cell].
 
-    def u(self, r: int, chain: Chain) -> Chain:
+        Left multiplication by nf is injective, so the terms of
+        nf * partial[cell] are distinct and s can take them one by one.
+        """
         if r == 0:
-            total = sum(chain.values())
-            return {((), self.identity_nf): total} if total else {}
-        return self.s(r - 1, self.partial(chain))
-
-    def s(self, r: int, chain: Chain) -> Chain:
+            return {((), self.identity_nf): 1}
         out: Chain = {}
-        for (cell, nf), coeff in chain.items():
-            for key, value in self.s_monomial(r, nf, cell).items():
-                _add(out, key, coeff * value)
+        for (bcell, bnf), bcoeff in self.partial_cell(cell).items():
+            self._tick()
+            product = self.g.nf_product(nf, bnf)
+            for key, value in self.s_monomial(r - 1, product, bcell).items():
+                _add(out, key, bcoeff * value)
         return out
 
     def s_monomial(self, r: int, nf: NormalForm, cell: tuple[int, ...]) -> Chain:
@@ -358,8 +353,8 @@ class _GenericDifferential:
         # s_r(y * u_r(cofactor[cell])); left multiplication by y is injective,
         # so the shifted monomials are distinct and s can take them one by one
         out = {(new_cell, y): 1}
-        inner: Chain = {(cell, self.g.nf_of_simple(cofactor)): 1}
-        for (ucell, unf), coeff in self.u(r, inner).items():
+        u_cofactor = self.u(r, self.g.nf_of_simple(cofactor), cell)
+        for (ucell, unf), coeff in u_cofactor.items():
             shifted = self.g.nf_product(y, unf)
             for key, value in self.s_monomial(r, shifted, ucell).items():
                 _add(out, key, coeff * value)
@@ -419,16 +414,22 @@ def homology_group(g: GarsideStructure, r: int, method: str = "closed") -> Abeli
         raise ValueError(f"homology computed only in degrees 1 and 2, not {r}")
     d2 = differential(g, 2, method)
     if r == 1:
-        return quotient_group(len(enumerate_cells(g, 1)), d2)
+        return quotient_group(len(d2), d2)
     d3 = differential(g, 3, method)
     if not chain_condition_holds(d2, d3):
         raise TheoremViolationError("d_2 d_3 != 0")
-    n2 = len(enumerate_cells(g, 2))
-    return quotient_group(n2 - smith_normal_form(d2).rank, d3)
+    return quotient_group(len(d3) - smith_normal_form(d2).rank, d3)
 
 
 def predicted_h2(e: int, n: int, k: int) -> AbelianGroup:
-    """The closed-form answer for H_2 in ranks n = 3, 4 (and n >= 5)."""
+    """The closed-form answer for H_2 in ranks n = 3, 4 (and n >= 5).
+
+    Parameters that GroupParams rejects, and n = 2, where there is no closed
+    formula, raise ValueError.
+    """
+    GroupParams(e, n, k)
+    if n < 3:
+        raise ValueError(f"no closed formula for H_2 at n = {n}")
     d = math.gcd(e, k)
     if n == 3:
         extra = 0

@@ -9,6 +9,7 @@ from geen_garside.cli import (
     EXIT_FALSE,
     EXIT_OK,
     EXIT_USAGE,
+    EXIT_VIOLATION,
     default_grid,
     freeze_regressions,
     regression_records,
@@ -129,6 +130,53 @@ def test_verify_suites(capsys):
             assert run(["verify", "--e", str(e), "--n", str(n), "--k", str(k),
                         "--suite", suite]) == EXIT_OK
             capsys.readouterr()
+
+
+def test_verify_theorem_violation_exits_4(capsys, monkeypatch):
+    from geen_garside import cli
+
+    def violated(interval):
+        raise TheoremViolationError("atoms have no common multiple")
+
+    monkeypatch.setattr(cli, "atom_lcm_table", violated)
+    assert run(["verify", "--e", "3", "--n", "3", "--k", "1",
+                "--suite", "lcm"]) == EXIT_VIOLATION
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("theorem violation: ")
+    assert "atoms have no common multiple" in captured.err
+
+
+def test_verify_failed_suite_exits_4(capsys, monkeypatch):
+    from geen_garside import cli
+
+    monkeypatch.setattr(cli, "chain_condition_holds", lambda d_lo, d_hi: False)
+    assert run(["verify", "--e", "3", "--n", "3", "--k", "1",
+                "--suite", "homology"]) == EXIT_VIOLATION
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.strip() == "homology: d2*d3 != 0"
+
+
+def test_interval_lattice_violation_exits_4(capsys, monkeypatch):
+    from geen_garside import cli
+    from geen_garside.interval import LatticeReport, LatticeViolation
+
+    violation = LatticeViolation("left", "meet", (1, 2), (3, 4))
+    monkeypatch.setattr(
+        cli, "verify_lattice", lambda interval: LatticeReport(False, True, violation)
+    )
+    assert run(["interval", "--e", "3", "--n", "3", "--k", "1",
+                "--verify-lattice"]) == EXIT_VIOLATION
+    captured = capsys.readouterr()
+    summary = json.loads(captured.out)
+    assert summary["members"] == 35
+    assert summary["lattice"] == {
+        "meet_left": False, "join_left": True,
+        "meet_right": True, "join_right": False,
+    }
+    assert captured.err.startswith("lattice violation: ")
+    assert "(1, 2)" in captured.err
 
 
 def test_usage_error():

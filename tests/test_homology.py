@@ -1,4 +1,5 @@
 import json
+import math
 import os
 
 import pytest
@@ -16,6 +17,7 @@ from geen_garside import (
     differential_generic,
     enumerate_cells,
     homology_group,
+    is_isomorphic_to_CP,
     predicted_h2,
 )
 from geen_garside import garside, homology
@@ -253,8 +255,6 @@ def test_h2_coprime_matches_braid_group_values():
     """For gcd(e,k) = 1 the group is the braid group; H2 = Z/e for n = 3."""
     for e in (2, 3, 4, 5):
         for k in all_k(e):
-            import math
-
             if math.gcd(e, k) != 1:
                 continue
             expected = AbelianGroup(0, (e,)) if e > 1 else AbelianGroup(0, ())
@@ -278,10 +278,18 @@ def test_h2_out_of_scope_order():
         homology_group(cached_garside(3, 3, 1), 3)
 
 
-def test_h2_computable_for_n2():
-    # no reference values for n = 2; just a smoke test that it computes
-    group = homology_group(cached_garside(4, 2, 1), 2)
-    assert group.free_rank >= 0
+@pytest.mark.parametrize(
+    "e,k",
+    [(e, k) for e in range(2, 9) for k in range(1, e) if math.gcd(e, k) == 1],
+)
+def test_h2_computable_for_n2(e, k):
+    """For gcd(e, k) = 1 the n = 2 group is the Artin group of type I_2(e):
+    H_1 = Z, H_2 = 0 for odd e and H_1 = Z^2, H_2 = Z for even e."""
+    assert is_isomorphic_to_CP(e, k, 2)[0]
+    g = cached_garside(e, 2, k)
+    rank = 2 if e % 2 == 0 else 1
+    assert homology_group(g, 1, method="both") == AbelianGroup(rank, ())
+    assert homology_group(g, 2, method="both") == AbelianGroup(rank - 1, ())
 
 
 def test_predicted_h2_assembles_chains():
@@ -290,6 +298,10 @@ def test_predicted_h2_assembles_chains():
     assert predicted_h2(6, 3, 2) == AbelianGroup(1, (3,))
     assert predicted_h2(2, 4, 1) == AbelianGroup(0, (2, 2, 2))
     assert predicted_h2(6, 5, 2) == AbelianGroup(1, (6,))
+    with pytest.raises(ValueError):
+        predicted_h2(4, 2, 1)  # no closed formula at n = 2
+    with pytest.raises(ValueError):
+        predicted_h2(3, 3, 3)  # k out of range
 
 
 def test_predicted_h2_pinned_to_frozen_values():
