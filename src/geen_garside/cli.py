@@ -18,12 +18,10 @@ from dataclasses import dataclass
 from . import __version__
 from .core import (
     CapExceededError,
-    Generator,
     GroupElement,
     GroupParams,
     atoms,
     format_word,
-    parse_word,
 )
 from .interval import (
     TheoremViolationError,
@@ -37,7 +35,6 @@ from .garside import (
     embedding_lcm_check,
     emit_presentation,
     is_isomorphic_to_CP,
-    matsumoto_check,
     t_cycle_components,
 )
 from .homology import chain_condition_holds, differential, enumerate_cells, homology_group
@@ -125,12 +122,12 @@ def _presentation_dot(params: GroupParams) -> str:
     seen = set()
     for i in range(e):
         edge = frozenset((i, (i - k) % e))
-        if len(edge) == 2 and edge not in seen:
+        if edge not in seen:
             seen.add(edge)
             a, b = sorted(edge)
             lines.append(f"  t{a} -- t{b} [style=dashed];")
-    for i in range(e):
-        if n >= 3:
+    if n >= 3:
+        for i in range(e):
             lines.append(f"  t{i} -- s3;")
     for j in range(3, n):
         lines.append(f"  s{j} -- s{j + 1};")
@@ -368,6 +365,8 @@ def _cmd_freeze(args) -> int:
         grid = [c for c in grid if c.e == args.e]
     if args.n is not None:
         grid = [c for c in grid if c.n == args.n]
+    if not grid:
+        raise ValueError("--e/--n match no point of the default grid")
     records = freeze_regressions(grid, args.out)
     print(_canonical({"records": len(records), "path": args.out}))
     return EXIT_OK

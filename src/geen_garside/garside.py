@@ -16,6 +16,12 @@ left-greedy incrementally: each new simple is pushed leftwards until a pair
 stays unchanged (the domino rule).  Matrices come back only in
 `evaluate_nf`, which serves as the oracle.
 
+Simples, products and right quotients all take this one path, with no
+identity or Delta special case: a Delta factor moves to the front pair by
+pair, (f, Delta) -> (Delta, tau(f)), and a trivial factor vanishes, as in
+any Garside normal form (Dehornoy-Paris, Gaussian groups and Garside
+groups, Proc. LMS 1999).
+
 Inverse letters ride on the balanced structure: x^(-1) = Delta^(-1) (Delta
 x^(-1)), whose second factor is a simple because every generator
 right-divides Delta.  Delta powers migrate to the front through the
@@ -57,7 +63,9 @@ from .interval import (
 )
 from .words import all_reduced_expressions
 
-# Bound on the reduced expressions and on the rewritten words of `matsumoto_check`.
+# Bound on every word list garside.py builds: the relations of
+# `emit_presentation`, and the reduced expressions and rewritten words of
+# `matsumoto_check`.
 MATSUMOTO_CAP = 10**5
 
 
@@ -206,35 +214,26 @@ class GarsideStructure:
         return NormalForm(a.delta_power + b.delta_power + nf.delta_power, nf.factors)
 
     def nf_of_simple(self, s: int) -> NormalForm:
-        if s == self.identity:
-            return NormalForm(0, ())
-        if s == self.delta:
-            return NormalForm(1, ())
-        return NormalForm(0, (s,))
+        return self.normalize_factors([s])
 
     def nf_right_quotient(self, a: NormalForm, s: int) -> NormalForm:
-        """a * s^(-1); lands in the monoid iff the simple s right-divides a."""
-        if s == self.identity:
-            return a
-        inv = NormalForm(-1, (self.comp_right[s],))
-        if s == self.delta:
-            inv = NormalForm(-1, ())
-        return self.nf_product(a, inv)
+        """a * s^(-1) = a * Delta^(-1) * comp_right[s]; lands in the monoid iff
+        the simple s right-divides a.
+
+        No case is special: for s = 1 the pushed factor is Delta, which
+        normalize_factors moves to the front pair by pair, (f, Delta) ->
+        (Delta, tau(f)); for s = Delta it is the identity, which it drops.
+        """
+        return self.nf_product(a, NormalForm(-1, (self.comp_right[s],)))
 
     def evaluate_nf(self, nf: NormalForm) -> GroupElement:
         members = self.interval.members
-        delta_elem = members[self.delta]
-        if nf.delta_power >= 0:
-            w = members[self.identity]
-            for _ in range(nf.delta_power):
-                w = multiply(w, delta_elem)
-        else:
-            delta_inv = inverse(delta_elem)
-            w = members[self.identity]
-            for _ in range(-nf.delta_power):
-                w = multiply(w, delta_inv)
-        for f in nf.factors:
-            w = multiply(w, members[f])
+        delta = members[self.delta]
+        if nf.delta_power < 0:
+            delta = inverse(delta)
+        w = members[self.identity]
+        for x in [delta] * abs(nf.delta_power) + [members[f] for f in nf.factors]:
+            w = multiply(w, x)
         return w
 
     def is_left_greedy(self, nf: NormalForm) -> bool:
@@ -277,11 +276,19 @@ def emit_presentation(params: GroupParams) -> Presentation:
     """Defining relations of the monoid attached to (e, n, k).
 
     Dual relations are emitted with the fixed right side i = 0, giving e-1
-    independent instances instead of a quadratic list.
+    independent instances instead of a quadratic list.  The relation count,
+    e(n-1) - 1 + (n-2)(n-3)/2, is checked against MATSUMOTO_CAP before any
+    relation is built.
     """
     if params.k is None:
         raise ValueError("presentation needs params.k")
     e, n, k = params.e, params.n, params.k
+    count = e * (n - 1) - 1 + (n - 2) * (n - 3) // 2
+    if count > MATSUMOTO_CAP:
+        raise CapExceededError(
+            f"presentation of (e,n) = ({e},{n}) has {count} relations, "
+            f"above MATSUMOTO_CAP = {MATSUMOTO_CAP}"
+        )
     t = lambda i: Generator("t", i % e)
     s = lambda j: Generator("s", j)
     gens = tuple(atoms(params))
@@ -334,7 +341,12 @@ def is_defining_relation(
 
 
 def t_cycle_components(e: int, k: int) -> int:
-    """Connected components of the graph on Z/eZ with edges {i, i-k}."""
+    """Connected components of the graph on Z/eZ with edges {i, i-k}.
+
+    Every edge joins i to its image under the bijection i -> i + k, so each
+    component is one orbit of that map, a cycle: following the orbit from
+    any unseen vertex visits the whole component.
+    """
     if not 1 <= k <= e - 1:
         raise ValueError(f"k must satisfy 1 <= k <= e-1, got {k}")
     seen = [False] * e
@@ -343,14 +355,10 @@ def t_cycle_components(e: int, k: int) -> int:
         if seen[start]:
             continue
         components += 1
-        stack = [start]
-        seen[start] = True
-        while stack:
-            v = stack.pop()
-            for w in ((v - k) % e, (v + k) % e):
-                if not seen[w]:
-                    seen[w] = True
-                    stack.append(w)
+        i = start
+        while not seen[i]:
+            seen[i] = True
+            i = (i + k) % e
     return components
 
 
@@ -360,27 +368,22 @@ def is_isomorphic_to_CP(
     """Decide isomorphism with the k = 1 monoid; produce and check a witness.
 
     For gcd(k, e) = 1 the witness fixes the s-generators and sends t_i to
-    t_{(i+1)k}; for k = 1 the identity map is returned.  The witness is
-    checked to be a bijection on generators sending every defining relation
-    of the k = 1 presentation to a defining relation of the target.
+    t_{(i+sigma)k}, with sigma = 1, or sigma = 0 at k = 1, where it is the
+    identity map.  The witness is checked to be a bijection on generators
+    sending every defining relation of the k = 1 presentation to a defining
+    relation of the target.
     """
-    if not 1 <= k <= e - 1:
-        raise ValueError(f"k must satisfy 1 <= k <= e-1, got {k}")
+    target_params = GroupParams(e, n, k)
     if math.gcd(e, k) != 1:
         return False, None
-    if k == 1:
-        witness = {x: x for x in atoms(GroupParams(e, n, k))}
-    else:
-        witness = {}
-        for x in atoms(GroupParams(e, n, k)):
-            if x.kind == "t":
-                witness[x] = Generator("t", ((x.index + 1) * k) % e)
-            else:
-                witness[x] = x
+    sigma = 0 if k == 1 else 1
+    witness = {
+        x: Generator("t", (x.index + sigma) * k % e) if x.kind == "t" else x
+        for x in atoms(target_params)
+    }
     if sorted(map(str, witness.values())) != sorted(map(str, witness.keys())):
         raise TheoremViolationError("witness map is not a bijection on generators")
     source = emit_presentation(GroupParams(e, n, 1))
-    target_params = GroupParams(e, n, k)
     for lhs, rhs in source.relations:
         mapped_l = tuple(witness[x] for x in lhs)
         mapped_r = tuple(witness[x] for x in rhs)
@@ -430,57 +433,34 @@ def matsumoto_check(g: GarsideStructure, w: GroupElement) -> bool:
     return seen == target
 
 
-def type_b_coxeter_matrix(rank: int) -> dict[tuple[int, int], int]:
-    """Coxeter entries m(a, b) of the type-B Artin group on q_1..q_rank."""
-    m = {}
-    for a in range(1, rank + 1):
-        for b in range(a + 1, rank + 1):
-            if (a, b) == (1, 2):
-                m[(a, b)] = 4
-            elif b == a + 1:
-                m[(a, b)] = 3
-            else:
-                m[(a, b)] = 2
-    return m
-
-
-def embedding_images(g: GarsideStructure, i: int) -> list[tuple[Generator, ...]]:
-    """Images of q_1..q_{n-1}: q_1 -> t_i t_{i-k}, q_m -> s_{m+1}."""
-    e, n, k = g.params.e, g.params.n, g.params.k
-    images: list[tuple[Generator, ...]] = [
-        (Generator("t", i % e), Generator("t", (i - k) % e))
-    ]
-    for m in range(2, n):
-        images.append((Generator("s", m + 1),))
-    return images
-
-
 def embedding_lcm_check(g: GarsideStructure, i: int = 0) -> bool:
     """lcm compatibility of the type-B embedding, pair by pair.
 
-    For each generator pair of the Artin group, the join (both sides agree)
-    of the image simples must normalize to the image of the alternating
-    Artin lcm word.
+    The Artin group of type B on q_1..q_{n-1} maps by q_1 -> t_i t_{i-k} and
+    q_m -> s_{m+1} for m >= 2.  Its Coxeter entries are m(1,2) = 4,
+    m(a,b) = 3 for the other neighbours b = a+1, and 2 otherwise.  For each
+    pair (a, b), the join (both sides agree) of the image simples must
+    normalize to the image of the alternating Artin lcm word q_a q_b q_a ...
+    of m(a,b) letters.
     """
     params = g.params
-    if params.n < 3:
+    e, n, k = params.e, params.n, params.k
+    if n < 3:
         raise ValueError("the embedded Artin group needs n >= 3")
-    images = embedding_images(g, i)
-    rank = len(images)
+    images = [(Generator("t", i % e), Generator("t", (i - k) % e))]
+    images += [(Generator("s", m + 1),) for m in range(2, n)]
     interval = g.interval
-    ordinals = [
-        interval.index[evaluate_word(img, params)] for img in images
-    ]
-    coxeter = type_b_coxeter_matrix(rank)
-    for (a, b), m in coxeter.items():
-        word: tuple[Generator, ...] = ()
-        for step in range(m):
-            word += images[a - 1] if step % 2 == 0 else images[b - 1]
-        expected = g.normal_form([(x, 1) for x in word])
-        join_left = interval.join("left", ordinals[a - 1], ordinals[b - 1])
-        join_right = interval.join("right", ordinals[a - 1], ordinals[b - 1])
-        if join_left != join_right:
-            return False
-        if g.nf_of_simple(join_left) != expected:
-            return False
+    ordinals = [interval.index[evaluate_word(img, params)] for img in images]
+    # images[a] is the image of q_{a+1}.
+    for a in range(len(images)):
+        for b in range(a + 1, len(images)):
+            m = 4 if (a, b) == (0, 1) else 3 if b == a + 1 else 2
+            word = (images[a] + images[b]) * (m // 2) + images[a] * (m % 2)
+            expected = g.normal_form([(x, 1) for x in word])
+            join_left = interval.join("left", ordinals[a], ordinals[b])
+            join_right = interval.join("right", ordinals[a], ordinals[b])
+            if join_left != join_right:
+                return False
+            if g.nf_of_simple(join_left) != expected:
+                return False
     return True

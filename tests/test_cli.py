@@ -109,6 +109,28 @@ def test_presentation_output_and_dot(tmp_path, capsys):
     assert text.count("style=dashed") == 8  # two 4-cycles of dashed edges
 
 
+def test_presentation_cap(capsys, monkeypatch):
+    """The relation count is checked before any relation is built.  With the
+    cap at 20, (10,3) has 19 relations and (11,3) has 21."""
+    from geen_garside import garside
+
+    def forbidden(params):
+        raise AssertionError("the generators were listed")
+
+    with monkeypatch.context() as m:
+        m.setattr(garside, "atoms", forbidden)
+        assert run(["presentation", "--e", "200000", "--n", "3", "--k", "1"]) == EXIT_CAP
+        err = capsys.readouterr().err
+        assert "399999 relations" in err and "MATSUMOTO_CAP = 100000" in err
+    monkeypatch.setattr(garside, "MATSUMOTO_CAP", 20)
+    assert run(["presentation", "--e", "10", "--n", "3", "--k", "1"]) == EXIT_OK
+    assert len(json.loads(capsys.readouterr().out)["relations"]) == 19
+    assert run(["presentation", "--e", "11", "--n", "3", "--k", "1"]) == EXIT_CAP
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "21 relations" in captured.err and "MATSUMOTO_CAP = 20" in captured.err
+
+
 def test_homology_output(capsys):
     assert run(["homology", "--e", "6", "--n", "3", "--k", "2",
                 "--order", "2"]) == EXIT_OK
@@ -313,6 +335,17 @@ def test_freeze_cli(tmp_path, capsys):
     out = json.loads(capsys.readouterr().out)
     assert out["records"] > 0
     assert path.exists()
+
+
+@pytest.mark.parametrize("filters", [["--e", "9"], ["--n", "9"], ["--e", "2", "--n", "5"]])
+def test_freeze_cli_filters_matching_nothing(tmp_path, capsys, filters):
+    """An empty filtered grid is a usage error and writes no file, so a later
+    unfiltered run cannot read it as drift."""
+    path = tmp_path / "reg.jsonl"
+    assert run(["freeze", "--out", str(path)] + filters) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("error: ")
+    assert not path.exists()
 
 
 def test_regression_records_match_benchmark_golden():

@@ -6,6 +6,7 @@ import random
 import pytest
 
 from geen_garside import (
+    CapExceededError,
     Generator,
     GroupParams,
     NormalForm,
@@ -246,6 +247,28 @@ def test_nf_right_quotient():
         assert quotient.is_monoid_element()
         assert quotient == g.nf_of_simple(g.comp_right[s])
 
+    assert g.nf_of_simple(g.identity) == NormalForm(0, ())
+    assert g.nf_of_simple(g.delta) == NormalForm(1, ())
+    s3 = iv.atom_ordinal[Generator("s", 3)]
+    assert g.nf_of_simple(s3) == NormalForm(0, (s3,))
+    # The trivial simple and Delta take the general path: dividing by 1
+    # changes nothing, dividing by Delta multiplies by Delta^(-1).
+    for point in [(3, 3, 1), (4, 4, 2)]:
+        g = cached_garside(*point)
+        gens = atoms(g.params)
+        delta_inv = inverse(g.interval.element(g.delta))
+        rng = random.Random(sum(point))
+        for _ in range(30):
+            factors = g.normal_form(random_word(rng, gens)).factors
+            for p in (-2, 0, 3):
+                nf = NormalForm(p, factors)
+                assert g.nf_right_quotient(nf, g.identity) == nf
+                quotient = g.nf_right_quotient(nf, g.delta)
+                assert g.is_left_greedy(quotient)
+                assert g.evaluate_nf(quotient) == multiply(
+                    g.evaluate_nf(nf), delta_inv
+                )
+
 
 def test_tau_compatibility():
     g = cached_garside(3, 3, 1)
@@ -317,6 +340,22 @@ def test_presentation_counts_general():
     assert dual == e - 1
 
 
+def test_presentation_cap_predicts_the_relation_count(monkeypatch):
+    """The count checked against MATSUMOTO_CAP, e(n-1) - 1 + (n-2)(n-3)/2,
+    is exactly the number of relations built."""
+    from geen_garside import garside
+
+    for e in range(2, 13):
+        for n in range(2, 7):
+            params = GroupParams(e, n, 1)
+            count = e * (n - 1) - 1 + (n - 2) * (n - 3) // 2
+            monkeypatch.setattr(garside, "MATSUMOTO_CAP", count)
+            assert len(emit_presentation(params).relations) == count
+            monkeypatch.setattr(garside, "MATSUMOTO_CAP", count - 1)
+            with pytest.raises(CapExceededError, match=f"has {count} relations"):
+                emit_presentation(params)
+
+
 def test_presentation_relations_are_family_members():
     params = GroupParams(8, 2, 2)
     pres = emit_presentation(params)
@@ -336,6 +375,9 @@ def test_t_cycle_components():
     for e in range(2, 13):
         for k in all_k(e):
             assert t_cycle_components(e, k) == math.gcd(e, k)
+        for k in (0, e):
+            with pytest.raises(ValueError):
+                t_cycle_components(e, k)
 
 
 def test_isomorphism_criterion():
@@ -348,6 +390,10 @@ def test_isomorphism_criterion():
     ok1, witness1 = is_isomorphic_to_CP(7, 1)
     assert ok1
     assert all(witness1[x] == x for x in witness1)
+    for e in (5, 8):
+        for k in (0, e):
+            with pytest.raises(ValueError):
+                is_isomorphic_to_CP(e, k)
 
 
 def test_isomorphism_witness_semantically():
