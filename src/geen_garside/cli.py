@@ -21,6 +21,7 @@ from .core import (
     GroupElement,
     GroupParams,
     atoms,
+    braid_m,
     format_word,
 )
 from .interval import (
@@ -126,11 +127,12 @@ def _presentation_dot(params: GroupParams) -> str:
             seen.add(edge)
             a, b = sorted(edge)
             lines.append(f"  t{a} -- t{b} [style=dashed];")
-    if n >= 3:
-        for i in range(e):
-            lines.append(f"  t{i} -- s3;")
-    for j in range(3, n):
-        lines.append(f"  s{j} -- s{j + 1};")
+    # solid edges join braiding pairs; two t's never braid, so y runs over the s's
+    gens = atoms(params)
+    for j in range(e, len(gens)):
+        for x in gens[:j]:
+            if braid_m(x, gens[j]) == 3:
+                lines.append(f"  {x} -- {gens[j]};")
     lines.append("}")
     return "\n".join(lines) + "\n"
 

@@ -21,6 +21,12 @@ The distinguished generators are the reflections
 and the diagonal element lambda = diag(zeta_e^{-(n-1)}, zeta_e, ..., zeta_e)
 whose powers bound the divisibility intervals built in `interval`.
 
+Each pair of atoms has one defining relation, given by `braid_m`: x y x =
+y x y, x y = y x, or for two t's the dual t_i t_{i-k} = t_j t_{j-k}.  Both
+sides spell lcm(x, y), as the presentation is complemented (Dehornoy-Paris,
+Proc. LMS 1999).  Every module reads the relations from this rule but
+`garside.emit_presentation`, which writes them out and is tested against it.
+
 Elements, and the generator symbols, are NamedTuples: immutable, hashable,
 and equal to the tuple of their fields, so building, hashing and comparing
 them runs in C.  `left_quotient` forms a^(-1) b in one pass, without the
@@ -119,6 +125,22 @@ def atoms(params: GroupParams) -> list[Generator]:
     gens = [Generator("t", i) for i in range(params.e)]
     gens += [Generator("s", j) for j in range(3, params.n + 1)]
     return gens
+
+
+def braid_m(x: Generator, y: Generator) -> int:
+    """Letters a side of the relation of two distinct atoms: 3 braid, 2 commute,
+    0 for two t's (dual relations).  Each t_i sits where s_2 would, and atoms
+    a step apart on 2, 3, ..., n braid."""
+    if x.kind == y.kind == "t":
+        return 0
+    i = x.index if x.kind == "s" else 2
+    j = y.index if y.kind == "s" else 2
+    return 3 if abs(i - j) == 1 else 2
+
+
+def alternating(x: Generator, y: Generator, m: int) -> tuple[Generator, ...]:
+    """The word x y x ... of m letters."""
+    return tuple((x, y)[i % 2] for i in range(m))
 
 
 def parse_word(text: str, params: GroupParams, *, allow_inverses: bool = False):

@@ -48,7 +48,9 @@ from .core import (
     Generator,
     GroupElement,
     GroupParams,
+    alternating,
     atoms,
+    braid_m,
     evaluate_word,
     inverse,
     multiply,
@@ -312,32 +314,21 @@ def emit_presentation(params: GroupParams) -> Presentation:
 def is_defining_relation(
     lhs: tuple[Generator, ...], rhs: tuple[Generator, ...], params: GroupParams
 ) -> bool:
-    """Whether lhs = rhs is an instance of one of the five relation families."""
-    e, n, k = params.e, params.n, params.k
-    if len(lhs) != len(rhs):
+    """Whether lhs = rhs is a defining relation: both sides dual words
+    t_i t_{i-k}, or the alternating words x y x ... and y x y ... of
+    m = braid_m(x, y) > 0 letters for distinct atoms x, y."""
+    e, k = params.e, params.k
+    if all(
+        len(w) == 2 and w[0].kind == w[1].kind == "t"
+        and (w[0].index - w[1].index) % e == k
+        for w in (lhs, rhs)
+    ):
+        return True
+    if not lhs or not rhs or lhs[0] == rhs[0]:
         return False
-    for u, v in ((lhs, rhs), (rhs, lhs)):
-        if len(u) == 2:
-            a, b = u
-            c, d = v
-            if {a.kind, b.kind} == {"t"} and {c.kind, d.kind} == {"t"}:
-                if (a.index - b.index) % e == k and (c.index - d.index) % e == k:
-                    return True
-            if (a, b) == (d, c):
-                if a.kind == "s" and b.kind == "s" and abs(a.index - b.index) > 1:
-                    return True
-                pair = {a.kind: a, b.kind: b}
-                if set(pair) == {"s", "t"} and pair["s"].index >= 4:
-                    return True
-        elif len(u) == 3:
-            a, b, c = u
-            if v == (b, a, b) and a != b:
-                if a.kind == "s" and b.kind == "s" and abs(a.index - b.index) == 1:
-                    return True
-                kinds = {a.kind, b.kind}
-                if kinds == {"s", "t"} and (a if a.kind == "s" else b).index == 3:
-                    return True
-    return False
+    x, y = lhs[0], rhs[0]
+    m = braid_m(x, y)
+    return m > 0 and lhs == alternating(x, y, m) and rhs == alternating(y, x, m)
 
 
 def t_cycle_components(e: int, k: int) -> int:
@@ -347,8 +338,7 @@ def t_cycle_components(e: int, k: int) -> int:
     component is one orbit of that map, a cycle: following the orbit from
     any unseen vertex visits the whole component.
     """
-    if not 1 <= k <= e - 1:
-        raise ValueError(f"k must satisfy 1 <= k <= e-1, got {k}")
+    GroupParams(e, 2, k)  # checks 1 <= k <= e-1
     seen = [False] * e
     components = 0
     for start in range(e):

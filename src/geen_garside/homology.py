@@ -30,7 +30,7 @@ from __future__ import annotations
 import math
 from itertools import combinations
 
-from .core import CapExceededError, Generator, GroupParams
+from .core import CapExceededError, Generator, GroupParams, braid_m
 from .garside import GarsideStructure, NormalForm
 from .interval import TheoremViolationError
 from .snf import AbelianGroup, mat_mul, quotient_group, smith_normal_form, zero_matrix
@@ -54,7 +54,6 @@ class CellComplex:
         self.g = g
         self.interval = g.interval
         self.order = atom_order(g.params)
-        self.position = {x: p for p, x in enumerate(self.order)}
         self.atom_ordinal = [self.interval.atom_ordinal[x] for x in self.order]
         self._lcm_cache: dict[tuple[int, ...], int] = {}
 
@@ -130,18 +129,9 @@ def enumerate_cells(g: GarsideStructure, r: int) -> list[Cell]:
 # -- closed-form differentials ------------------------------------------------
 
 
-def _pair_relation(x: Generator, y: Generator) -> str:
-    """'braid' (m = 3), 'commute' (m = 2) or 'dual' for two t-generators."""
-    if x.kind == "t" and y.kind == "t":
-        return "dual"
-    if x.kind == "s" and y.kind == "s":
-        return "braid" if abs(x.index - y.index) == 1 else "commute"
-    s = x if x.kind == "s" else y
-    return "braid" if s.index == 3 else "commute"
-
-
 def differential_closed_form(g: GarsideStructure, r: int) -> list[list[int]]:
-    """Matrix of d_r (rows: (r-1)-cells, columns: r-cells) from the row formulas."""
+    """Matrix of d_r (rows: (r-1)-cells, columns: r-cells) from the row formulas,
+    picked by the braid_m of each pair of atoms of the cell."""
     if r not in (1, 2, 3):
         raise ValueError("closed forms exist for r in {1, 2, 3}")
     params = g.params
@@ -163,8 +153,8 @@ def differential_closed_form(g: GarsideStructure, r: int) -> list[list[int]]:
     for col, cell in enumerate(cells_hi):
         if r == 2:
             x, y = cell
-            relation = _pair_relation(x, y)
-            if relation == "dual":
+            m = braid_m(x, y)
+            if m == 0:
                 if x != t(0):
                     raise TheoremViolationError(f"unexpected two-t cell {cell}")
                 i = y.index
@@ -172,7 +162,7 @@ def differential_closed_form(g: GarsideStructure, r: int) -> list[list[int]]:
                 add(col, (t(0),), -1)
                 add(col, (t(k),), -1)
                 add(col, (t(i + k),), 1)
-            elif relation == "braid":
+            elif m == 3:
                 add(col, (y,), 1)
                 add(col, (x,), -1)
             # commuting pairs contribute nothing
@@ -184,7 +174,7 @@ def differential_closed_form(g: GarsideStructure, r: int) -> list[list[int]]:
             if x.kind != "s" or y != t(0) or z.kind != "t":
                 raise TheoremViolationError(f"cell {cell} matches no closed form")
             i = z.index
-            if x.index == 3:
+            if braid_m(x, y) == 3:
                 if (i + k) % e == 0:
                     add(col, (t(0), t(i)), 1)
                     add(col, (x, t(i)), -1)
@@ -207,24 +197,16 @@ def differential_closed_form(g: GarsideStructure, r: int) -> list[list[int]]:
                 add(col, (x, t(k)), 1)
             continue
 
-        kinds = (
-            _pair_relation(x, y),
-            _pair_relation(x, z),
-            _pair_relation(y, z),
-        )
-        if kinds[1] != "commute":
-            raise TheoremViolationError(f"cell {cell} matches no closed form")
-        if kinds == ("braid", "commute", "braid"):
+        ms = (braid_m(x, y), braid_m(x, z), braid_m(y, z))
+        if ms == (3, 2, 3):
             add(col, (x, z), -2)
-        elif kinds == ("braid", "commute", "commute"):
+        elif ms == (3, 2, 2):
             add(col, (y, z), 1)
             add(col, (x, z), -1)
-        elif kinds == ("commute", "commute", "braid"):
+        elif ms == (2, 2, 3):
             add(col, (x, y), 1)
             add(col, (x, z), -1)
-        elif kinds == ("commute", "commute", "commute"):
-            pass
-        else:
+        elif ms != (2, 2, 2):  # commuting triples contribute nothing
             raise TheoremViolationError(f"cell {cell} matches no closed form")
     return matrix
 

@@ -44,8 +44,11 @@ from .core import (
     GroupElement,
     GroupParams,
     admit_group,
+    alternating,
     atoms,
+    braid_m,
     enumerate_group,
+    evaluate_word,
     generator_matrix,
     lambda_power,
     left_quotient,
@@ -544,14 +547,13 @@ def _report(violations: dict[str, LatticeViolation | None]) -> LatticeReport:
 def atom_lcm_table(interval: Interval):
     """Join of every generator pair on both sides, with the closed forms.
 
-    The five identities: t_i v t_j = t_k t_0, t_i v s_3 = s_3 t_i s_3,
-    t_i v s_j = t_i s_j for j >= 4, s_i v s_{i+1} = s_i s_{i+1} s_i, and
-    s_i v s_j = s_i s_j for |i-j| > 1; left and right joins agree.
+    Left and right joins agree, and the join of x and y is the word
+    alternating(x, y, braid_m(x, y)) (x y x = y x y, or x y), or t_k t_0
+    for two t's: both sides of a defining relation spell the lcm.
     """
     params = interval.params
-    k = interval.k
+    t_k_t_0 = (Generator("t", interval.k % params.e), Generator("t", 0))
     gens = atoms(params)
-    mats = {x: generator_matrix(x, params) for x in gens}
     table: dict[tuple[Generator, Generator], GroupElement] = {}
     for i, x in enumerate(gens):
         for y in gens[i + 1 :]:
@@ -565,16 +567,8 @@ def atom_lcm_table(interval: Interval):
                 )
             value = interval.element(left)
             table[(x, y)] = value
-            if x.kind == "t" and y.kind == "t":
-                expected = multiply(mats[Generator("t", k % params.e)], mats[Generator("t", 0)])
-            elif x.kind == "t" and y.index == 3:
-                expected = multiply(multiply(mats[y], mats[x]), mats[y])
-            elif x.kind == "t":
-                expected = multiply(mats[x], mats[y])
-            elif abs(x.index - y.index) == 1:
-                expected = multiply(multiply(mats[x], mats[y]), mats[x])
-            else:
-                expected = multiply(mats[x], mats[y])
+            m = braid_m(x, y)
+            expected = evaluate_word(alternating(x, y, m) if m else t_k_t_0, params)
             if value != expected:
                 raise TheoremViolationError(
                     f"join of {x}, {y} is {value}, expected {expected}"

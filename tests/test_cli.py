@@ -1,5 +1,6 @@
 import json
 import os
+import shlex
 
 import pytest
 
@@ -107,6 +108,17 @@ def test_presentation_output_and_dot(tmp_path, capsys):
     assert len(data["relations"]) == 7
     text = dot.read_text()
     assert text.count("style=dashed") == 8  # two 4-cycles of dashed edges
+    # the solid edges are the braiding pairs: every t_i with s_3, then the s-chain
+    assert run(["presentation", "--e", "4", "--n", "5", "--k", "2",
+                "--dot", str(dot)]) == EXIT_OK
+    capsys.readouterr()
+    edges = [
+        line.strip() for line in dot.read_text().splitlines()
+        if " -- " in line and "dashed" not in line
+    ]
+    assert edges == [f"t{i} -- s3;" for i in range(4)] + [
+        f"s{j} -- s{j + 1};" for j in range(3, 5)
+    ]
 
 
 def test_presentation_cap(capsys, monkeypatch):
@@ -359,3 +371,24 @@ def test_regression_records_match_benchmark_golden():
     assert len(lines) == len(golden)
     for old, new in zip(golden, lines):
         assert new == old
+
+
+def test_readme_command_examples(tmp_path, monkeypatch, capsys):
+    """Every `geen-garside` line of the README's command block exits 0, and
+    the file its `freeze` line writes is byte-identical to the golden copy."""
+    root = os.path.join(os.path.dirname(__file__), os.pardir)
+    with open(os.path.join(root, "README.md")) as handle:
+        readme = handle.read()
+    with open(os.path.join(root, "perfbench", "golden", "grid_records.jsonl"), "rb") as handle:
+        golden = handle.read()
+    commands = [
+        shlex.split(line)[1:]
+        for line in readme.splitlines()
+        if line.startswith("geen-garside ")
+    ]
+    assert ["freeze", "--out", "regressions.jsonl"] in commands
+    monkeypatch.chdir(tmp_path)
+    for argv in commands:
+        assert run(argv) == EXIT_OK, argv
+        capsys.readouterr()
+    assert (tmp_path / "regressions.jsonl").read_bytes() == golden

@@ -23,6 +23,7 @@ from geen_garside import (
     parse_word,
     transpose,
 )
+from geen_garside.core import alternating, braid_m
 from conftest import element_of_matrix, matrix_of, matrix_product
 
 
@@ -222,12 +223,6 @@ def test_transpose_is_antiautomorphism():
     assert transpose(t1) == generator_matrix(Generator("t", 3), params)
 
 
-def _braid(a, b, m):
-    left = [a, b] * m
-    right = [b, a] * m
-    return left[:m], right[:m]
-
-
 @pytest.mark.parametrize("e", [2, 3, 4, 5, 6])
 @pytest.mark.parametrize("n", [2, 3, 4])
 def test_cp_presentation_relations_hold(e, n):
@@ -240,7 +235,6 @@ def test_cp_presentation_relations_hold(e, n):
     t = [Generator("t", i) for i in range(e)]
     s = {j: Generator("s", j) for j in range(3, n + 1)}
     for x in atoms(params):
-        lhs, rhs = _braid(x, x, 2)
         assert value([x, x]).is_identity()
     for i in range(e):
         for j in range(e):
@@ -256,6 +250,32 @@ def test_cp_presentation_relations_hold(e, n):
     for j in range(3, n + 1):
         for jj in range(j + 2, n + 1):
             assert value([s[j], s[jj]]) == value([s[jj], s[j]])
+
+
+@pytest.mark.parametrize("e,n", [(2, 4), (3, 5), (4, 4)])
+def test_braid_m_is_the_order_of_the_pair(e, n):
+    """For distinct atoms x, y with m = braid_m(x, y) > 0, the alternating
+    words of m letters agree as matrices and the shorter ones do not; two
+    t's read 0."""
+    params = GroupParams(e, n)
+    for x, y in itertools.permutations(atoms(params), 2):
+        m = braid_m(x, y)
+        assert m == braid_m(y, x)
+        if x.kind == y.kind == "t":
+            assert m == 0
+            continue
+        assert m in (2, 3)
+        for shorter in range(1, m):
+            assert evaluate_word(alternating(x, y, shorter), params) != evaluate_word(
+                alternating(y, x, shorter), params
+            )
+        assert evaluate_word(alternating(x, y, m), params) == evaluate_word(
+            alternating(y, x, m), params
+        )
+    t0, s3 = Generator("t", 0), Generator("s", 3)
+    assert alternating(t0, s3, 3) == (t0, s3, t0)
+    assert alternating(s3, t0, 2) == (s3, t0)
+    assert alternating(t0, s3, 0) == ()
 
 
 def test_json_round_trip():

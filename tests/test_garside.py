@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 import os
@@ -25,6 +26,7 @@ from geen_garside import (
     length,
     matsumoto_check,
     multiply,
+    parse_word,
     reduced_expression,
     t_cycle_components,
 )
@@ -366,6 +368,39 @@ def test_presentation_relations_are_family_members():
         (Generator("t", 1), Generator("t", 0)),
         params,
     )
+    # words that differ from a braid relation only in a third letter
+    params = GroupParams(4, 4, 2)
+    for lhs, rhs in (
+        ("s3 t0 s3", "t0 s3 t1"),
+        ("s3 s4 t0", "s4 s3 s4"),
+        ("t0 s3 t0", "s3 t0 t0"),
+    ):
+        lhs, rhs = tuple(parse_word(lhs, params)), tuple(parse_word(rhs, params))
+        assert not is_defining_relation(lhs, rhs, params)
+        assert not is_defining_relation(rhs, lhs, params)
+
+
+def test_is_defining_relation_is_the_presentation():
+    """On all pairs of words of length <= 3, lhs = rhs is a defining relation
+    exactly when it is one of emit_presentation's, in either order, or both
+    sides are dual words t_i t_{i-k}."""
+    true_pairs = 0
+    for e, n, k in [(4, 4, 2), (3, 4, 1), (6, 3, 2)]:
+        params = GroupParams(e, n, k)
+        relations = set(emit_presentation(params).relations)
+        gens = atoms(params)
+        words = [w for m in range(4) for w in itertools.product(gens, repeat=m)]
+        dual = {(Generator("t", i), Generator("t", (i - k) % e)) for i in range(e)}
+        for lhs in words:
+            for rhs in words:
+                expected = (
+                    (lhs, rhs) in relations
+                    or (rhs, lhs) in relations
+                    or (lhs in dual and rhs in dual)
+                )
+                assert is_defining_relation(lhs, rhs, params) == expected, (lhs, rhs)
+                true_pairs += expected
+    assert true_pairs == 105
 
 
 def test_t_cycle_components():

@@ -386,7 +386,7 @@ def test_cofactor_rejects_a_non_divisor():
     from geen_garside.interval import TheoremViolationError
 
     cx = CellComplex(build_garside(build_interval(GroupParams(3, 3, 1))))
-    t0, t1 = cx.position[t(0, 3)], cx.position[t(1, 3)]
+    t0, t1 = cx.order.index(t(0, 3)), cx.order.index(t(1, 3))
     cx._lcm_cache[(t0, t1)] = cx.atom_ordinal[t0]
     with pytest.raises(TheoremViolationError):
         cx.cofactor(t0, (t1,))
