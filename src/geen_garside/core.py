@@ -36,7 +36,9 @@ Data that depends on the permutation alone is tabulated once per
 permutation, not once per element: `_inverse_order` here (read by
 `inverse`, `transpose` and `left_quotient`) and the row counts of
 `words.length`.  Each table is keyed by the permutation tuple, so it holds
-at most n! entries per n, and it has no size option.
+at most n! entries per n, and it has no size option.  The length-additivity
+table `words.quotient_shape` is keyed by a pair of permutations: at most n!
+entries per permutation of its right operand.
 """
 
 from __future__ import annotations
@@ -347,15 +349,23 @@ def evaluate_word(letters, params: GroupParams) -> GroupElement:
 
 
 def enumerate_group(params: GroupParams) -> list[GroupElement]:
-    """All of G(e,e,n), exactly once, in lexicographic order on (perm, exps)."""
+    """All of G(e,e,n), exactly once, in lexicographic order on (perm, exps).
+
+    The exponent-sum rule fixes the last exponent, so the e^(n-1) heads
+    are listed in order and each is completed once; every permutation
+    shares the same exponent tuples.
+    """
     admit_group(params)
     e, n = params.e, params.n
-    elements = []
-    for perm in itertools.permutations(range(1, n + 1)):
-        for exps in itertools.product(range(e), repeat=n):
-            if sum(exps) % e == 0:
-                elements.append(GroupElement(e, perm, exps))
-    return elements
+    vectors = [
+        head + (-sum(head) % e,)
+        for head in itertools.product(range(e), repeat=n - 1)
+    ]
+    return [
+        GroupElement(e, perm, exps)
+        for perm in itertools.permutations(range(1, n + 1))
+        for exps in vectors
+    ]
 
 
 def lambda_power(params: GroupParams, k: int) -> GroupElement:

@@ -316,19 +316,21 @@ def is_defining_relation(
 ) -> bool:
     """Whether lhs = rhs is a defining relation: both sides dual words
     t_i t_{i-k}, or the alternating words x y x ... and y x y ... of
-    m = braid_m(x, y) > 0 letters for distinct atoms x, y."""
+    m = braid_m(x, y) > 0 letters for distinct atoms x, y; and every letter
+    is an atom of params."""
     e, k = params.e, params.k
-    if all(
+    if not all(
         len(w) == 2 and w[0].kind == w[1].kind == "t"
         and (w[0].index - w[1].index) % e == k
         for w in (lhs, rhs)
     ):
-        return True
-    if not lhs or not rhs or lhs[0] == rhs[0]:
-        return False
-    x, y = lhs[0], rhs[0]
-    m = braid_m(x, y)
-    return m > 0 and lhs == alternating(x, y, m) and rhs == alternating(y, x, m)
+        if not lhs or not rhs or lhs[0] == rhs[0]:
+            return False
+        x, y = lhs[0], rhs[0]
+        m = braid_m(x, y)
+        if not (m > 0 and lhs == alternating(x, y, m) and rhs == alternating(y, x, m)):
+            return False
+    return set(lhs + rhs) <= set(atoms(params))
 
 
 def t_cycle_components(e: int, k: int) -> int:

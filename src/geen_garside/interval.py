@@ -14,8 +14,9 @@ layer walks a simple down with; the left table follows from them through
 transposes, and lambda^k s^(-1) as the inverse permutation of s^(-1)
 lambda^k, by integer lookups.  The member set is checked against a divisor
 test on the whole group that never looks at the staircase: length additivity
-len(a) + len(a^(-1) b) = len(b), with a^(-1) b formed in one pass by
-`left_quotient`.
+len(a) + len(a^(-1) b) = len(b), fused into one sum over the rows from
+`words.quotient_shape`, a table per pair of permutations, without forming
+a^(-1) b.
 
 Meets are bitset intersections followed by an extremality check,
 `_meet_violation`, the one check behind `Interval.meet` and the lattice
@@ -37,12 +38,15 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import compress
+from operator import ne
 
 from .core import (
     CapExceededError,
     Generator,
     GroupElement,
     GroupParams,
+    ParameterMismatchError,
     admit_group,
     alternating,
     atoms,
@@ -55,7 +59,7 @@ from .core import (
     multiply,
     transpose,
 )
-from .words import length, length_decreases
+from .words import length, length_decreases, quotient_shape
 
 # Largest predicted size, in bytes, of the two divisibility bitset tables
 # (2 |D|^2 / 8) that `build_interval` accepts; it refuses larger intervals
@@ -130,12 +134,22 @@ def left_divides(a: GroupElement, b: GroupElement) -> bool:
     """a <= b in left divisibility: len(a) + len(a^(-1) b) = len(b).
 
     This is the definition of the order, b = a * (a^(-1) b) with additive
-    lengths, evaluated with the row-reduction length on the quotient a^(-1) b
-    that `left_quotient` computes; it never consults the staircase criterion
-    of `in_interval`, so it can serve as its oracle.  Operands from
-    different groups raise ParameterMismatchError there.
+    lengths, evaluated as one fused sum of closed-form lengths: the
+    `quotient_shape` of the permutation pair gives the three row weightings,
+    and the quotient's exponent on row j of a is non-zero exactly when
+    a and b differ there, so no quotient is formed.  It never consults the
+    staircase criterion of `in_interval`, so it can serve as its oracle.
+    Operands from different groups raise ParameterMismatchError.
     """
-    return length(a) + length(left_quotient(a, b)) == length(b)
+    if a.e != b.e or len(a.perm) != len(b.perm):
+        raise ParameterMismatchError(
+            f"cannot divide elements of G({a.e},{a.e},{len(a.perm)}) "
+            f"and G({b.e},{b.e},{len(b.perm)})"
+        )
+    base, adoubled, qweights, bdoubled = quotient_shape(a.perm, b.perm)
+    aexps, bexps = a.exps, b.exps
+    total = sum(compress(adoubled, aexps)) + sum(compress(qweights, map(ne, aexps, bexps)))
+    return base + total == sum(compress(bdoubled, bexps))
 
 
 def right_divides(a: GroupElement, b: GroupElement) -> bool:

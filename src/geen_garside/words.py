@@ -18,9 +18,11 @@ Their agreement is a cross-check against transcription slips in either one.
 `length` counts the letters of these words in closed form and equals the
 Cayley-graph distance from the identity, for which `cayley_length_table` is
 the independent BFS oracle; the part of that count fixed by the permutation
-is tabulated once per permutation by `_row_shape`.  `length_decreases`
-answers whether a single left multiplication by a generator shortens an
-element, straight from the matrix entries, without recomputing any words.
+is tabulated once per permutation by `_row_shape`, and that of
+len(a) + len(a^(-1) b) - len(b) once per pair of permutations by
+`quotient_shape`.  `length_decreases` answers whether a single left
+multiplication by a generator shortens an element, straight from the matrix
+entries, without recomputing any words.
 """
 
 from __future__ import annotations
@@ -166,6 +168,33 @@ def _row_shape(perm: tuple[int, ...]) -> tuple[int, tuple[int, ...]]:
     doubled = tuple(2 * sum(p < c for p in perm[:i]) for i, c in enumerate(perm))
     n = len(perm)
     return n * (n - 1) // 2 - sum(doubled) // 2, doubled
+
+
+@lru_cache(maxsize=None)
+def quotient_shape(
+    aperm: tuple[int, ...], bperm: tuple[int, ...]
+) -> tuple[int, tuple[int, ...], tuple[int, ...], tuple[int, ...]]:
+    """(base, a's weights, a^(-1) b's weights on a's rows, b's weights) for
+    elements a and b with these permutations; each weight is the 2 c_i of
+    `_row_shape`.
+
+    base is the `_row_shape` base of a plus that of a^(-1) b minus that of
+    b.  Row j of a becomes row sigma_a(j) of the quotient, with exponent
+    eps_b(j) - eps_a(j), so the quotient's weight of that row is stored at
+    index j and counts exactly when eps_a(j) != eps_b(j).  Then
+    len(a) + len(a^(-1) b) - len(b) is base plus the weights of a and of
+    the quotient on their non-zero rows, minus those of b.  The table holds
+    at most n! entries per permutation of b; every caller in the package
+    passes a diagonal b.
+    """
+    qperm = [0] * len(aperm)
+    for c, d in zip(aperm, bperm):
+        qperm[c - 1] = d
+    abase, adoubled = _row_shape(aperm)
+    qbase, qdoubled = _row_shape(tuple(qperm))
+    bbase, bdoubled = _row_shape(bperm)
+    qweights = tuple([qdoubled[c - 1] for c in aperm])
+    return abase + qbase - bbase, adoubled, qweights, bdoubled
 
 
 def length(w: GroupElement) -> int:

@@ -186,6 +186,19 @@ def test_enumerate_counts_and_order():
     assert lambda_power(GroupParams(3, 3), 1) in group
 
 
+@pytest.mark.parametrize("e,n", [(2, 2), (5, 2), (3, 3), (4, 4)])
+def test_enumerate_equals_the_filtered_product(e, n):
+    """Completing each exponent head by the sum rule lists the same elements,
+    in the same order, as filtering every exponent vector."""
+    expected = [
+        GroupElement(e, perm, exps)
+        for perm in itertools.permutations(range(1, n + 1))
+        for exps in itertools.product(range(e), repeat=n)
+        if sum(exps) % e == 0
+    ]
+    assert enumerate_group(GroupParams(e, n)) == expected
+
+
 def test_enumerate_matches_order_formula():
     for e, n in [(2, 2), (3, 2), (2, 3), (3, 3), (4, 3)]:
         params = GroupParams(e, n)

@@ -380,6 +380,21 @@ def test_presentation_relations_are_family_members():
         assert not is_defining_relation(rhs, lhs, params)
 
 
+def test_is_defining_relation_refuses_letters_that_are_not_atoms():
+    """At (4,4,2) there is no s_7 or s_8, and t-indices are not reduced mod e:
+    the shapes below fit a braid and a dual relation, but not the atoms."""
+    params = GroupParams(4, 4, 2)
+    s7, s8 = Generator("s", 7), Generator("s", 8)
+    t = [Generator("t", i) for i in range(10)]
+    for lhs, rhs in (((s7, s8, s7), (s8, s7, s8)), ((t[9], t[7]), (t[0], t[2]))):
+        assert not is_defining_relation(lhs, rhs, params)
+        assert not is_defining_relation(rhs, lhs, params)
+    # the same shapes on real atoms are relations
+    s3, s4 = Generator("s", 3), Generator("s", 4)
+    assert is_defining_relation((s3, s4, s3), (s4, s3, s4), params)
+    assert is_defining_relation((t[1], t[3]), (t[0], t[2]), params)
+
+
 def test_is_defining_relation_is_the_presentation():
     """On all pairs of words of length <= 3, lhs = rhs is a defining relation
     exactly when it is one of emit_presentation's, in either order, or both

@@ -1,4 +1,5 @@
 import os
+import random
 import subprocess
 import sys
 
@@ -24,6 +25,8 @@ from geen_garside import (
     is_balanced,
     lambda_power,
     left_divides,
+    left_quotient,
+    length,
     multiply,
     right_divides,
     transpose,
@@ -78,13 +81,15 @@ def test_in_interval_matches_the_definition_exhaustive(e, n):
 
 def test_permutation_tables_hold_one_entry_per_permutation():
     """A (3,5,1) build leaves exactly 5! = 120 entries in each table keyed by
-    a permutation, however many elements (3^4 * 120 = 9,720) it touched."""
+    a permutation, however many elements (3^4 * 120 = 9,720) it touched, and
+    at most 5! in the one keyed by a pair of permutations."""
     code = (
         "from geen_garside import GroupParams, build_interval\n"
         "from geen_garside.core import _inverse_order\n"
-        "from geen_garside.words import _row_shape\n"
+        "from geen_garside.words import _row_shape, quotient_shape\n"
         "build_interval(GroupParams(3, 5, 1))\n"
-        "print(_inverse_order.cache_info().currsize, _row_shape.cache_info().currsize)\n"
+        "print(_inverse_order.cache_info().currsize, _row_shape.cache_info().currsize,\n"
+        "      quotient_shape.cache_info().currsize)\n"
     )
     root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
     env = dict(os.environ, PYTHONPATH=os.path.join(root, "src"))
@@ -92,7 +97,11 @@ def test_permutation_tables_hold_one_entry_per_permutation():
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=300,
     )
     assert result.returncode == 0, result.stderr
-    assert result.stdout.split() == ["120", "120"]
+    inverse_orders, row_shapes, quotient_shapes = map(int, result.stdout.split())
+    assert (inverse_orders, row_shapes) == (120, 120)
+    # keyed by (a.perm, b.perm), but the build only divides into the diagonal
+    # lambda^k, so at most 5! pairs
+    assert quotient_shapes <= 120
 
 
 def test_left_divides_basics():
@@ -105,6 +114,35 @@ def test_left_divides_basics():
         assert right_divides(w, w)
     t1 = generator_matrix(Generator("t", 1), params)
     assert left_divides(t1, lam)
+
+
+def _divides_by_definition(a, b):
+    return length(a) + length(left_quotient(a, b)) == length(b)
+
+
+def test_fused_left_divides_is_the_definition():
+    """The fused test equals len(a) + len(a^(-1) b) == len(b) with the
+    quotient formed: on every pair at (3,3) and (2,4), on 20,000 seeded
+    random pairs at (4,4) and (3,5), and into lambda^2 over all of G(6,6,4)."""
+    for params in (GroupParams(3, 3), GroupParams(2, 4)):
+        group = enumerate_group(params)
+        for a in group:
+            for b in group:
+                assert left_divides(a, b) == _divides_by_definition(a, b), (a, b)
+    rng = random.Random(17)
+    for params in (GroupParams(4, 4), GroupParams(3, 5)):
+        group = enumerate_group(params)
+        for _ in range(20000):
+            a, b = rng.choice(group), rng.choice(group)
+            assert left_divides(a, b) == _divides_by_definition(a, b), (a, b)
+    params = GroupParams(6, 4)
+    lam = lambda_power(params, 2)
+    hits = 0
+    for a in enumerate_group(params):
+        expected = _divides_by_definition(a, lam)
+        assert left_divides(a, lam) == expected, a
+        hits += expected
+    assert hits == 960
 
 
 def test_right_divides_edges_of_lambda_word():
@@ -488,6 +526,31 @@ def test_divisor_theorem_oracle_reports_a_disagreement(monkeypatch):
     )
     with pytest.raises(TheoremViolationError, match="staircase criterion"):
         divisor_theorem_oracle(iv, group)
+
+
+def test_divisor_scan_makes_two_tests_per_group_element(monkeypatch):
+    """The divisor-theorem scan at (3,3,2) makes exactly 2 |G| = 108
+    left_divides calls, one on w and one on its transpose; the benchmark's
+    traced interval.divisor_scan_calls counts the same calls."""
+    from geen_garside import interval as interval_module
+    from geen_garside.interval import divisor_theorem_oracle
+
+    params = GroupParams(3, 3, 2)
+    iv = cached_interval(3, 3, 2)
+    group = enumerate_group(params)
+    calls = []
+    honest = interval_module.left_divides
+
+    def counted(a, b):
+        calls.append(1)
+        return honest(a, b)
+
+    monkeypatch.setattr(interval_module, "left_divides", counted)
+    divisor_theorem_oracle(iv, group)
+    assert len(calls) == 2 * params.order() == 108, (
+        f"the divisor scan made {len(calls)} left_divides calls, not 2 |G| = "
+        f"{2 * params.order()}; the benchmark asserts 2 |G| divisor tests per build"
+    )
 
 
 def test_divisibility_tables_against_the_definition_on_small_grid_points():
