@@ -33,10 +33,11 @@ them runs in C.  `left_quotient` forms a^(-1) b in one pass, without the
 intermediate inverse.
 
 Data that depends on the permutation alone is tabulated once per
-permutation, not once per element: `_inverse_order` here (read by
-`inverse`, `transpose` and `left_quotient`) and the row counts of
-`words.length`.  Each table is keyed by the permutation tuple, so it holds
-at most n! entries per n, and it has no size option.  The length-additivity
+permutation, not once per element: `_inverse_order` here (the inverse
+permutation and a row getter, read by `inverse`, `transpose` and
+`left_quotient`) and the row counts of `words.length`.  Each table is
+keyed by the permutation tuple, so it holds at most n! entries per n, and
+it has no size option.  The length-additivity
 table `words.quotient_shape` is keyed by a pair of permutations: at most n!
 entries per permutation of its right operand.
 """
@@ -48,7 +49,8 @@ import json
 import os
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import NamedTuple
+from operator import itemgetter
+from typing import Callable, NamedTuple
 
 DEFAULT_GROUP_CAP = 10**6
 
@@ -294,15 +296,18 @@ def multiply(u: GroupElement, v: GroupElement) -> GroupElement:
 
 
 @lru_cache(maxsize=None)
-def _inverse_order(perm: tuple[int, ...]) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """(sigma^(-1), the 0-based rows j in increasing sigma(j)) of a permutation.
+def _inverse_order(perm: tuple[int, ...]) -> tuple[tuple[int, ...], Callable]:
+    """(sigma^(-1), a getter of the rows j in increasing sigma(j)) of a permutation.
 
-    Row i of the inverse or the transpose of w is row order[i-1] of w moved
-    to column sigma^(-1)(i).  The table holds one entry per permutation
-    seen, at most n! per n.
+    Row i of the inverse or the transpose of w is row j of w, the i-th in
+    that order, moved to column sigma^(-1)(i); the getter reads those rows
+    off any per-row tuple in one C call.  For n <= 1 it is `tuple`, since
+    `itemgetter` with one index returns a scalar.  The table holds one
+    entry per permutation seen, at most n! per n.
     """
-    order = tuple(sorted(range(len(perm)), key=perm.__getitem__))
-    return tuple([j + 1 for j in order]), order
+    order = sorted(range(len(perm)), key=perm.__getitem__)
+    rows = itemgetter(*order) if len(order) > 1 else tuple
+    return tuple([j + 1 for j in order]), rows
 
 
 def left_quotient(a: GroupElement, b: GroupElement) -> GroupElement:
@@ -318,26 +323,23 @@ def left_quotient(a: GroupElement, b: GroupElement) -> GroupElement:
             f"and G({b.e},{b.e},{len(b.perm)})"
         )
     e = a.e
-    order = _inverse_order(a.perm)[1]
-    aexps, bperm, bexps = a.exps, b.perm, b.exps
-    perm = tuple([bperm[j] for j in order])
-    exps = tuple([(bexps[j] - aexps[j]) % e for j in order])
-    return GroupElement(e, perm, exps)
+    rows = _inverse_order(a.perm)[1]
+    exps = tuple([(y - x) % e for x, y in zip(rows(a.exps), rows(b.exps))])
+    return GroupElement(e, rows(b.perm), exps)
 
 
 def inverse(w: GroupElement) -> GroupElement:
     """Inverse = conjugate transpose: sigma^(-1) with negated, relabeled exponents."""
-    perm, order = _inverse_order(w.perm)
-    e, exps = w.e, w.exps
-    return GroupElement(e, perm, tuple([-exps[j] % e for j in order]))
+    perm, rows = _inverse_order(w.perm)
+    e = w.e
+    return GroupElement(e, perm, tuple([-a % e for a in rows(w.exps)]))
 
 
 def transpose(w: GroupElement) -> GroupElement:
     """Plain transpose: the length-preserving antiautomorphism sending t_i to
     t_{-i} and fixing every s_j."""
-    perm, order = _inverse_order(w.perm)
-    exps = w.exps
-    return GroupElement(w.e, perm, tuple([exps[j] for j in order]))
+    perm, rows = _inverse_order(w.perm)
+    return GroupElement(w.e, perm, rows(w.exps))
 
 
 def evaluate_word(letters, params: GroupParams) -> GroupElement:

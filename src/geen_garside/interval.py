@@ -7,20 +7,24 @@ membership test: call the nonzero entries of w that are strict left-to-right
 column minima its bullets; then w divides lambda^k exactly when every
 non-bullet entry is 1 or zeta_e^k, which `in_interval` decides in one pass
 over the rows with a running column minimum, stopping at the first entry
-that fails.  `build_interval` makes one pass of group arithmetic over the
-members: the products x*s for the atoms x that left-divide them.  Their
-ordinals give the right divisibility table and the atom tables the Garside
-layer walks a simple down with; the left table follows from them through
-transposes, and lambda^k s^(-1) as the inverse permutation of s^(-1)
-lambda^k, by integer lookups.  The member set is checked against a divisor
-test on the whole group that never looks at the staircase: length additivity
-len(a) + len(a^(-1) b) = len(b), fused into one sum over the rows from
-`words.quotient_shape`, a table per pair of permutations, without forming
-a^(-1) b.
+that fails.  `build_interval` forms the products x*s, for the atoms x
+that left-divide a member s, as moves of two rows of s: s_j swaps rows j-1
+and j, and t_m swaps rows 1 and 2 and adds -m and +m to their exponents.
+Each product is looked up in the member index as a plain tuple, and one
+`multiply` per atom, x*lambda^k, checks the moves against the group
+product.  Their ordinals give the right divisibility table and the atom
+tables the Garside layer walks a simple down with; the left table follows
+from them through transposes, and lambda^k s^(-1) as the inverse
+permutation of s^(-1) lambda^k, by integer lookups.  The member set is
+checked against a divisor test on the whole group that never looks at the
+staircase: length additivity len(a) + len(a^(-1) b) = len(b), fused into
+one sum over the rows from `words.quotient_shape`, a table per pair of
+permutations, without forming a^(-1) b.
 
 Meets are bitset intersections followed by an extremality check,
 `_meet_violation`, the one check behind `Interval.meet` and the lattice
-verifiers alike.
+verifiers alike; `verify_lattice` inlines its test on cover pairs and
+calls it only to report a failure.
 s -> s^(-1) lambda^k turns left divisibility upside down into right
 divisibility, so each join is the complement of a meet on the other side.
 `verify_lattice` proves the lattice property from the tables in about
@@ -39,7 +43,7 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import compress
-from operator import ne
+from operator import itemgetter, ne
 
 from .core import (
     CapExceededError,
@@ -359,6 +363,13 @@ def divisor_theorem_oracle(interval: Interval, group: list[GroupElement]) -> Non
             )
 
 
+def _row_swap(n: int, j: int):
+    """Getter of the n rows of a tuple with rows j-1 and j (1-based) swapped."""
+    order = list(range(n))
+    order[j - 2], order[j - 1] = j - 1, j - 2
+    return itemgetter(*order)
+
+
 def interval_size(e: int, n: int) -> int:
     """|[1, lambda^k]| in G(e,e,n) = prod_{i=1}^{n-1} (e + 2i), for every k."""
     return math.prod(e + 2 * i for i in range(1, n))
@@ -368,15 +379,21 @@ def build_interval(params: GroupParams) -> Interval:
     """Construct [1, lambda^k] with both divisibility tables, the complements
     and the atom tables.
 
-    The one arithmetic pass forms x*b, for b in ordinal order and the atoms
-    x that shorten b: the atom tables (x*b = x^(-1) b for a reflection x)
-    and the lower covers of b on the right.  lambda^k is diagonal, so with
-    flip[s] the ordinal of s^T, the left covers of b are
-    flip[down_left[p][flip[b]]], as (b x)^T = x^T b^T.  comp_left is one
-    `left_quotient` per member and comp_right its inverse permutation.  A
-    transpose leaving the interval, or a comp_left that is not a permutation,
-    is a theorem violation.  Last, `divisor_theorem_oracle` checks the
-    member set against divisor tests of lambda^k over the whole group.
+    Members are sorted by (length, perm, exps).  For b in ordinal order and
+    the atoms x that shorten b, by `length_decreases`, x*b is a move of two
+    rows of b (s_j swaps rows j-1 and j; t_m swaps rows 1 and 2 and adds -m
+    and +m to their exponents), looked up in the index as a plain
+    (e, perm, exps) tuple.  These give the atom tables (x*b = x^(-1) b for a
+    reflection x) and the lower covers of b on the right.  The one group
+    product per atom, `multiply(x, lambda^k)`, must agree with the row move
+    on lambda^k.  lambda^k is diagonal, so with flip[s] the ordinal of s^T,
+    the left covers of b are flip[down_left[p][flip[b]]], as
+    (b x)^T = x^T b^T.  comp_left is one `left_quotient` per member and
+    comp_right its inverse permutation.  A row move that disagrees with its
+    product, a transpose leaving the interval, or a comp_left that is not a
+    permutation, is a theorem violation.  Last, `divisor_theorem_oracle`
+    checks the member set against divisor tests of lambda^k over the whole
+    group.
 
     Before anything is enumerated, |D| is predicted by `interval_size` and
     the interval is refused with CapExceededError when its two bitset
@@ -401,8 +418,7 @@ def build_interval(params: GroupParams) -> Interval:
         raise TheoremViolationError(
             f"|D| = {len(members)} differs from the predicted {predicted}"
         )
-    lengths = {w: length(w) for w in members}
-    members.sort(key=lambda w: (lengths[w], w.perm, w.exps))
+    lengths, members = zip(*sorted(zip(map(length, members), members)))
     index = {w: i for i, w in enumerate(members)}
 
     delta = lambda_power(params, k)
@@ -413,20 +429,39 @@ def build_interval(params: GroupParams) -> Interval:
     if None in flip:
         raise TheoremViolationError("the transpose of a member left the interval")
 
-    gens = [(x, generator_matrix(x, params)) for x in atoms(params)]
+    e, n = params.e, params.n
+    gens = atoms(params)
     size = len(members)
     div_right = [0] * size
     head_left = [-1] * size
     down_left = [[-1] * size for _ in gens]
+    # per atom: the rows it swaps, and whether it shifts their exponents
+    moves = [
+        (p, x, _row_swap(n, x.index if x.kind == "s" else 2), x.kind == "t", row)
+        for p, (x, row) in enumerate(zip(gens, down_left))
+    ]
     for b, w in enumerate(members):
+        perm, exps = w.perm, w.exps
         mask = 1 << b
-        for p, (x, xmat) in enumerate(gens):
+        head = -1
+        for p, x, swap, shift, row in moves:
             if length_decreases(x, w):
-                below = down_left[p][b] = index[multiply(xmat, w)]
+                moved = swap(exps)
+                if shift:
+                    m = x.index
+                    moved = ((moved[0] - m) % e, (moved[1] + m) % e) + moved[2:]
+                # a plain (e, perm, exps) tuple hashes and compares as the element
+                below = row[b] = index[(e, swap(perm), moved)]
                 mask |= div_right[below]
-                if head_left[b] < 0:
-                    head_left[b] = p
+                if head < 0:
+                    head = p
         div_right[b] = mask
+        head_left[b] = head
+    for x, row in zip(gens, down_left):
+        if row[-1] != index.get(multiply(generator_matrix(x, params), delta)):
+            raise TheoremViolationError(
+                f"the row move of {x} on lambda^{k} disagrees with the product"
+            )
     # (b x)^T = x^T b^T: the left covers of b transpose the right ones of b^T.
     div_left = [0] * size
     for b, bt in enumerate(flip):
@@ -445,7 +480,7 @@ def build_interval(params: GroupParams) -> Interval:
         comp_right[c] = s
 
     interval = Interval(
-        params, members, [lengths[w] for w in members], index,
+        params, members, lengths, index,
         (div_left, div_right), (comp_left, comp_right), (head_left, down_left),
     )
 
@@ -503,20 +538,33 @@ def _cover_pair_violation(interval: Interval, side: str) -> LatticeViolation | N
     full = (1 << len(interval)) - 1
     if div[top] != full:
         return _closure_violation(side, div, top, full & ~div[top])
+    lengths, layer_start = interval.lengths, interval.layer_start
     for b in range(len(interval)):
-        covers = interval.covers(b, side)
+        # the covers of b, as in `Interval.covers`, and the union of their tables
+        here = div[b]
         closure = 1 << b
-        for a in covers:
-            closure |= div[a]
+        covers = []
+        ell = lengths[b]
+        if ell:
+            lo = layer_start[ell - 1]
+            mask = (here >> lo) & ((1 << (layer_start[ell] - lo)) - 1)
+            while mask:
+                low = mask & -mask
+                a = lo + low.bit_length() - 1
+                covers.append(a)
+                closure |= div[a]
+                mask ^= low
         # bits that differ from the closure, and bit 0 if the identity is missing
-        wrong = (closure ^ div[b]) | (~div[b] & 1)
+        wrong = (closure ^ here) | (~here & 1)
         if wrong:
             return _closure_violation(side, div, b, wrong)
+        # the check of `_meet_violation` on every pair of covers
         for i, a in enumerate(covers):
+            above = div[a]
             for c in covers[i + 1:]:
-                violation = _meet_violation(side, div, a, c)
-                if violation:
-                    return violation
+                common = above & div[c]
+                if common & ~div[common.bit_length() - 1]:
+                    return _meet_violation(side, div, a, c)
     return None
 
 

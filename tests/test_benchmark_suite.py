@@ -8,6 +8,8 @@ directories import from their own `conftest`, so they cannot be collected in
 one session; the suite runs in a subprocess instead.
 """
 
+import ast
+import importlib
 import os
 import subprocess
 import sys
@@ -21,3 +23,35 @@ def test_benchmark_suite_passes():
         cwd=ROOT, capture_output=True, text=True, timeout=600,
     )
     assert proc.returncode == 0, proc.stdout[-4000:] + proc.stderr[-2000:]
+
+
+def test_tracer_patches_only_names_that_exist():
+    """Every `t.patch(<module>, "<name>", ...)` in perfbench/tracing.py names
+    an attribute that the package module has, so a name dropped from a
+    module fails here rather than only in traced runs.  The tracer is read
+    with `ast`, never imported."""
+    with open(os.path.join(ROOT, "perfbench", "tracing.py")) as handle:
+        tree = ast.parse(handle.read())
+    modules = {
+        alias.asname or alias.name: f"{node.module}.{alias.name}"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.module == "geen_garside"
+        for alias in node.names
+    }
+    calls = [
+        node for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and node.func.attr == "patch"
+        and isinstance(node.func.value, ast.Name)
+        and node.func.value.id == "t"
+    ]
+    assert calls
+    missing = []
+    for call in calls:
+        module, name = call.args[:2]
+        assert isinstance(module, ast.Name) and module.id in modules, ast.dump(call)
+        assert isinstance(name, ast.Constant) and isinstance(name.value, str), ast.dump(call)
+        if not hasattr(importlib.import_module(modules[module.id]), name.value):
+            missing.append(f"{modules[module.id]}.{name.value}")
+    assert not missing, f"perfbench/tracing.py patches missing names: {missing}"

@@ -149,6 +149,30 @@ def test_inverse_and_transpose_exhaustive_g335():
         assert transpose(transpose(w)) == w
 
 
+@pytest.mark.parametrize("e,n,step", [(3, 3, 1), (2, 4, 5)])
+def test_row_getter_operations_are_their_matrix_definitions(e, n, step):
+    """transpose, inverse (the conjugate transpose) and left_quotient read
+    rows through the getter that `_inverse_order` caches per permutation.
+    Each equals its matrix definition on every element a, against every
+    step-th b for the quotient."""
+    group = enumerate_group(GroupParams(e, n))
+    for a in group:
+        plain = [list(column) for column in zip(*matrix_of(a))]
+        conjugate = [[None if x is None else -x % e for x in row] for row in plain]
+        assert transpose(a) == element_of_matrix(plain, e)
+        assert inverse(a) == element_of_matrix(conjugate, e)
+        for b in group[::step]:
+            product = matrix_product(conjugate, matrix_of(b), e)
+            assert left_quotient(a, b) == element_of_matrix(product, e)
+
+
+def test_row_getter_operations_on_a_1x1_element():
+    """`itemgetter` with one index returns a scalar, not a tuple; the row
+    getter of a 1 x 1 permutation must still give tuples."""
+    w = GroupElement.from_json('{"e":3,"n":1,"perm":[1],"exps":[0]}')
+    assert transpose(w) == inverse(w) == left_quotient(w, w) == w == (3, (1,), (0,))
+
+
 def test_left_quotient_is_a_left_quotient_sampled_g335():
     group = enumerate_group(GroupParams(3, 5))
     rng = random.Random(335)

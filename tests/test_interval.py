@@ -1,3 +1,5 @@
+import hashlib
+import json
 import os
 import random
 import subprocess
@@ -27,6 +29,7 @@ from geen_garside import (
     left_divides,
     left_quotient,
     length,
+    length_decreases,
     multiply,
     right_divides,
     transpose,
@@ -573,25 +576,83 @@ def test_divisibility_tables_against_the_definition_on_small_grid_points():
 
 
 def test_build_makes_one_product_per_right_cover(monkeypatch):
-    """The only group products of a build are the x*b of the atom tables;
-    the left table and comp_right come from lookups."""
+    """Each right cover x*b of a build is one row move, made where
+    `length_decreases` says that x shortens b: 9,072 at (3,5,1).  The only
+    group products left are one x*lambda^k per atom, which check the row
+    moves; the left table and comp_right come from lookups."""
     from geen_garside import core
     from geen_garside import interval as interval_module
 
-    calls = []
-    honest = interval_module.multiply
+    products, shortening = [], []
+    honest_multiply = interval_module.multiply
+    honest_decreases = interval_module.length_decreases
 
-    def counted(u, v):
-        calls.append(1)
-        return honest(u, v)
+    def counted_multiply(u, v):
+        products.append((u, v))
+        return honest_multiply(u, v)
 
-    monkeypatch.setattr(interval_module, "multiply", counted)
-    interval = build_interval(GroupParams(3, 5, 1))
+    def counted_decreases(x, w):
+        out = honest_decreases(x, w)
+        shortening.append(out)
+        return out
+
+    monkeypatch.setattr(interval_module, "multiply", counted_multiply)
+    monkeypatch.setattr(interval_module, "length_decreases", counted_decreases)
+    params = GroupParams(3, 5, 1)
+    interval = build_interval(params)
     covers = sum(1 for row in interval.down_left for v in row if v >= 0)
-    assert covers == 9072
-    assert len(calls) == covers
+    assert covers == sum(shortening) == 9072
+    delta = lambda_power(params, 1)
+    assert products == [(generator_matrix(x, params), delta) for x in atoms(params)]
     assert not hasattr(interval_module, "inverse")
     assert not hasattr(core, "transpose_generator")
+
+
+@pytest.mark.parametrize("e,n,k", [(2, 4, 1), (3, 5, 1), (6, 4, 2), (4, 3, 2)])
+def test_atom_tables_are_the_shortening_products(e, n, k):
+    """Oracle for the row moves: down_left[p][b] is the ordinal of the matrix
+    product x_p * b where x_p shortens b, by `length_decreases`, and -1
+    where it does not; head_left[b] is the first shortening atom."""
+    interval = cached_interval(e, n, k)
+    params = interval.params
+    gens = atoms(params)
+    heads = [-1] * len(interval)
+    for p in reversed(range(len(gens))):
+        x = gens[p]
+        xmat = generator_matrix(x, params)
+        row = interval.down_left[p]
+        for b, w in enumerate(interval.members):
+            if row[b] >= 0:
+                assert length_decreases(x, w), (x, b)
+                assert row[b] == interval.index[multiply(xmat, w)], (x, b)
+                heads[b] = p
+            else:
+                assert row[b] == -1 and not length_decreases(x, w), (x, b)
+    assert interval.head_left == heads
+
+
+def _table_digest(interval) -> str:
+    """sha256 over the members, lengths and every per-ordinal table."""
+    payload = [
+        [[list(w.perm), list(w.exps)] for w in interval.members],
+        list(interval.lengths), list(interval.div_left), list(interval.div_right),
+        list(interval.comp_left), list(interval.head_left),
+        [list(row) for row in interval.down_left],
+    ]
+    return hashlib.sha256(json.dumps(payload, separators=(",", ":")).encode()).hexdigest()
+
+
+@pytest.mark.parametrize("e,n,k,digest", [
+    (3, 3, 1, "9cff3caf916da7eaa896f010d92825a68b97c2b516f66ad7c54b8e2d4a64a096"),
+    (4, 3, 2, "047451ef080153ea928159ef20ce322d78a694e5bffdfc8fec301e8eac9ab611"),
+    (6, 4, 2, "3e550b6424f00500c330c4a51ab8c1578c7ca414caabd44986c21b7dc6a1465f"),
+    (2, 5, 1, "790f4f7a673fa92e484af500f90208b1ebe53b176d21d524c260a4f366c97bd5"),
+    (3, 5, 1, "c33e4aaa9bbde407541a8315a74a1911841d0ecbda6345369e22a4281bf9341a"),
+])
+def test_interval_tables_are_golden(e, n, k, digest):
+    """Ordinals feed `interval --export`, the normal-form goldens and
+    `freeze`, so a build must reproduce its tables bit for bit."""
+    assert _table_digest(cached_interval(e, n, k)) == digest
 
 
 def test_build_checks_transposes_and_complements(monkeypatch):
@@ -607,4 +668,8 @@ def test_build_checks_transposes_and_complements(monkeypatch):
     with monkeypatch.context() as m:
         m.setattr(interval_module, "left_quotient", lambda a, b: identity(params))
         with pytest.raises(TheoremViolationError, match="not a permutation"):
+            build_interval(params)
+    with monkeypatch.context() as m:
+        m.setattr(interval_module, "multiply", lambda u, v: identity(params))
+        with pytest.raises(TheoremViolationError, match="row move of t0"):
             build_interval(params)
