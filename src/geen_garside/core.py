@@ -229,8 +229,7 @@ class GroupElement(NamedTuple):
         for name, entries in (("perm", perm), ("exps", exps)):
             if not (isinstance(entries, list) and all(map(_is_int, entries))):
                 raise ValueError(f"{name} must be a list of integers, got {entries!r}")
-        if e < 2:
-            raise ValueError(f"e must be >= 2, got {e}")
+        GroupParams(e, n)  # refuses e < 2 and n < 2
         w = GroupElement(e, tuple(perm), tuple(exps))
         _validate_element(w, n)
         return w

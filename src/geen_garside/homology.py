@@ -5,24 +5,30 @@ finite free resolution.
 Cells in degree r are the increasing r-tuples of atoms, under the order
 s_n < s_{n-1} < ... < s_3 < t_0 < t_1 < ... < t_{e-1}, that pass the head
 condition: each atom must be the least atom right-dividing the right lcm of
-the tail it starts.  Chains carry coefficients in the monoid ring and are
-flat dicts (cell, normal form) -> integer; `differential_generic`
-implements the recursive contracting-homotopy definition of the boundary
-maps verbatim (it is the ground truth), while `differential_closed_form`
-types out the worked-out row formulas.  The homotopy maps u and s act on
-single monomials (degree, coefficient, cell), so each call of
-`differential_generic` memoizes s per monomial and computes every monomial
-once; the memo is dropped when the call returns.  With trivial coefficients
-every monoid coefficient collapses to its integer term count, giving the
-integer matrices d_1, d_2, d_3.
+the tail it starts.  `CellComplex` filters the cells of degrees 0..3 once,
+when it is built for a structure, and is the one place that knows the top
+degree; the right lcm of a tail is one join of its first atom with the lcm
+of the shorter tail.
 
-Homology is ker(d_r)/im(d_{r+1}), read off integer Smith diagonals: H_1 is
-the cokernel of d_2, and H_2 is the cokernel of d_3 with the rank of d_2
-taken off its free part, so no kernel basis is ever formed.  Above the
-interval, cells and their faces are only ordinals: the cofactors that the
-boundary maps need are left quotients of complements, which the Garside
-layer's `normalize_pair` computes by the same atom-by-atom walk that makes
-normal forms left-weighted.
+Chains carry coefficients in the monoid ring and are flat dicts
+(cell, normal form) -> integer; `differential_generic` implements the
+recursive contracting-homotopy definition of the boundary maps verbatim (it
+is the ground truth), while `differential_closed_form` types out the
+worked-out row formulas.  Both hand the (face, coefficient) pairs of each
+cell to one assembly, `_boundary_matrix`, which also holds the degree guard.
+The homotopy maps u and s act on single monomials (degree, coefficient,
+cell), so each call of `differential_generic` memoizes s per monomial and
+computes every monomial once; the memo is dropped when the call returns.
+With trivial coefficients every monoid coefficient collapses to its integer
+term count, giving the integer matrices d_1, d_2, d_3.
+
+Homology is ker(d_r)/im(d_{r+1}), read off integer Smith diagonals by one
+formula for r = 1, 2: the cokernel of d_{r+1} with the rank of d_r taken off
+its free part, so no kernel basis is ever formed.  Above the interval, cells
+and their faces are only ordinals: the cofactors that the boundary maps need
+are left quotients of complements, which the Garside layer's
+`normalize_pair` computes by the same atom-by-atom walk that makes normal
+forms left-weighted.
 """
 
 from __future__ import annotations
@@ -48,23 +54,32 @@ def atom_order(params: GroupParams) -> list[Generator]:
 
 
 class CellComplex:
-    """Cell bases and lcm/head machinery over a Garside structure."""
+    """Cell bases and lcm/head machinery over a Garside structure.
+
+    `cells[r]` holds the r-cells for r = 0..3 as position tuples, in
+    lexicographic order (the order `combinations` yields them in); its length
+    is the number of degrees the resolution is computed in.
+    """
 
     def __init__(self, g: GarsideStructure):
         self.g = g
         self.interval = g.interval
         self.order = atom_order(g.params)
         self.atom_ordinal = [self.interval.atom_ordinal[x] for x in self.order]
-        self._lcm_cache: dict[tuple[int, ...], int] = {}
+        self._lcm_cache: dict[tuple[int, ...], int] = {(): self.interval.identity_ordinal}
+        positions = range(len(self.order))
+        self.cells = [
+            [c for c in combinations(positions, r) if self.is_cell(c)] for r in range(4)
+        ]
 
     def lcm(self, positions: tuple[int, ...]) -> int:
-        """Right lcm (least common left-multiple) of a set of atoms."""
+        """Right lcm (least common left-multiple) of an increasing atom tuple:
+        the join of its first atom with the lcm of the rest."""
         cached = self._lcm_cache.get(positions)
         if cached is None:
-            cached = self.interval.join_many(
-                "right", (self.atom_ordinal[p] for p in positions)
+            cached = self._lcm_cache[positions] = self.interval.join(
+                "right", self.atom_ordinal[positions[0]], self.lcm(positions[1:])
             )
-            self._lcm_cache[positions] = cached
         return cached
 
     def head_atom(self, member: int) -> int | None:
@@ -76,19 +91,11 @@ class CellComplex:
         return None
 
     def is_cell(self, positions: tuple[int, ...]) -> bool:
-        if any(a >= b for a, b in zip(positions, positions[1:])):
-            return False
+        """Whether an increasing atom tuple passes the head condition."""
         return all(
             self.head_atom(self.lcm(positions[i:])) == positions[i]
             for i in range(len(positions))
         )
-
-    def cells(self, r: int) -> list[tuple[int, ...]]:
-        """The r-cells: the increasing atom tuples that pass the head condition.
-
-        `combinations` yields them in lexicographic order of positions.
-        """
-        return [c for c in combinations(range(len(self.order)), r) if self.is_cell(c)]
 
     def cofactor(self, alpha: int, tail: tuple[int, ...]) -> int:
         """Simple c with c * lcm(tail) = lcm(alpha, tail), as an ordinal.
@@ -120,95 +127,89 @@ def complex_of(g: GarsideStructure) -> CellComplex:
 
 def enumerate_cells(g: GarsideStructure, r: int) -> list[Cell]:
     """All r-cells (r <= 3) in lexicographic order of atom positions."""
-    if not 0 <= r <= 3:
-        raise ValueError("only cells of dimension <= 3 are supported")
     cx = complex_of(g)
-    return [tuple(cx.order[p] for p in c) for c in cx.cells(r)]
+    if not 0 <= r < len(cx.cells):
+        raise ValueError(f"only cells of dimension <= {len(cx.cells) - 1} are supported")
+    return [tuple(cx.order[p] for p in c) for c in cx.cells[r]]
+
+
+def _boundary_matrix(cx: CellComplex, r: int, faces) -> list[list[int]]:
+    """Matrix of d_r (rows: (r-1)-cells, columns: r-cells); the column of an
+    r-cell sums the (face, coefficient) pairs that `faces(cell)` yields."""
+    if not 1 <= r < len(cx.cells):
+        raise ValueError(
+            f"the resolution is computed in degrees 1..{len(cx.cells) - 1}, not {r}"
+        )
+    row_of = {c: i for i, c in enumerate(cx.cells[r - 1])}
+    matrix = zero_matrix(len(cx.cells[r - 1]), len(cx.cells[r]))
+    for col, cell in enumerate(cx.cells[r]):
+        for face, coeff in faces(cell):
+            matrix[row_of[face]][col] += coeff
+    return matrix
 
 
 # -- closed-form differentials ------------------------------------------------
 
 
 def differential_closed_form(g: GarsideStructure, r: int) -> list[list[int]]:
-    """Matrix of d_r (rows: (r-1)-cells, columns: r-cells) from the row formulas,
-    picked by the braid_m of each pair of atoms of the cell."""
-    if r not in (1, 2, 3):
+    """Matrix of d_r from the row formulas, picked by the braid_m of each pair
+    of atoms of the cell."""
+    if r > 3:
         raise ValueError("closed forms exist for r in {1, 2, 3}")
-    params = g.params
-    e, k = params.e, params.k
-    cells_lo = enumerate_cells(g, r - 1)
-    cells_hi = enumerate_cells(g, r)
-    row_of = {c: i for i, c in enumerate(cells_lo)}
-    matrix = zero_matrix(len(cells_lo), len(cells_hi))
+    cx = complex_of(g)
+    e, k = g.params.e, g.params.k
+    position = {x: p for p, x in enumerate(cx.order)}
 
     def t(i: int) -> Generator:
         return Generator("t", i % e)
 
-    def add(col: int, cell: Cell, coeff: int) -> None:
-        matrix[row_of[cell]][col] += coeff
-
-    if r == 1:
-        return matrix  # d_1[x] = (x - 1)[()] collapses to zero
-
-    for col, cell in enumerate(cells_hi):
-        if r == 2:
+    def terms(cell: Cell) -> list[tuple[Cell, int]]:
+        if len(cell) == 1:
+            return [((), 1), ((), -1)]  # d_1[x] = (x - 1)[()] collapses to zero
+        if len(cell) == 2:
             x, y = cell
             m = braid_m(x, y)
             if m == 0:
                 if x != t(0):
                     raise TheoremViolationError(f"unexpected two-t cell {cell}")
                 i = y.index
-                add(col, (t(i),), 1)
-                add(col, (t(0),), -1)
-                add(col, (t(k),), -1)
-                add(col, (t(i + k),), 1)
-            elif m == 3:
-                add(col, (y,), 1)
-                add(col, (x,), -1)
+                return [((t(i),), 1), ((t(0),), -1), ((t(k),), -1), ((t(i + k),), 1)]
             # commuting pairs contribute nothing
-            continue
-
+            return [((y,), 1), ((x,), -1)] if m == 3 else []
         x, y, z = cell
         if y.kind == "t":
             # the only cells with two t's are [s_j, t_0, t_i]
             if x.kind != "s" or y != t(0) or z.kind != "t":
                 raise TheoremViolationError(f"cell {cell} matches no closed form")
             i = z.index
-            if braid_m(x, y) == 3:
-                if (i + k) % e == 0:
-                    add(col, (t(0), t(i)), 1)
-                    add(col, (x, t(i)), -1)
-                    add(col, (x, t(k)), 1)
-                    add(col, (t(0), t(k)), 1)
-                    add(col, (x, t(0)), 1)
-                    add(col, (x, t(2 * k)), -1)
-                else:
-                    add(col, (t(0), t(i)), 1)
-                    add(col, (x, t(i)), -1)
-                    add(col, (t(0), t(i + k)), -1)
-                    add(col, (t(0), t(k)), 1)
-                    add(col, (x, t(i + 2 * k)), 1)
-                    add(col, (x, t(0)), 1)
-                    add(col, (x, t(2 * k)), -1)
-            else:
-                add(col, (x, t(i)), -1)
-                add(col, (x, t(0)), 1)
-                add(col, (x, t(i + k)), -1)
-                add(col, (x, t(k)), 1)
-            continue
-
+            if braid_m(x, y) != 3:
+                return [((x, t(i)), -1), ((x, t(0)), 1), ((x, t(i + k)), -1), ((x, t(k)), 1)]
+            out = [
+                ((t(0), t(i)), 1), ((x, t(i)), -1), ((t(0), t(k)), 1),
+                ((x, t(i + 2 * k)), 1), ((x, t(0)), 1), ((x, t(2 * k)), -1),
+            ]
+            if (i + k) % e:
+                # at i + k = 0 mod e this face is [t_0, t_0], which is no cell
+                out.append(((t(0), t(i + k)), -1))
+            return out
         ms = (braid_m(x, y), braid_m(x, z), braid_m(y, z))
         if ms == (3, 2, 3):
-            add(col, (x, z), -2)
-        elif ms == (3, 2, 2):
-            add(col, (y, z), 1)
-            add(col, (x, z), -1)
-        elif ms == (2, 2, 3):
-            add(col, (x, y), 1)
-            add(col, (x, z), -1)
-        elif ms != (2, 2, 2):  # commuting triples contribute nothing
-            raise TheoremViolationError(f"cell {cell} matches no closed form")
-    return matrix
+            return [((x, z), -2)]
+        if ms == (3, 2, 2):
+            return [((y, z), 1), ((x, z), -1)]
+        if ms == (2, 2, 3):
+            return [((x, y), 1), ((x, z), -1)]
+        if ms == (2, 2, 2):  # commuting triples contribute nothing
+            return []
+        raise TheoremViolationError(f"cell {cell} matches no closed form")
+
+    def faces(cell: tuple[int, ...]):
+        # tuple() of a list, not of a generator: the latter allocates ten
+        # slots and shrinks them, which leaves the small-tuple free lists full
+        for face, coeff in terms(tuple([cx.order[p] for p in cell])):
+            yield tuple([position[x] for x in face]), coeff
+
+    return _boundary_matrix(cx, r, faces)
 
 
 # -- the recursive definition --------------------------------------------------
@@ -345,18 +346,14 @@ class _GenericDifferential:
 
 def differential_generic(g: GarsideStructure, r: int) -> list[list[int]]:
     """Matrix of d_r from the recursive definition, augmented to integers."""
-    if r not in (1, 2, 3):
-        raise ValueError("the resolution is computed up to degree 3")
     cx = complex_of(g)
     differential = _GenericDifferential(cx)
-    cells_lo = cx.cells(r - 1)
-    cells_hi = cx.cells(r)
-    row_of = {c: i for i, c in enumerate(cells_lo)}
-    matrix = zero_matrix(len(cells_lo), len(cells_hi))
-    for col, cell in enumerate(cells_hi):
+
+    def faces(cell: tuple[int, ...]):
         for (bcell, _), coeff in differential.partial_cell(cell).items():
-            matrix[row_of[bcell]][col] += coeff
-    return matrix
+            yield bcell, coeff
+
+    return _boundary_matrix(cx, r, faces)
 
 
 def differential(g: GarsideStructure, r: int, method: str = "closed") -> list[list[int]]:
@@ -384,23 +381,21 @@ def chain_condition_holds(d_lo: list[list[int]], d_hi: list[list[int]]) -> bool:
 def homology_group(g: GarsideStructure, r: int, method: str = "closed") -> AbelianGroup:
     """H_r = ker(d_r)/im(d_{r+1}) for r = 1, 2, over the integers.
 
-    After trivializing coefficients d_1 = 0, so H_1 is the cokernel of d_2 on
-    the atom module.  For H_2: once d_2 d_3 = 0 is checked, im d_3 lies in
-    ker d_2, and C_2/ker d_2 is isomorphic to im d_2, a subgroup of the free
-    module C_1 and so free.  The sequence ker d_2/im d_3 -> C_2/im d_3 ->
-    C_2/ker d_2 therefore splits: the cokernel of d_3 is H_2 plus a free
-    summand of rank rank(d_2), and H_2 is that cokernel with rank(d_2) taken
-    off its free rank.
+    Once d_r d_{r+1} = 0 is checked, im d_{r+1} lies in ker d_r, and
+    C_r/ker d_r is isomorphic to im d_r, a subgroup of the free module
+    C_{r-1} and so free.  The sequence ker d_r/im d_{r+1} -> C_r/im d_{r+1}
+    -> C_r/ker d_r therefore splits: the cokernel of d_{r+1} is H_r plus a
+    free summand of rank rank(d_r), and H_r is that cokernel with rank(d_r)
+    taken off its free rank.  After trivializing coefficients d_1 = 0, so
+    H_1 is the whole cokernel of d_2 on the atom module.
     """
     if r not in (1, 2):
         raise ValueError(f"homology computed only in degrees 1 and 2, not {r}")
-    d2 = differential(g, 2, method)
-    if r == 1:
-        return quotient_group(len(d2), d2)
-    d3 = differential(g, 3, method)
-    if not chain_condition_holds(d2, d3):
-        raise TheoremViolationError("d_2 d_3 != 0")
-    return quotient_group(len(d3) - smith_normal_form(d2).rank, d3)
+    d_lo = differential(g, r, method)
+    d_hi = differential(g, r + 1, method)
+    if not chain_condition_holds(d_lo, d_hi):
+        raise TheoremViolationError(f"d_{r} d_{r + 1} != 0")
+    return quotient_group(len(d_hi) - smith_normal_form(d_lo).rank, d_hi)
 
 
 def predicted_h2(e: int, n: int, k: int) -> AbelianGroup:

@@ -281,12 +281,6 @@ class Interval:
                 LatticeViolation(side, "join", (a, b), antichain)
             ) from exc
 
-    def join_many(self, side: str, ordinals) -> int:
-        out = self.identity_ordinal
-        for a in ordinals:
-            out = self.join(side, out, a)
-        return out
-
 
 @dataclass(frozen=True, slots=True)
 class LatticeReport:

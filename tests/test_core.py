@@ -169,7 +169,7 @@ def test_row_getter_operations_are_their_matrix_definitions(e, n, step):
 def test_row_getter_operations_on_a_1x1_element():
     """`itemgetter` with one index returns a scalar, not a tuple; the row
     getter of a 1 x 1 permutation must still give tuples."""
-    w = GroupElement.from_json('{"e":3,"n":1,"perm":[1],"exps":[0]}')
+    w = GroupElement(3, (1,), (0,))
     assert transpose(w) == inverse(w) == left_quotient(w, w) == w == (3, (1,), (0,))
 
 
@@ -321,6 +321,17 @@ def test_json_round_trip():
     assert GroupElement.from_json(w.to_json()) == w
     with pytest.raises(ValueError):
         GroupElement.from_json('{"e":3,"n":2,"perm":[1,2],"exps":[1,1]}')
+
+
+@pytest.mark.parametrize(
+    "text",
+    ['{"e":3,"n":0,"perm":[],"exps":[]}', '{"e":3,"n":1,"perm":[1],"exps":[0]}'],
+    ids=["n0", "n1"],
+)
+def test_from_json_refuses_n_below_2(text):
+    """Like GroupParams, from_json supports no group G(e,e,n) with n < 2."""
+    with pytest.raises(ValueError, match="n must be >= 2"):
+        GroupElement.from_json(text)
 
 
 def test_left_quotient_matches_inverse_product_exhaustive_g333():

@@ -26,6 +26,11 @@ from geen_garside.homology import atom_order
 from geen_garside.snf import smith_normal_form
 from conftest import all_k
 
+# sha256 over d_1, d_2, d_3 by both routes, the cells of degrees 0..3 and H_1,
+# H_2 by method="both", at the 45 default-grid points and three n = 5 points;
+# see test_homology_layer_digest for the serialization.
+HOMOLOGY_DIGEST = "a5b000ba158109a55be0e37c6db117969b3cf3e5e8505864bb1d76764d30f748"
+
 
 def t(i, e):
     return Generator("t", i % e)
@@ -63,7 +68,7 @@ def test_two_cells_t_pairs_start_at_t0():
 )
 def test_cell_census(e, n, k):
     """|C_r| for r = 0..3 by a count independent of the head-condition filter
-    that `cells` runs: a cell is an increasing set of s's followed by no t,
+    that `CellComplex` runs: a cell is an increasing set of s's followed by no t,
     one t_i, or t_0 t_i."""
     from math import comb
 
@@ -97,6 +102,77 @@ def test_three_cells_with_two_ts():
 def test_no_cells_above_dimension():
     with pytest.raises(ValueError):
         enumerate_cells(cached_garside(3, 3, 1), 4)
+    with pytest.raises(ValueError):
+        enumerate_cells(cached_garside(3, 3, 1), -1)
+
+
+@pytest.mark.parametrize("r", [0, 4])
+@pytest.mark.parametrize("route", [differential_closed_form, differential_generic])
+def test_differentials_only_in_degrees_1_to_3(route, r):
+    with pytest.raises(ValueError):
+        route(cached_garside(3, 3, 1), r)
+
+
+def _fold_join(iv, ordinals):
+    """Right lcm as the left fold of pairwise joins from the identity."""
+    out = iv.identity_ordinal
+    for a in ordinals:
+        out = iv.join("right", out, a)
+    return out
+
+
+@pytest.mark.parametrize("e,n,k", [(3, 3, 1), (4, 4, 2), (2, 5, 1)])
+def test_lcm_of_suffixes_equals_the_fold_of_joins(e, n, k):
+    """lcm(c) = join(first atom, lcm(rest)) agrees with folding the pairwise
+    join over c from the identity, for every increasing atom tuple of size 1-3."""
+    import itertools
+
+    from geen_garside.homology import complex_of
+
+    cx = complex_of(cached_garside(e, n, k))
+    for size in (1, 2, 3):
+        for c in itertools.combinations(range(len(cx.order)), size):
+            expected = _fold_join(cx.interval, [cx.atom_ordinal[p] for p in c])
+            assert cx.lcm(c) == expected, c
+
+
+def test_lcm_is_the_least_common_left_multiple_g331():
+    """At (3,3,1) the lcm is the unique common left-multiple of the atoms that
+    every common left-multiple is a left-multiple of, read off div_right."""
+    import itertools
+
+    from geen_garside.homology import complex_of
+
+    cx = complex_of(cached_garside(3, 3, 1))
+    div_right = cx.interval.div_right
+    for size in (1, 2, 3):
+        for c in itertools.combinations(range(len(cx.order)), size):
+            mask = sum(1 << cx.atom_ordinal[p] for p in c)
+            common = [m for m, d in enumerate(div_right) if d & mask == mask]
+            least = [m for m in common if all((div_right[u] >> m) & 1 for u in common)]
+            assert least == [cx.lcm(c)], c
+
+
+def test_cells_are_filtered_once_per_structure(monkeypatch):
+    """Once the complex exists, reading cells and the closed-form d_2 and d_3
+    runs no head-condition test."""
+    from geen_garside.homology import CellComplex, complex_of
+
+    g = cached_garside(4, 4, 2)
+    complex_of(g)
+    calls = []
+    original = CellComplex.is_cell
+
+    def spy(self, positions):
+        calls.append(positions)
+        return original(self, positions)
+
+    monkeypatch.setattr(CellComplex, "is_cell", spy)
+    for r in range(4):
+        enumerate_cells(g, r)
+    differential_closed_form(g, 2)
+    differential_closed_form(g, 3)
+    assert calls == []
 
 
 @pytest.mark.parametrize("e,n,k", [(3, 3, 2), (2, 4, 1), (4, 3, 1)])
@@ -119,7 +195,7 @@ def test_cells_against_brute_force(e, n, k):
         brute = [
             c for c in itertools.combinations(range(count), r) if is_cell(list(c))
         ]
-        assert brute == cx.cells(r)
+        assert brute == cx.cells[r]
 
 
 def test_d2_t_pair_column_with_cancellation():
@@ -368,7 +444,7 @@ def test_cofactors_against_matrix_route_on_grid():
         iv = cx.interval
         members = iv.members
         for r in (0, 1, 2):
-            for tail in cx.cells(r):
+            for tail in cx.cells[r]:
                 for alpha in range(len(cx.order)):
                     if alpha in tail:
                         continue
@@ -409,3 +485,28 @@ def test_homology_needs_no_group_arithmetic(monkeypatch, e, n, k):
             if hasattr(module, name):
                 monkeypatch.setattr(module, name, forbidden)
     assert [homology_group(g, r, method="both") for r in (1, 2)] == expected
+
+
+def test_homology_layer_digest():
+    """The whole homology layer's output is pinned by one sha256, so a
+    refactor that changes any cell list, matrix entry or group shows here."""
+    import hashlib
+
+    points = [(c.e, c.n, c.k) for c in default_grid()]
+    points += [(2, 5, 1), (3, 5, 1), (4, 5, 2)]
+    records = []
+    for e, n, k in points:
+        g = cached_garside(e, n, k)
+        records.append({
+            "point": [e, n, k],
+            "cells": [
+                [[str(x) for x in c] for c in enumerate_cells(g, r)] for r in range(4)
+            ],
+            "closed": [differential_closed_form(g, r) for r in (1, 2, 3)],
+            "generic": [differential_generic(g, r) for r in (1, 2, 3)],
+            "h": [
+                homology_group(g, r, method="both").to_json_dict() for r in (1, 2)
+            ],
+        })
+    text = json.dumps(records, sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest() == HOMOLOGY_DIGEST

@@ -32,3 +32,82 @@ def test_the_check_sees_an_unused_import():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_top_level_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+ROOT = SRC.parent.parent
+TREES = [ROOT / name for name in ("src", "tests", "demos", "perfbench")]
+
+
+def definitions(tree: ast.Module) -> list[ast.AST]:
+    """Top-level functions and classes, and the non-dunder methods of classes."""
+    found = []
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            found.append(node)
+        if isinstance(node, ast.ClassDef):
+            found += [
+                item
+                for item in node.body
+                if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))
+                and not (item.name.startswith("__") and item.name.endswith("__"))
+            ]
+    return found
+
+
+def names_used(tree: ast.AST) -> list[str]:
+    """Every name read or written as an ast.Name or an attribute."""
+    used = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            used.append(node.id)
+        elif isinstance(node, ast.Attribute):
+            used.append(node.attr)
+    return used
+
+
+def dead_definitions(library: dict[str, str], others: list[str]) -> list[str]:
+    """Definitions of the library sources named nowhere but inside themselves.
+
+    A name counts as used when it occurs in any source outside its own
+    definition; uses are matched by name alone, so two definitions that share
+    a name keep each other alive.
+    """
+    trees = {path: ast.parse(text) for path, text in library.items()}
+    used: dict[str, int] = {}
+    for tree in list(trees.values()) + [ast.parse(text) for text in others]:
+        for name in names_used(tree):
+            used[name] = used.get(name, 0) + 1
+    dead = []
+    for path, tree in trees.items():
+        for node in definitions(tree):
+            if used.get(node.name, 0) == names_used(node).count(node.name):
+                dead.append(f"{path}:{node.name}")
+    return dead
+
+
+def test_the_check_sees_a_dead_definition():
+    library = {
+        "lib.py": (
+            "def used():\n    return 1\n"
+            "def recursive(n):\n    return recursive(n - 1) if n else 0\n"
+            "class Box:\n    def live(self):\n        return 1\n"
+            "    def dead(self):\n        return 2\n"
+            "    def __repr__(self):\n        return 'Box'\n"
+        )
+    }
+    others = ["from lib import used, Box\nprint(used(), Box().live())\n"]
+    assert dead_definitions(library, others) == ["lib.py:recursive", "lib.py:dead"]
+
+
+def test_no_dead_definitions():
+    """Each top-level function or class of the library, and each non-dunder
+    method of its classes, is named somewhere in src, tests, demos or
+    perfbench besides its own definition."""
+    library = {path.name: path.read_text() for path in sorted(SRC.glob("*.py"))}
+    others = [
+        path.read_text()
+        for tree in TREES
+        for path in sorted(tree.rglob("*.py"))
+        if path.parent != SRC
+    ]
+    assert dead_definitions(library, others) == []
