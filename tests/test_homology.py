@@ -113,14 +113,6 @@ def test_differentials_only_in_degrees_1_to_3(route, r):
         route(cached_garside(3, 3, 1), r)
 
 
-def _fold_join(iv, ordinals):
-    """Right lcm as the left fold of pairwise joins from the identity."""
-    out = iv.identity_ordinal
-    for a in ordinals:
-        out = iv.join("right", out, a)
-    return out
-
-
 @pytest.mark.parametrize("e,n,k", [(3, 3, 1), (4, 4, 2), (2, 5, 1)])
 def test_lcm_of_suffixes_equals_the_fold_of_joins(e, n, k):
     """lcm(c) = join(first atom, lcm(rest)) agrees with folding the pairwise
@@ -130,10 +122,13 @@ def test_lcm_of_suffixes_equals_the_fold_of_joins(e, n, k):
     from geen_garside.homology import complex_of
 
     cx = complex_of(cached_garside(e, n, k))
+    iv = cx.interval
     for size in (1, 2, 3):
         for c in itertools.combinations(range(len(cx.order)), size):
-            expected = _fold_join(cx.interval, [cx.atom_ordinal[p] for p in c])
-            assert cx.lcm(c) == expected, c
+            folded = iv.identity_ordinal
+            for p in c:
+                folded = iv.join("right", folded, cx.atom_ordinal[p])
+            assert cx.lcm(c) == folded, c
 
 
 def test_lcm_is_the_least_common_left_multiple_g331():
