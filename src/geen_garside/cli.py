@@ -10,10 +10,9 @@ lines and fails on any drift when rerun against an existing file.
 
 from __future__ import annotations
 
-import argparse
 import json
 import sys
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from . import __version__
 from .core import (
@@ -48,8 +47,7 @@ EXIT_CAP = 3
 EXIT_VIOLATION = 4
 
 
-@dataclass(frozen=True)
-class RegressionRecord:
+class RegressionRecord(NamedTuple):
     key: str
     value: object
 
@@ -375,6 +373,9 @@ def _cmd_freeze(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    # imported here, so that library users of this module never load argparse
+    import argparse
+
     parser = argparse.ArgumentParser(
         prog="geen-garside",
         description="Interval Garside structures on the reflection groups G(e,e,n)",

@@ -27,10 +27,13 @@ sides spell lcm(x, y), as the presentation is complemented (Dehornoy-Paris,
 Proc. LMS 1999).  Every module reads the relations from this rule but
 `garside.emit_presentation`, which writes them out and is tested against it.
 
-Elements, and the generator symbols, are NamedTuples: immutable, hashable,
-and equal to the tuple of their fields, so building, hashing and comparing
-them runs in C.  `left_quotient` forms a^(-1) b in one pass, without the
-intermediate inverse.
+Elements, the generator symbols and the group parameters are NamedTuples,
+like every value record of the package: immutable, hashable, and equal to
+the tuple of their fields, so building, hashing and comparing them runs in
+C.  `left_quotient` forms a^(-1) b in one pass, without the intermediate
+inverse.  `group_elements` streams the group, so that a scan over it holds
+no list of |G| elements; the elements share their exponent tuples, from
+the one table `exponent_vectors` per (e, n).
 
 Data that depends on the permutation alone is tabulated once per
 permutation, not once per element: `_inverse_order` here (the inverse
@@ -47,10 +50,9 @@ from __future__ import annotations
 import itertools
 import json
 import os
-from dataclasses import dataclass
 from functools import lru_cache
 from operator import itemgetter
-from typing import Callable, NamedTuple
+from typing import Callable, Iterator, NamedTuple
 
 DEFAULT_GROUP_CAP = 10**6
 
@@ -87,21 +89,32 @@ def admit_group(params: GroupParams) -> None:
         )
 
 
-@dataclass(frozen=True, slots=True)
-class GroupParams:
-    """Parameters (e, n) of G(e,e,n), plus the interval exponent k when fixed."""
-
+class _GroupParams(NamedTuple):
     e: int
     n: int
     k: int | None = None
 
-    def __post_init__(self) -> None:
-        if self.e < 2:
-            raise ValueError(f"e must be >= 2, got {self.e}")
-        if self.n < 2:
-            raise ValueError(f"n must be >= 2, got {self.n}")
-        if self.k is not None and not 1 <= self.k <= self.e - 1:
-            raise ValueError(f"k must satisfy 1 <= k <= e-1, got k={self.k}")
+
+class GroupParams(_GroupParams):
+    """Parameters (e, n) of G(e,e,n), plus the interval exponent k when fixed.
+
+    e, n and k must be ints (not bools), with e >= 2, n >= 2 and, when k
+    is given, 1 <= k <= e-1; anything else raises ValueError naming the field.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, e: int, n: int, k: int | None = None) -> "GroupParams":
+        for name, value in (("e", e), ("n", n), ("k", k)):
+            if not (_is_int(value) or (name == "k" and value is None)):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+        if e < 2:
+            raise ValueError(f"e must be >= 2, got {e}")
+        if n < 2:
+            raise ValueError(f"n must be >= 2, got {n}")
+        if k is not None and not 1 <= k <= e - 1:
+            raise ValueError(f"k must satisfy 1 <= k <= e-1, got k={k}")
+        return super().__new__(cls, e, n, k)
 
     def order(self) -> int:
         """Group order e^(n-1) * n!."""
@@ -349,24 +362,43 @@ def evaluate_word(letters, params: GroupParams) -> GroupElement:
     return w
 
 
-def enumerate_group(params: GroupParams) -> list[GroupElement]:
-    """All of G(e,e,n), exactly once, in lexicographic order on (perm, exps).
+@lru_cache(maxsize=None)
+def exponent_vectors(e: int, n: int) -> tuple[tuple[int, ...], ...]:
+    """The e^(n-1) exponent vectors of G(e,e,n), in lexicographic order.
 
-    The exponent-sum rule fixes the last exponent, so the e^(n-1) heads
-    are listed in order and each is completed once; every permutation
-    shares the same exponent tuples.
+    The exponent-sum rule fixes the last exponent, so the heads are listed
+    in order and each is completed once: the vector with head (a_1, ...,
+    a_(n-1)) sits at position sum a_i e^(n-1-i).  Every element built from
+    this table shares its exponent tuple with the others, whatever its
+    permutation.
+    """
+    return tuple(
+        head + (-sum(head) % e,)
+        for head in itertools.product(range(e), repeat=n - 1)
+    )
+
+
+def group_elements(params: GroupParams) -> Iterator[GroupElement]:
+    """All of G(e,e,n), exactly once, in lexicographic order on (perm, exps),
+    as a stream.
+
+    The group is admitted (`admit_group`) when this is called, before the
+    first element is asked for; the elements come one at a time, so no
+    list of |G| elements is held.
     """
     admit_group(params)
     e, n = params.e, params.n
-    vectors = [
-        head + (-sum(head) % e,)
-        for head in itertools.product(range(e), repeat=n - 1)
-    ]
-    return [
+    vectors = exponent_vectors(e, n)
+    return (
         GroupElement(e, perm, exps)
         for perm in itertools.permutations(range(1, n + 1))
         for exps in vectors
-    ]
+    )
+
+
+def enumerate_group(params: GroupParams) -> list[GroupElement]:
+    """All of G(e,e,n) as a list, in the order of `group_elements`."""
+    return list(group_elements(params))
 
 
 def lambda_power(params: GroupParams, k: int) -> GroupElement:

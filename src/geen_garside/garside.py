@@ -39,7 +39,6 @@ compatibility of the embedded Artin monoid of type B.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import NamedTuple
 
@@ -150,7 +149,12 @@ class GarsideStructure:
         return self.comp_right[c], b
 
     def normalize_factors(self, factors: list[int]) -> NormalForm:
-        """Left-greedy form of a product of simples, built left to right.
+        """Left-greedy form of a product of simples, built left to right."""
+        return self._push([], factors)
+
+    def _push(self, out: list[int], factors) -> NormalForm:
+        """The normal form of out followed by factors, where out is a
+        left-greedy list of simples without Delta or the identity.
 
         Each simple is pushed onto the left-greedy form of the ones before it
         and normalized leftwards, pair by pair.  By the domino rule the pass
@@ -160,7 +164,6 @@ class GarsideStructure:
         """
         normalize_pair = self.normalize_pair
         identity = self.identity
-        out: list[int] = []
         for s in factors:
             out.append(s)
             i = len(out) - 1
@@ -206,13 +209,16 @@ class GarsideStructure:
         return NormalForm(nf.delta_power - d, nf.factors)
 
     def nf_product(self, a: NormalForm, b: NormalForm) -> NormalForm:
-        """Product of two normal forms.
+        """Product of two normal forms; a must be a normal form, not just any
+        (delta_power, factors) pair.
 
         The Delta power q of b moves left past the simples of a, conjugating
-        them by tau^q.
+        them by tau^q.  tau is an automorphism of the lattice of simples, so
+        the conjugated factors of a stay left-greedy, with no identity or
+        Delta among them: only the factors of b are pushed onto them.
         """
         shift = self.tau_powers[b.delta_power % len(self.tau_powers)]
-        nf = self.normalize_factors([shift[f] for f in a.factors] + list(b.factors))
+        nf = self._push([shift[f] for f in a.factors], b.factors)
         return NormalForm(a.delta_power + b.delta_power + nf.delta_power, nf.factors)
 
     def nf_of_simple(self, s: int) -> NormalForm:
@@ -268,8 +274,7 @@ def cached_garside(e: int, n: int, k: int) -> GarsideStructure:
 # -- presentations ----------------------------------------------------------
 
 
-@dataclass(frozen=True, slots=True)
-class Presentation:
+class Presentation(NamedTuple):
     generators: tuple[Generator, ...]
     relations: tuple[tuple[tuple[Generator, ...], tuple[Generator, ...]], ...]
 

@@ -7,7 +7,10 @@ membership test: call the nonzero entries of w that are strict left-to-right
 column minima its bullets; then w divides lambda^k exactly when every
 non-bullet entry is 1 or zeta_e^k, which `in_interval` decides in one pass
 over the rows with a running column minimum, stopping at the first entry
-that fails.  `build_interval` forms the products x*s, for the atoms x
+that fails.  `build_interval` does not test the group against it: it lists
+the members per permutation straight from the staircase, row 1's exponent
+fixed by the exponent-sum rule, the other bullet rows free and the
+non-bullet rows 0 or k.  It forms the products x*s, for the atoms x
 that left-divide a member s, as moves of two rows of s: s_j swaps rows j-1
 and j, and t_m swaps rows 1 and 2 and adds -m and +m to their exponents.
 Each product is looked up in the member index as a plain tuple, and one
@@ -16,7 +19,8 @@ product.  Their ordinals give the right divisibility table and the atom
 tables the Garside layer walks a simple down with; the left table follows
 from them through transposes, and lambda^k s^(-1) as the inverse
 permutation of s^(-1) lambda^k, by integer lookups.  The member set is
-checked against a divisor test on the whole group that never looks at the
+checked against a divisor test on the whole group, streamed one element
+at a time so that no list of |G| elements is held, that never looks at the
 staircase: length additivity len(a) + len(a^(-1) b) = len(b), fused into
 one sum over the rows from `words.quotient_shape`, a table per pair of
 permutations, without forming a^(-1) b.
@@ -40,10 +44,10 @@ for the implementation.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
-from itertools import compress
-from operator import itemgetter, ne
+from itertools import compress, permutations, product
+from operator import itemgetter, mul, ne
+from typing import Iterable, Iterator, NamedTuple
 
 from .core import (
     CapExceededError,
@@ -57,7 +61,9 @@ from .core import (
     braid_m,
     enumerate_group,
     evaluate_word,
+    exponent_vectors,
     generator_matrix,
+    group_elements,
     lambda_power,
     left_quotient,
     multiply,
@@ -77,8 +83,7 @@ class TheoremViolationError(AssertionError):
     """A computation contradicted a statement that is a theorem; implementation bug."""
 
 
-@dataclass(frozen=True, slots=True)
-class LatticeViolation:
+class LatticeViolation(NamedTuple):
     """Meet or join failed to be unique: the offending pair and the antichain.
 
     Operation "closure" marks a table that is not closed under its covers;
@@ -282,8 +287,7 @@ class Interval:
             ) from exc
 
 
-@dataclass(frozen=True, slots=True)
-class LatticeReport:
+class LatticeReport(NamedTuple):
     """Meets per side; a join on one side is a complemented meet on the other."""
 
     meet_left: bool
@@ -336,20 +340,21 @@ def _meet_violation(
     return None
 
 
-def divisor_theorem_oracle(interval: Interval, group: list[GroupElement]) -> None:
+def divisor_theorem_oracle(interval: Interval, group: Iterable[GroupElement]) -> None:
     """Oracle: the staircase members are exactly the divisors of lambda^k.
 
-    Scans the whole group with the length-additivity test `left_divides`,
-    on the left and on transposes for the right, and raises on any element
-    where either test disagrees with membership.
+    Scans the whole group, a list or a stream such as `group_elements`,
+    with the length-additivity test `left_divides`, on the left and on
+    transposes for the right, and raises on any element where either test
+    disagrees with membership, read from the interval's index.
     """
-    member_set = set(interval.members)
+    index = interval.index
     delta = interval.members[interval.delta_ordinal]
     delta_t = transpose(delta)
     for w in group:
         lw = left_divides(w, delta)
         rw = left_divides(transpose(w), delta_t)
-        member = w in member_set
+        member = w in index
         if lw != member or rw != member:
             raise TheoremViolationError(
                 f"divisors of lambda^{interval.k} disagree with the staircase "
@@ -364,6 +369,34 @@ def _row_swap(n: int, j: int):
     return itemgetter(*order)
 
 
+def _staircase(params: GroupParams) -> Iterator[GroupElement]:
+    """The members of [1, lambda^k], generated per permutation.
+
+    The bullet rows of a permutation are fixed by it.  Row 1 is one, and
+    its exponent is fixed by the exponent-sum rule; the other bullet rows
+    take any exponent, and the non-bullet rows 0 or k.  Each exponent
+    tuple is taken from `exponent_vectors` at the position of its head, so
+    the members share them as the elements of `group_elements` do.
+    """
+    e, n, k = params.e, params.n, params.k
+    vectors = exponent_vectors(e, n)
+    first, *weights = [e ** (n - 2 - i) for i in range(n - 1)]
+    free, fixed = range(e), (0, k)
+    for perm in permutations(range(1, n + 1)):
+        choices = []
+        best = perm[0]
+        for c in perm[1:]:
+            if c < best:
+                best = c
+                choices.append(free)
+            else:
+                choices.append(fixed)
+        for rest in product(*choices):
+            # zip in map stops at row n-1: the last row is not in the head
+            position = (-sum(rest) % e) * first + sum(map(mul, rest, weights))
+            yield GroupElement(e, perm, vectors[position])
+
+
 def interval_size(e: int, n: int) -> int:
     """|[1, lambda^k]| in G(e,e,n) = prod_{i=1}^{n-1} (e + 2i), for every k."""
     return math.prod(e + 2 * i for i in range(1, n))
@@ -373,11 +406,12 @@ def build_interval(params: GroupParams) -> Interval:
     """Construct [1, lambda^k] with both divisibility tables, the complements
     and the atom tables.
 
-    Members are sorted by (length, perm, exps).  For b in ordinal order and
-    the atoms x that shorten b, by `length_decreases`, x*b is a move of two
-    rows of b (s_j swaps rows j-1 and j; t_m swaps rows 1 and 2 and adds -m
-    and +m to their exponents), looked up in the index as a plain
-    (e, perm, exps) tuple.  These give the atom tables (x*b = x^(-1) b for a
+    The members come per permutation from the staircase (`_staircase`),
+    never by a test over the group, and are sorted by (length, perm, exps).
+    For b in ordinal order and the atoms x that shorten b, by
+    `length_decreases`, x*b is a move of two rows of b (s_j swaps rows j-1
+    and j; t_m swaps rows 1 and 2 and adds -m and +m to their exponents),
+    looked up in the index as a plain (e, perm, exps) tuple.  These give the atom tables (x*b = x^(-1) b for a
     reflection x) and the lower covers of b on the right.  The one group
     product per atom, `multiply(x, lambda^k)`, must agree with the row move
     on lambda^k.  lambda^k is diagonal, so with flip[s] the ordinal of s^T,
@@ -387,12 +421,13 @@ def build_interval(params: GroupParams) -> Interval:
     product, a transpose leaving the interval, or a comp_left that is not a
     permutation, is a theorem violation.  Last, `divisor_theorem_oracle`
     checks the member set against divisor tests of lambda^k over the whole
-    group.
+    group, which `group_elements` streams to it.
 
     Before anything is enumerated, |D| is predicted by `interval_size` and
     the interval is refused with CapExceededError when its two bitset
-    tables would exceed INTERVAL_TABLE_CAP_BYTES; a built size that differs
-    from the prediction is a theorem violation.
+    tables would exceed INTERVAL_TABLE_CAP_BYTES, and the group is admitted
+    by `group_elements`; a built size that differs from the prediction is a
+    theorem violation.
     """
     if params.k is None:
         raise ValueError("interval construction needs params.k")
@@ -406,8 +441,8 @@ def build_interval(params: GroupParams) -> Interval:
             f"{table_bytes} bytes, above INTERVAL_TABLE_CAP_BYTES = "
             f"{INTERVAL_TABLE_CAP_BYTES}"
         )
-    group = enumerate_group(params)
-    members = [w for w in group if in_interval(w, k)]
+    group = group_elements(params)  # admitted now, read by the oracle last
+    members = list(_staircase(params))
     if len(members) != predicted:
         raise TheoremViolationError(
             f"|D| = {len(members)} differs from the predicted {predicted}"
@@ -466,12 +501,14 @@ def build_interval(params: GroupParams) -> Interval:
         div_left[b] = mask
 
     comp_left = [index.get(left_quotient(w, delta)) for w in members]
-    if set(comp_left) != set(range(size)):
+    # lambda^k (s^(-1) lambda^k)^(-1) = s; a slot left at -1 means comp_left
+    # left the interval or hit some ordinal twice
+    comp_right = [-1] * size
+    if None not in comp_left:
+        for s, c in enumerate(comp_left):
+            comp_right[c] = s
+    if -1 in comp_right:
         raise TheoremViolationError("the complement is not a permutation of the simples")
-    # lambda^k (s^(-1) lambda^k)^(-1) = s
-    comp_right = [0] * size
-    for s, c in enumerate(comp_left):
-        comp_right[c] = s
 
     interval = Interval(
         params, members, lengths, index,

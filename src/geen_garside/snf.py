@@ -13,8 +13,8 @@ column span of a matrix.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import gcd, lcm
+from typing import NamedTuple
 
 
 def zero_matrix(rows: int, cols: int) -> list[list[int]]:
@@ -37,8 +37,7 @@ def mat_mul(a: list[list[int]], b: list[list[int]]) -> list[list[int]]:
     return out
 
 
-@dataclass
-class SNFResult:
+class SNFResult(NamedTuple):
     diagonal: list[int]          # nonnegative, d_i | d_{i+1}, zeros trailing
     rank: int
 
@@ -102,22 +101,26 @@ def smith_normal_form(matrix: list[list[int]]) -> SNFResult:
     return SNFResult(pivots + [0] * (min(rows, cols) - len(pivots)), len(pivots))
 
 
-@dataclass(frozen=True)
-class AbelianGroup:
-    """Finitely generated abelian group: free rank plus torsion in a
-    divisibility chain."""
-
+class _AbelianGroup(NamedTuple):
     free_rank: int
     torsion: tuple[int, ...]
 
-    def __post_init__(self):
-        if self.free_rank < 0:
+
+class AbelianGroup(_AbelianGroup):
+    """Finitely generated abelian group: free rank plus torsion in a
+    divisibility chain."""
+
+    __slots__ = ()
+
+    def __new__(cls, free_rank: int, torsion: tuple[int, ...]) -> "AbelianGroup":
+        if free_rank < 0:
             raise ValueError("free rank must be >= 0")
-        for a, b in zip(self.torsion, self.torsion[1:]):
+        for a, b in zip(torsion, torsion[1:]):
             if b % a != 0:
-                raise ValueError(f"torsion {self.torsion} not a divisibility chain")
-        if any(d <= 1 for d in self.torsion):
+                raise ValueError(f"torsion {torsion} not a divisibility chain")
+        if any(d <= 1 for d in torsion):
             raise ValueError("torsion coefficients must exceed 1")
+        return super().__new__(cls, free_rank, torsion)
 
     @classmethod
     def from_cyclic(cls, parts) -> "AbelianGroup":

@@ -295,7 +295,7 @@ def test_interval_cap_refuses_before_enumerating(capsys, monkeypatch):
     def forbidden(params):
         raise AssertionError("the group was enumerated")
 
-    monkeypatch.setattr(interval, "enumerate_group", forbidden)
+    monkeypatch.setattr(interval, "group_elements", forbidden)
     assert run(["interval", "--e", "2", "--n", "7", "--k", "1"]) == EXIT_CAP
     err = capsys.readouterr().err
     assert "|D| = 322560" in err

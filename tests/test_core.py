@@ -23,18 +23,34 @@ from geen_garside import (
     parse_word,
     transpose,
 )
+from geen_garside import AbelianGroup, LatticeReport, LatticeViolation, Presentation, __version__
+from geen_garside.cli import RegressionRecord
 from geen_garside.core import alternating, braid_m
+from geen_garside.snf import SNFResult
 from conftest import element_of_matrix, matrix_of, matrix_product
 
 
 def test_params_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="e must be >= 2"):
         GroupParams(1, 3)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="n must be >= 2"):
         GroupParams(3, 1)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="k must satisfy"):
         GroupParams(3, 3, 3)
+    with pytest.raises(ValueError, match="k must satisfy"):
+        GroupParams(3, 3, 0)
     assert GroupParams(3, 3, 2).order() == 54
+
+
+@pytest.mark.parametrize(
+    "args, field",
+    [((3.0, 3, 1), "e"), ((3, 3, True), "k"), (("3", 3), "e"), ((3, 3.0), "n"), ((3, False), "n")],
+)
+def test_params_must_be_integers(args, field):
+    """A float, a bool or a string is refused up front, naming the field,
+    not later by the interval build."""
+    with pytest.raises(ValueError, match=f"^{field} must be an integer"):
+        GroupParams(*args)
 
 
 def test_identity_shape():
@@ -231,11 +247,13 @@ def test_enumerate_matches_order_formula():
 
 def test_enumerate_cap(monkeypatch):
     """Enumeration and the BFS oracle are admitted by one check, whose
-    error names the predicted order and the knob."""
+    error names the predicted order and the knob; the stream is refused
+    when it is asked for, before its first element."""
     from geen_garside import cayley_length_table
+    from geen_garside.core import group_elements
 
     monkeypatch.setenv("GARSIDE_CAP", "100")
-    for build in (enumerate_group, cayley_length_table):
+    for build in (enumerate_group, cayley_length_table, group_elements):
         with pytest.raises(CapExceededError, match=r"\| = 5184 exceeds .*GARSIDE_CAP"):
             build(GroupParams(6, 4))
 
@@ -360,6 +378,9 @@ def test_left_quotient_refuses_mixed_groups():
                 op(b, a)
 
 
+_VIOLATION = LatticeViolation("left", "meet", (1, 2), (3, 4))
+
+
 @pytest.mark.parametrize(
     "value, fields, text",
     [
@@ -370,6 +391,26 @@ def test_left_quotient_refuses_mixed_groups():
         ),
         (Generator("s", 3), ("s", 3), "Generator(kind='s', index=3)"),
         (NormalForm(2, (5, 7)), (2, (5, 7)), "NormalForm(delta_power=2, factors=(5, 7))"),
+        (GroupParams(3, 4, 2), (3, 4, 2), "GroupParams(e=3, n=4, k=2)"),
+        (GroupParams(3, 4), (3, 4, None), "GroupParams(e=3, n=4, k=None)"),
+        (
+            _VIOLATION,
+            ("left", "meet", (1, 2), (3, 4)),
+            "LatticeViolation(side='left', operation='meet', pair=(1, 2), antichain=(3, 4))",
+        ),
+        (
+            LatticeReport(True, False, _VIOLATION),
+            (True, False, _VIOLATION),
+            "LatticeReport(meet_left=True, meet_right=False, counterexample="
+            "LatticeViolation(side='left', operation='meet', pair=(1, 2), antichain=(3, 4)))",
+        ),
+        (
+            Presentation((Generator("t", 0),), ()),
+            ((("t", 0),), ()),
+            "Presentation(generators=(Generator(kind='t', index=0),), relations=())",
+        ),
+        (AbelianGroup(1, (2, 4)), (1, (2, 4)), "AbelianGroup(free_rank=1, torsion=(2, 4))"),
+        (RegressionRecord("k", 3), ("k", 3), "RegressionRecord(key='k', value=3)"),
     ],
 )
 def test_value_records_hash_as_their_fields(value, fields, text):
@@ -380,6 +421,43 @@ def test_value_records_hash_as_their_fields(value, fields, text):
     for name in type(value)._fields:
         with pytest.raises(AttributeError):
             setattr(value, name, getattr(value, name))
+
+
+def test_smith_result_is_a_record_of_its_fields():
+    """The diagonal is a list, so the record is unhashable like its fields."""
+    res = SNFResult([1, 2, 6, 0], 3)
+    assert res == ([1, 2, 6, 0], 3)
+    assert repr(res) == "SNFResult(diagonal=[1, 2, 6, 0], rank=3)"
+    assert res.invariant_factors == [1, 2, 6] and res.torsion == [2, 6]
+    with pytest.raises(TypeError):
+        hash(res)
+    with pytest.raises(AttributeError):
+        res.rank = 2
+
+
+def test_record_defaults_and_properties():
+    assert GroupParams(3, 3).k is None
+    report = LatticeReport(True, True)
+    assert report.counterexample is None
+    assert (report.join_left, report.join_right, report.all_ok) == (True, True, True)
+    report = LatticeReport(True, False, _VIOLATION)
+    assert (report.join_left, report.join_right, report.all_ok) == (False, True, False)
+    record = RegressionRecord("key", {"b": 1, "a": [2]})
+    assert record.line() == f'{{"key":"key","value":{{"a":[2],"b":1}},"version":"{__version__}"}}'
+
+
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        ((-1, ()), "free rank must be >= 0"),
+        ((0, (4, 6)), "not a divisibility chain"),
+        ((0, (1, 2)), "must exceed 1"),
+        ((2, (0,)), "must exceed 1"),
+    ],
+)
+def test_abelian_group_validation(args, message):
+    with pytest.raises(ValueError, match=message):
+        AbelianGroup(*args)
 
 
 def test_generators_sort_by_kind_then_index():

@@ -216,6 +216,36 @@ def test_nf_product_matches_concatenation():
         assert g.nf_product(g.normal_form(u), g.normal_form(v)) == g.normal_form(u + v)
 
 
+def test_nf_product_pushes_only_the_second_factors():
+    """The factors of a normal form a are left-greedy already, and stay so
+    under tau: a product with a Delta power makes no normalize_pair call at
+    all, and a product with one simple at most len(a.factors) calls."""
+    g = build_garside(cached_interval(4, 4, 2))
+    gens = atoms(g.params)
+    rng = random.Random(7)
+    pair = g.normalize_pair
+    calls = []
+
+    def counted(a, b):
+        calls.append((a, b))
+        return pair(a, b)
+
+    g.normalize_pair = counted
+    for _ in range(50):
+        a = g.normal_form(random_word(rng, gens, 12))
+        for b in (NormalForm(-1, ()), NormalForm(3, ())):
+            calls.clear()
+            assert g.nf_product(a, b) == NormalForm(
+                a.delta_power + b.delta_power,
+                tuple(g.tau_powers[b.delta_power % len(g.tau_powers)][f] for f in a.factors),
+            )
+            assert calls == []
+        simple = g.nf_of_simple(rng.randrange(len(g.interval)))
+        calls.clear()
+        g.nf_product(a, simple)
+        assert len(calls) <= len(a.factors)
+
+
 def _nf(pair):
     return NormalForm(pair[0], tuple(pair[1]))
 

@@ -4,7 +4,11 @@
 """
 
 import ast
+import json
+import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -111,3 +115,22 @@ def test_no_dead_definitions():
         if path.parent != SRC
     ]
     assert dead_definitions(library, others) == []
+
+
+def test_import_footprint_and_version_exit():
+    """Importing the package and its CLI module loads none of dataclasses,
+    inspect or argparse; argparse comes in only when a parser is built."""
+    script = (
+        "import json, sys\n"
+        "import geen_garside, geen_garside.cli\n"
+        "loaded = [m for m in ('dataclasses', 'inspect', 'argparse') if m in sys.modules]\n"
+        "code = geen_garside.cli.run(['--version'])\n"
+        "print(json.dumps({'loaded': loaded, 'code': code}))\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", script],
+        capture_output=True, text=True, timeout=120, check=True,
+        env={**os.environ, "PYTHONPATH": str(SRC.parent)},
+    )
+    result = json.loads(proc.stdout.splitlines()[-1])
+    assert result == {"loaded": [], "code": 0}

@@ -386,13 +386,48 @@ def test_interval_admission_by_predicted_table_size(monkeypatch):
     def enumerated(params):
         raise Enumerated
 
-    monkeypatch.setattr(interval_module, "enumerate_group", enumerated)
+    # the build's one entry to the group: it admits G, then streams it
+    monkeypatch.setattr(interval_module, "group_elements", enumerated)
     with pytest.raises(CapExceededError, match=r"\|D\| = 322560 .* 26011238400 bytes"):
         build_interval(GroupParams(2, 7, 1))
     # (3,6,1): |D| = 45,045, about 0.5 GB of tables, is admitted (not built here)
     assert interval_module.interval_size(3, 6) == 45045
     with pytest.raises(Enumerated):
         build_interval(GroupParams(3, 6, 1))
+
+
+@pytest.mark.parametrize("point", [(3, 3, 1), (4, 4, 2), (2, 5, 1)])
+def test_build_lists_no_group(monkeypatch, point):
+    """The members come from the staircase and the oracle reads a stream:
+    no list of G is made."""
+    from geen_garside import core
+    from geen_garside import interval as interval_module
+
+    def listed(params):
+        raise AssertionError("the group was listed")
+
+    monkeypatch.setattr(core, "enumerate_group", listed)
+    monkeypatch.setattr(interval_module, "enumerate_group", listed)
+    iv = build_interval(GroupParams(*point))
+    assert len(iv) == interval_module.interval_size(*point[:2])
+    members = set(iv.members)
+    group = core.group_elements(GroupParams(*point[:2]))
+    assert members == {w for w in group if in_interval(w, point[2])}
+
+
+def test_build_peak_memory_is_close_to_what_it_keeps():
+    """At (3,5,1), |G| = 9,720 and |D| = 3,465: the build's transient
+    memory is far below that of a list of G."""
+    import tracemalloc
+
+    tracemalloc.start()
+    try:
+        iv = build_interval(GroupParams(3, 5, 1))
+        retained, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(iv) == 3465
+    assert peak - retained < 0.2e6
 
 
 def test_built_size_must_match_the_prediction(monkeypatch):
