@@ -83,7 +83,7 @@ def _interval_dot(interval) -> str:
         word = format_word(reduced_expression(w)) or "1"
         lines.append(f'  n{i} [label="{word}"];')
     for b in range(len(interval)):
-        for a in interval.covers(b, "left"):
+        for a in interval.covers(b):
             lines.append(f"  n{a} -> n{b};")
     lines.append("}")
     return "\n".join(lines) + "\n"
@@ -105,7 +105,7 @@ def _interval_json(interval) -> str:
         "k": interval.k,
         "members": [json.loads(w.to_json()) for w in interval.members],
         "left_divides": rows(interval.div_left),
-        "right_divides": rows(interval.div_right),
+        "right_divides": rows(map(interval.right_row, range(len(interval)))),
     }
     return _canonical(data)
 

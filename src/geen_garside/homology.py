@@ -83,10 +83,12 @@ class CellComplex:
         return cached
 
     def head_atom(self, member: int) -> int | None:
-        """Position of the least atom right-dividing a simple."""
-        div_right = self.interval.div_right[member]
+        """Position of the least atom right-dividing a simple: x <= m on the
+        right exactly when x^T <= m^T on the left."""
+        flip = self.interval.flip
+        transposed = self.interval.div_left[flip[member]]
         for p, ordinal in enumerate(self.atom_ordinal):
-            if (div_right >> ordinal) & 1:
+            if (transposed >> flip[ordinal]) & 1:
                 return p
         return None
 

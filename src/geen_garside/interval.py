@@ -15,9 +15,15 @@ that left-divide a member s, as moves of two rows of s: s_j swaps rows j-1
 and j, and t_m swaps rows 1 and 2 and adds -m and +m to their exponents.
 Each product is looked up in the member index as a plain tuple, and one
 `multiply` per atom, x*lambda^k, checks the moves against the group
-product.  Their ordinals give the right divisibility table and the atom
-tables the Garside layer walks a simple down with; the left table follows
-from them through transposes, and lambda^k s^(-1) as the inverse
+product.  Their ordinals give the atom tables the Garside layer walks a
+simple down with.
+
+One bitset table is kept, the left one.  The transpose is an
+anti-automorphism of G(e,e,n) that keeps the atom set (s_j^T = s_j,
+t_i^T = t_(-i)) and fixes the diagonal lambda^k, so a <= b on the right
+exactly when a^T <= b^T on the left: with flip[s] the ordinal of s^T, right
+divisibility is the left table read through flip, and the left table itself
+is built from the atom tables through flip.  lambda^k s^(-1) is the inverse
 permutation of s^(-1) lambda^k, by integer lookups.  The member set is
 checked against a divisor test on the whole group, streamed one element
 at a time so that no list of |G| elements is held, that never looks at the
@@ -28,17 +34,17 @@ permutations, without forming a^(-1) b.
 Meets are bitset intersections followed by an extremality check,
 `_meet_violation`, the one check behind `Interval.meet` and the lattice
 verifiers alike; `verify_lattice` inlines its test on cover pairs and
-calls it only to report a failure.
-s -> s^(-1) lambda^k turns left divisibility upside down into right
-divisibility, so each join is the complement of a meet on the other side.
-`verify_lattice` proves the lattice property from the tables in about
-|D| * atoms^2 bitset operations: the tables must be closed under covers (so
-they are graded posets), and every two lower covers of a member must have a
-meet (Bjorner-Edelman-Ziegler).  `lattice_pairwise_oracle` is the all-pairs
-scan it replaced, kept for the tests.  Failures of uniqueness are data, not
-crashes: they are reported as LatticeViolation values carrying the offending
-antichain, which turns the lattice theorems into cheap, high-coverage oracles
-for the implementation.
+calls it only to report a failure.  A right meet is a left meet read
+through flip, and s -> s^(-1) lambda^k turns left divisibility upside down
+into right divisibility, so each join is the complement of a meet on the
+other side.  `verify_lattice` proves the lattice property from the table
+in about |D| * atoms^2 bitset operations: the table must be closed under
+covers (so it is a graded poset), and every two lower covers of a member
+must have a meet (Bjorner-Edelman-Ziegler).  `lattice_pairwise_oracle` is
+the all-pairs scan it replaced, kept for the tests.  Failures of uniqueness
+are data, not crashes: they are reported as LatticeViolation values
+carrying the offending antichain, which turns the lattice theorems into
+cheap, high-coverage oracles for the implementation.
 """
 
 from __future__ import annotations
@@ -71,12 +77,10 @@ from .core import (
 )
 from .words import length, length_decreases, quotient_shape
 
-# Largest predicted size, in bytes, of the two divisibility bitset tables
-# (2 |D|^2 / 8) that `build_interval` accepts; it refuses larger intervals
+# Largest predicted size, in bytes, of the divisibility bitset table
+# (|D|^2 / 8) that `build_interval` accepts; it refuses larger intervals
 # before enumerating the group.
 INTERVAL_TABLE_CAP_BYTES = 2**30
-
-SIDES = ("left", "right")
 
 
 class TheoremViolationError(AssertionError):
@@ -197,15 +201,18 @@ def balanced_max_length(params: GroupParams) -> list[GroupElement]:
 
 
 class Interval:
-    """The interval [1, lambda^k] with both divisibility relations tabulated.
+    """The interval [1, lambda^k] with its divisibility table.
 
     Members are sorted by (length, perm, exps), so ordinal order refines the
     length grading: ordinal 0 is the identity and the last ordinal is
     lambda^k, and the members of length l are the contiguous ordinals
-    layer_start[l] <= s < layer_start[l + 1].  div_* are bitsets over
-    ordinals: bit a of div_left[b] says a <= b on the left.  comp_left[s] =
-    s^(-1) lambda^k and comp_right[s] = lambda^k s^(-1) are mutually inverse
-    and swap the two orders upside down, so joins are complemented meets.
+    layer_start[l] <= s < layer_start[l + 1].  div_left is a bitset over
+    ordinals: bit a of div_left[b] says a <= b on the left.  flip[s] is the
+    ordinal of s^T, an involution; a <= b on the right exactly when bit
+    flip[a] of div_left[flip[b]] is set, and every right-side question,
+    `right_row` among them, is read that way.  comp_left[s] = s^(-1) lambda^k and comp_right[s] =
+    lambda^k s^(-1) are mutually inverse and swap the two orders upside
+    down, so joins are complemented meets.
 
     The atom tables strip one atom off the left: down_left[p][s] is the
     ordinal of x_p^(-1) s = x_p s when the p-th atom x_p (in `atoms` order)
@@ -214,8 +221,8 @@ class Interval:
     """
 
     def __init__(
-        self, params: GroupParams, members, lengths, index, tables, complements,
-        atom_tables,
+        self, params: GroupParams, members, lengths, index, div_left, flip,
+        complements, atom_tables,
     ):
         self.params = params
         self.e, self.n, self.k = params.e, params.n, params.k
@@ -227,7 +234,8 @@ class Interval:
                 self.layer_start.append(i)
         self.layer_start.append(len(self.lengths))
         self.index: dict[GroupElement, int] = index
-        self.div_left, self.div_right = tables
+        self.div_left: list[int] = div_left
+        self.flip: list[int] = flip
         self.comp_left, self.comp_right = complements
         self.head_left, self.down_left = atom_tables
         self.identity_ordinal = 0
@@ -245,26 +253,38 @@ class Interval:
     def ordinal(self, w: GroupElement) -> int:
         return self.index[w]
 
-    def divisors(self, ordinal: int, side: str = "left") -> list[int]:
-        table = self.div_left if side == "left" else self.div_right
-        return _bits(table[ordinal])
+    def right_row(self, ordinal: int) -> int:
+        """Bitset of the right divisors of a member: the left row of its
+        transpose, read through flip."""
+        flip = self.flip
+        return sum(1 << flip[a] for a in _bits(self.div_left[flip[ordinal]]))
 
-    def covers(self, ordinal: int, side: str = "left") -> list[int]:
-        """Ordinals covered by `ordinal`: its divisors one length layer below."""
-        table = self.div_left if side == "left" else self.div_right
+    def divisors(self, ordinal: int, side: str = "left") -> list[int]:
+        return _bits(self.div_left[ordinal] if side == "left" else self.right_row(ordinal))
+
+    def covers(self, ordinal: int) -> list[int]:
+        """Ordinals covered by `ordinal` on the left: its divisors one length
+        layer below."""
         ell = self.lengths[ordinal]
         if ell == 0:
             return []
         lo, hi = self.layer_start[ell - 1], self.layer_start[ell]
-        return [lo + a for a in _bits((table[ordinal] >> lo) & ((1 << (hi - lo)) - 1))]
+        return [lo + a for a in _bits((self.div_left[ordinal] >> lo) & ((1 << (hi - lo)) - 1))]
 
     def meet(self, side: str, a: int, b: int) -> int:
         """Greatest common divisor of two members under the chosen order.
 
         Ordinals refine length, so only the top common divisor can be it.
+        On the right: flip[meet("left", flip[a], flip[b])].
         """
-        div = self.div_left if side == "left" else self.div_right
-        violation = _meet_violation(side, div, a, b)
+        if side == "right":
+            flip = self.flip
+            try:
+                return flip[self.meet("left", flip[a], flip[b])]
+            except LatticeViolationError as exc:
+                raise _read_through(exc, flip, side, "meet", (a, b)) from exc
+        div = self.div_left
+        violation = _meet_violation(div, a, b)
         if violation:
             raise LatticeViolationError(violation)
         return (div[a] & div[b]).bit_length() - 1
@@ -281,14 +301,25 @@ class Interval:
         try:
             return back[self.meet(other, there[a], there[b])]
         except LatticeViolationError as exc:
-            antichain = tuple(sorted(back[x] for x in exc.violation.antichain))
-            raise LatticeViolationError(
-                LatticeViolation(side, "join", (a, b), antichain)
-            ) from exc
+            raise _read_through(exc, back, side, "join", (a, b)) from exc
+
+
+def _read_through(
+    exc: LatticeViolationError, perm: list[int], side: str, operation: str,
+    pair: tuple[int, int],
+) -> LatticeViolationError:
+    """A violation found on the ordinals that perm maps from, restated as a
+    violation of `operation` on `pair` with its antichain mapped by perm."""
+    antichain = tuple(sorted(perm[x] for x in exc.violation.antichain))
+    return LatticeViolationError(LatticeViolation(side, operation, pair, antichain))
 
 
 class LatticeReport(NamedTuple):
-    """Meets per side; a join on one side is a complemented meet on the other."""
+    """Meets per side; a join on one side is a complemented meet on the other.
+
+    A right meet is a left meet read through the transpose, so meet_right
+    equals meet_left in every report built from an `Interval`.
+    """
 
     meet_left: bool
     meet_right: bool
@@ -325,10 +356,9 @@ def _maximal(common: int, div: list[int]) -> tuple[int, ...]:
     )
 
 
-def _meet_violation(
-    side: str, div: list[int], a: int, b: int
-) -> LatticeViolation | None:
-    """The extremality check behind every meet, or None if a and b pass it.
+def _meet_violation(div: list[int], a: int, b: int) -> LatticeViolation | None:
+    """The extremality check behind every meet, on the left table, or None
+    if a and b pass it.
 
     The top common divisor of a and b is their meet exactly when every
     common divisor divides it; otherwise the maximal common divisors are
@@ -336,7 +366,7 @@ def _meet_violation(
     """
     common = div[a] & div[b]
     if common & ~div[common.bit_length() - 1]:
-        return LatticeViolation(side, "meet", (a, b), _maximal(common, div))
+        return LatticeViolation("left", "meet", (a, b), _maximal(common, div))
     return None
 
 
@@ -403,20 +433,21 @@ def interval_size(e: int, n: int) -> int:
 
 
 def build_interval(params: GroupParams) -> Interval:
-    """Construct [1, lambda^k] with both divisibility tables, the complements
-    and the atom tables.
+    """Construct [1, lambda^k] with its divisibility table, the transpose
+    permutation, the complements and the atom tables.
 
     The members come per permutation from the staircase (`_staircase`),
     never by a test over the group, and are sorted by (length, perm, exps).
     For b in ordinal order and the atoms x that shorten b, by
     `length_decreases`, x*b is a move of two rows of b (s_j swaps rows j-1
     and j; t_m swaps rows 1 and 2 and adds -m and +m to their exponents),
-    looked up in the index as a plain (e, perm, exps) tuple.  These give the atom tables (x*b = x^(-1) b for a
-    reflection x) and the lower covers of b on the right.  The one group
-    product per atom, `multiply(x, lambda^k)`, must agree with the row move
-    on lambda^k.  lambda^k is diagonal, so with flip[s] the ordinal of s^T,
-    the left covers of b are flip[down_left[p][flip[b]]], as
-    (b x)^T = x^T b^T.  comp_left is one `left_quotient` per member and
+    looked up in the index as a plain (e, perm, exps) tuple.  These give the
+    atom tables (x*b = x^(-1) b for a reflection x).  The one group product
+    per atom, `multiply(x, lambda^k)`, must agree with the row move on
+    lambda^k.  lambda^k is diagonal, so with flip[s] the ordinal of s^T, the
+    left covers of b are flip[down_left[p][flip[b]]], as (b x)^T = x^T b^T;
+    the left table is their closure, and the right order is read from it
+    through flip.  comp_left is one `left_quotient` per member and
     comp_right its inverse permutation.  A row move that disagrees with its
     product, a transpose leaving the interval, or a comp_left that is not a
     permutation, is a theorem violation.  Last, `divisor_theorem_oracle`
@@ -424,20 +455,20 @@ def build_interval(params: GroupParams) -> Interval:
     group, which `group_elements` streams to it.
 
     Before anything is enumerated, |D| is predicted by `interval_size` and
-    the interval is refused with CapExceededError when its two bitset
-    tables would exceed INTERVAL_TABLE_CAP_BYTES, and the group is admitted
-    by `group_elements`; a built size that differs from the prediction is a
+    the interval is refused with CapExceededError when its bitset table
+    would exceed INTERVAL_TABLE_CAP_BYTES, and the group is admitted by
+    `group_elements`; a built size that differs from the prediction is a
     theorem violation.
     """
     if params.k is None:
         raise ValueError("interval construction needs params.k")
     k = params.k
     predicted = interval_size(params.e, params.n)
-    table_bytes = 2 * predicted * predicted // 8
+    table_bytes = predicted * predicted // 8
     if table_bytes > INTERVAL_TABLE_CAP_BYTES:
         raise CapExceededError(
             f"[1, lambda^{k}] in G({params.e},{params.e},{params.n}) has "
-            f"|D| = {predicted} members; its divisibility tables would take "
+            f"|D| = {predicted} members; its divisibility table would take "
             f"{table_bytes} bytes, above INTERVAL_TABLE_CAP_BYTES = "
             f"{INTERVAL_TABLE_CAP_BYTES}"
         )
@@ -461,7 +492,6 @@ def build_interval(params: GroupParams) -> Interval:
     e, n = params.e, params.n
     gens = atoms(params)
     size = len(members)
-    div_right = [0] * size
     head_left = [-1] * size
     down_left = [[-1] * size for _ in gens]
     # per atom: the rows it swaps, and whether it shifts their exponents
@@ -471,7 +501,6 @@ def build_interval(params: GroupParams) -> Interval:
     ]
     for b, w in enumerate(members):
         perm, exps = w.perm, w.exps
-        mask = 1 << b
         head = -1
         for p, x, swap, shift, row in moves:
             if length_decreases(x, w):
@@ -480,11 +509,9 @@ def build_interval(params: GroupParams) -> Interval:
                     m = x.index
                     moved = ((moved[0] - m) % e, (moved[1] + m) % e) + moved[2:]
                 # a plain (e, perm, exps) tuple hashes and compares as the element
-                below = row[b] = index[(e, swap(perm), moved)]
-                mask |= div_right[below]
+                row[b] = index[(e, swap(perm), moved)]
                 if head < 0:
                     head = p
-        div_right[b] = mask
         head_left[b] = head
     for x, row in zip(gens, down_left):
         if row[-1] != index.get(multiply(generator_matrix(x, params), delta)):
@@ -511,14 +538,12 @@ def build_interval(params: GroupParams) -> Interval:
         raise TheoremViolationError("the complement is not a permutation of the simples")
 
     interval = Interval(
-        params, members, lengths, index,
-        (div_left, div_right), (comp_left, comp_right), (head_left, down_left),
+        params, members, lengths, index, div_left, flip,
+        (comp_left, comp_right), (head_left, down_left),
     )
 
     if div_left[interval.delta_ordinal] != (1 << size) - 1:
         raise TheoremViolationError("some member does not left-divide lambda^k")
-    if div_right[interval.delta_ordinal] != (1 << size) - 1:
-        raise TheoremViolationError("some member does not right-divide lambda^k")
 
     divisor_theorem_oracle(interval, group)
     return interval
@@ -531,10 +556,10 @@ def cached_interval(e: int, n: int, k: int) -> Interval:
 
 
 def verify_lattice(interval: Interval) -> LatticeReport:
-    """Prove both divisibility tables are lattices, from cover pairs only.
+    """Prove the divisibility table is a lattice, from cover pairs only.
 
-    Per side and per member b, with covers(b) the members of div[b] one
-    length layer below b:
+    Per member b, with covers(b) the members of div[b] one length layer
+    below b:
 
     * closure: div[b] contains the identity and equals b together with the
       union of div[a] over a in covers(b), and div[lambda^k] holds every
@@ -556,19 +581,16 @@ def verify_lattice(interval: Interval) -> LatticeReport:
     fails the meet check, or else as a "closure" violation at (b, b) whose
     antichain lists the bits of div[b] that disagree with the closure.
 
-    Joins are complemented meets: all left joins exist exactly when all
-    right meets do, and all right joins exactly when all left meets do.
+    The table is the left one.  The right order is the left order read
+    through the transpose, an order isomorphism onto it, so meet_right ==
+    meet_left; joins are complemented meets, so all joins on one side
+    exist exactly when all meets on the other do.
     """
-    return _report({side: _cover_pair_violation(interval, side) for side in SIDES})
-
-
-def _cover_pair_violation(interval: Interval, side: str) -> LatticeViolation | None:
-    """The first failure of the closure or cover-pair check on one side."""
-    div = interval.div_left if side == "left" else interval.div_right
+    div = interval.div_left
     top = interval.delta_ordinal
     full = (1 << len(interval)) - 1
     if div[top] != full:
-        return _closure_violation(side, div, top, full & ~div[top])
+        return _report(_closure_violation(div, top, full & ~div[top]))
     lengths, layer_start = interval.lengths, interval.layer_start
     for b in range(len(interval)):
         # the covers of b, as in `Interval.covers`, and the union of their tables
@@ -588,53 +610,47 @@ def _cover_pair_violation(interval: Interval, side: str) -> LatticeViolation | N
         # bits that differ from the closure, and bit 0 if the identity is missing
         wrong = (closure ^ here) | (~here & 1)
         if wrong:
-            return _closure_violation(side, div, b, wrong)
+            return _report(_closure_violation(div, b, wrong))
         # the check of `_meet_violation` on every pair of covers
         for i, a in enumerate(covers):
             above = div[a]
             for c in covers[i + 1:]:
                 common = above & div[c]
                 if common & ~div[common.bit_length() - 1]:
-                    return _meet_violation(side, div, a, c)
-    return None
+                    return _report(_meet_violation(div, a, c))
+    return _report(None)
 
 
-def _closure_violation(side: str, div: list[int], b: int, wrong: int) -> LatticeViolation:
+def _closure_violation(div: list[int], b: int, wrong: int) -> LatticeViolation:
     """The first pair (b, x) failing the meet check, else the bits of div[b]
     that disagree with the closure, as a "closure" violation at (b, b)."""
     for x in range(len(div)):
-        violation = _meet_violation(side, div, b, x)
+        violation = _meet_violation(div, b, x)
         if violation:
             return violation
-    return LatticeViolation(side, "closure", (b, b), tuple(_bits(wrong)))
+    return LatticeViolation("left", "closure", (b, b), tuple(_bits(wrong)))
 
 
 def lattice_pairwise_oracle(interval: Interval) -> LatticeReport:
-    """Oracle for `verify_lattice`: the meet check on every pair, both sides.
+    """Oracle for `verify_lattice`: the meet check on every pair.
 
-    It assumes nothing about the tables and costs |D|^2 bitset operations
-    per side; only the tests call it.
+    It assumes nothing about the table and costs |D|^2 bitset operations;
+    only the tests call it.
     """
-    return _report({side: _pairwise_violation(interval, side) for side in SIDES})
-
-
-def _pairwise_violation(interval: Interval, side: str) -> LatticeViolation | None:
-    div = interval.div_left if side == "left" else interval.div_right
-    size = len(interval)
-    for a in range(size):
-        for b in range(a, size):
-            violation = _meet_violation(side, div, a, b)
+    div = interval.div_left
+    for a in range(len(div)):
+        for b in range(a, len(div)):
+            violation = _meet_violation(div, a, b)
             if violation:
-                return violation
-    return None
+                return _report(violation)
+    return _report(None)
 
 
-def _report(violations: dict[str, LatticeViolation | None]) -> LatticeReport:
-    """Per-side first violations as a report."""
-    left, right = violations["left"], violations["right"]
-    return LatticeReport(
-        meet_left=left is None, meet_right=right is None, counterexample=left or right
-    )
+def _report(violation: LatticeViolation | None) -> LatticeReport:
+    """The first violation of the left table as a report; the right side,
+    the same order read through the transpose, shares its verdict."""
+    ok = violation is None
+    return LatticeReport(meet_left=ok, meet_right=ok, counterexample=violation)
 
 
 def atom_lcm_table(interval: Interval):

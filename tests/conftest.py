@@ -51,6 +51,12 @@ def all_k(e: int):
     return range(1, e)
 
 
+def right_rows(interval) -> list[int]:
+    """The right divisibility table, derived row by row through the
+    transpose: bit a of out[b] says a <= b on the right."""
+    return list(map(interval.right_row, range(len(interval))))
+
+
 @pytest.fixture(scope="session")
 def params_333():
     return GroupParams(3, 3)

@@ -62,6 +62,21 @@ def test_interval_summary_and_exports(tmp_path, capsys):
     assert len(data["left_divides"]) == 35
 
 
+@pytest.mark.parametrize("e,n,k,digest", [
+    (3, 3, 1, "c8d7ab4c0d738fb9e9eb9dda05a13abbd6f2a1053a2a4bfb46a104fdb4bcf3dd"),
+    (4, 4, 2, "8f166c8f6c476c37a5ef1cab2d921d0ff2ca8e2affd2a6a2468a2146b977119b"),
+])
+def test_interval_json_export_is_golden(tmp_path, capsys, e, n, k, digest):
+    """The exported bytes, the right_divides rows among them, are pinned."""
+    import hashlib
+
+    blob = tmp_path / "interval.json"
+    assert run(["interval", "--e", str(e), "--n", str(n), "--k", str(k),
+                "--export", "json", str(blob)]) == EXIT_OK
+    capsys.readouterr()
+    assert hashlib.sha256(blob.read_bytes()).hexdigest() == digest
+
+
 def test_interval_export_rejects_an_unknown_format(tmp_path, capsys, monkeypatch):
     import geen_garside.cli as cli
 
@@ -288,8 +303,8 @@ def test_balanced_suite_admits_the_group_before_listing(capsys, monkeypatch):
 
 
 def test_interval_cap_refuses_before_enumerating(capsys, monkeypatch):
-    """(2,7,1): |G| = 322,560 passes GARSIDE_CAP, but the two bitset
-    tables of its 322,560 simples would take about 26 GB."""
+    """(2,7,1): |G| = 322,560 passes GARSIDE_CAP, but the bitset table
+    of its 322,560 simples would take about 13 GB."""
     from geen_garside import interval
 
     def forbidden(params):
@@ -299,7 +314,7 @@ def test_interval_cap_refuses_before_enumerating(capsys, monkeypatch):
     assert run(["interval", "--e", "2", "--n", "7", "--k", "1"]) == EXIT_CAP
     err = capsys.readouterr().err
     assert "|D| = 322560" in err
-    assert "26011238400 bytes" in err and "INTERVAL_TABLE_CAP_BYTES" in err
+    assert "13005619200 bytes" in err and "INTERVAL_TABLE_CAP_BYTES" in err
 
 
 def test_determinism(capsys):

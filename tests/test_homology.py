@@ -24,7 +24,7 @@ from geen_garside import garside, homology
 from geen_garside.cli import default_grid
 from geen_garside.homology import atom_order
 from geen_garside.snf import smith_normal_form
-from conftest import all_k
+from conftest import all_k, right_rows
 
 # sha256 over d_1, d_2, d_3 by both routes, the cells of degrees 0..3 and H_1,
 # H_2 by method="both", at the 45 default-grid points and three n = 5 points;
@@ -133,13 +133,14 @@ def test_lcm_of_suffixes_equals_the_fold_of_joins(e, n, k):
 
 def test_lcm_is_the_least_common_left_multiple_g331():
     """At (3,3,1) the lcm is the unique common left-multiple of the atoms that
-    every common left-multiple is a left-multiple of, read off div_right."""
+    every common left-multiple is a left-multiple of, read off the right
+    divisibility rows."""
     import itertools
 
     from geen_garside.homology import complex_of
 
     cx = complex_of(cached_garside(3, 3, 1))
-    div_right = cx.interval.div_right
+    div_right = right_rows(cx.interval)
     for size in (1, 2, 3):
         for c in itertools.combinations(range(len(cx.order)), size):
             mask = sum(1 << cx.atom_ordinal[p] for p in c)

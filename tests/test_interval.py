@@ -1,5 +1,6 @@
 import hashlib
 import json
+import math
 import os
 import random
 import subprocess
@@ -16,11 +17,13 @@ from geen_garside import (
     balanced_max_length,
     build_interval,
     bullet_rows,
+    cached_garside,
     cached_interval,
     cayley_length_table,
     enumerate_group,
     evaluate_word,
     generator_matrix,
+    homology_group,
     identity,
     in_interval,
     inverse,
@@ -37,7 +40,7 @@ from geen_garside import (
 )
 from geen_garside.cli import default_grid
 from geen_garside.interval import LatticeViolationError, lattice_pairwise_oracle
-from conftest import all_k
+from conftest import all_k, right_rows
 
 
 def test_bullets_worked_example():
@@ -229,6 +232,65 @@ def test_transpose_swaps_left_and_right_divisibility():
             assert left_divides(a, b) == right_divides(transpose(a), transpose(b))
 
 
+def test_transpose_is_an_anti_automorphism_of_each_interval():
+    """The one-table design rests on s -> s^T: at every default-grid point
+    flip is a length-preserving involution of [1, lambda^k] that fixes each
+    s_j, sends t_i to t_(-i), and carries s^(-1) lambda^k to
+    lambda^k (s^T)^(-1)."""
+    for c in default_grid():
+        interval = cached_interval(c.e, c.n, c.k)
+        flip = interval.flip
+        assert [interval.members[f] for f in flip] == list(map(transpose, interval.members))
+        assert [flip[f] for f in flip] == list(range(len(interval))), c
+        assert [interval.lengths[f] for f in flip] == list(interval.lengths), c
+        for x, a in interval.atom_ordinal.items():
+            image = x if x.kind == "s" else Generator("t", -x.index % c.e)
+            assert flip[a] == interval.atom_ordinal[image], (c, x)
+        assert [flip[s] for s in interval.comp_left] == [interval.comp_right[f] for f in flip], c
+
+
+def _galois(w: GroupElement, u: int) -> GroupElement:
+    """sigma_u: every exponent times u mod e, the permutation kept.  For u a
+    unit mod e it is zeta -> zeta^u entry by entry, an automorphism of
+    G(e,e,n) that fixes each s_j and sends t_i to t_(ui), lambda^k to
+    lambda^(uk)."""
+    return GroupElement(w.e, w.perm, tuple(a * u % w.e for a in w.exps))
+
+
+def _ordinals(mask: int) -> list[int]:
+    return [a for a, bit in enumerate(reversed(bin(mask))) if bit == "1"]
+
+
+def test_galois_relabelling_maps_each_interval_onto_another():
+    """Oracle with no staircase and no length formula: for each unit u mod e,
+    sigma_u maps the members of [1, lambda^k] onto those of [1, lambda^(uk)],
+    both divisibility tables bit for bit, and H_1, H_2 to the same groups."""
+    pairs = 0
+    for c in default_grid():
+        e, n, k = c
+        source = cached_interval(e, n, k)
+        for u in range(2, e):
+            if math.gcd(u, e) != 1:
+                continue
+            target = cached_interval(e, n, u * k % e)
+            sigma = [target.index.get(_galois(w, u)) for w in source.members]
+            assert None not in sigma and sorted(sigma) == list(range(len(target))), (c, u)
+            for here, there in (
+                (source.div_left, target.div_left),
+                (right_rows(source), right_rows(target)),
+            ):
+                for b, mask in enumerate(here):
+                    image = sum(1 << sigma[a] for a in _ordinals(mask))
+                    assert image == there[sigma[b]], (c, u, b)
+            if n >= 3:
+                for r in (1, 2):
+                    assert homology_group(cached_garside(e, n, k), r) == homology_group(
+                        cached_garside(e, n, target.k), r
+                    ), (c, u, r)
+            pairs += 1
+    assert pairs == 66
+
+
 def test_meet_join_basics():
     interval = cached_interval(3, 3, 1)
     t0 = interval.atom_ordinal[Generator("t", 0)]
@@ -278,25 +340,35 @@ def test_verify_lattice_detects_corruption():
 
 
 def test_corrupted_right_table_breaks_left_joins():
-    """A right meet failure is a left join failure, reported on the left pair."""
+    """A right meet failure is a left join failure, reported on the left pair.
+
+    The right order is read from the left table through the transpose, so
+    dropping m from its own right divisors means dropping flip[m] from
+    div_left[flip[m]], and both sides of the report fail together."""
     interval = build_interval(GroupParams(3, 3, 1))
     # t1*t0 = t2*t1 = t0*t2, so all three t-atoms right-divide it; without
     # itself they are a maximal antichain of common right divisors
     m = interval.ordinal(
         evaluate_word([Generator("t", 1), Generator("t", 0)], GroupParams(3, 3))
     )
-    interval.div_right[m] &= ~(1 << m)
+    f = interval.flip[m]
+    interval.div_left[f] &= ~(1 << f)
     report = verify_lattice(interval)
-    assert (report.meet_left, report.join_left) == (True, False)
-    assert (report.meet_right, report.join_right) == (False, True)
-    assert report.counterexample.side == "right"
+    assert _flags(report) == (False,) * 4
     assert report.counterexample.operation == "meet"
+    with pytest.raises(LatticeViolationError) as info:
+        interval.meet("right", m, m)
+    violation = info.value.violation
+    assert (violation.side, violation.operation, violation.pair) == ("right", "meet", (m, m))
+    t_atoms = [interval.atom_ordinal[Generator("t", i)] for i in range(3)]
+    assert violation.antichain == tuple(sorted(t_atoms))
     c = interval.comp_right[m]  # comp_left[c] == m
     with pytest.raises(LatticeViolationError) as info:
         interval.join("left", c, c)
     violation = info.value.violation
     assert (violation.side, violation.operation, violation.pair) == ("left", "join", (c, c))
-    assert len(violation.antichain) == 3
+    # the antichain is stated in the join's own ordinals: the t-atoms' complements
+    assert violation.antichain == tuple(sorted(interval.comp_right[t] for t in t_atoms))
 
 
 def _flags(report):
@@ -322,6 +394,12 @@ def _drop_own_bit(interval, div):
     div[m] &= ~(1 << m)
 
 
+def _drop_own_right_bit(interval, div):
+    """Drop t1*t0 from its own right divisors: bit flip[m] of div[flip[m]]."""
+    f = interval.flip[_t1_t0(interval)]
+    div[f] &= ~(1 << f)
+
+
 def _drop_non_cover_divisor(interval, div):
     """Drop a divisor two layers below b that has two lower covers itself:
     b keeps itself, its covers and the identity, only transitivity breaks."""
@@ -345,20 +423,24 @@ def _add_closed_cover(interval, div):
 
 
 @pytest.mark.parametrize(
-    "corrupt,side",
+    "corrupt",
     [
-        (_drop_own_bit, "left"),  # as in test_verify_lattice_detects_corruption
-        (_drop_own_bit, "right"),  # as in test_corrupted_right_table_breaks_left_joins
-        (_drop_non_cover_divisor, "left"),
-        (_add_closed_cover, "left"),
+        # each id names the order whose rows the corruption targets; the
+        # first two are the corruptions of test_verify_lattice_detects_corruption
+        # and test_corrupted_right_table_breaks_left_joins
+        pytest.param(_drop_own_bit, id="_drop_own_bit-left"),
+        pytest.param(_drop_own_right_bit, id="_drop_own_bit-right"),
+        pytest.param(_drop_non_cover_divisor, id="_drop_non_cover_divisor-left"),
+        pytest.param(_add_closed_cover, id="_add_closed_cover-left"),
     ],
 )
-def test_cover_pair_check_flags_corruptions_like_the_pairwise_oracle(corrupt, side):
+def test_cover_pair_check_flags_corruptions_like_the_pairwise_oracle(corrupt):
+    """The one table answers for both sides, so both fail together."""
     interval = build_interval(GroupParams(3, 3, 1))
-    corrupt(interval, interval.div_left if side == "left" else interval.div_right)
+    corrupt(interval, interval.div_left)
     fast, slow = verify_lattice(interval), lattice_pairwise_oracle(interval)
-    assert _flags(fast) == _flags(slow)
-    assert not fast.all_ok and fast.counterexample.side == side
+    assert _flags(fast) == _flags(slow) == (False,) * 4
+    assert fast.counterexample.side == "left"
     assert fast.counterexample.operation == "meet"
 
 
@@ -369,8 +451,7 @@ def test_closure_failure_without_a_failing_meet_is_reported():
     interval.div_left[b] &= ~1
     assert lattice_pairwise_oracle(interval).all_ok
     report = verify_lattice(interval)
-    assert (report.meet_left, report.join_right) == (False, False)
-    assert (report.meet_right, report.join_left) == (True, True)
+    assert _flags(report) == (False,) * 4
     violation = report.counterexample
     assert (violation.side, violation.operation, violation.pair) == ("left", "closure", (b, b))
     assert violation.antichain == (0,)
@@ -388,9 +469,9 @@ def test_interval_admission_by_predicted_table_size(monkeypatch):
 
     # the build's one entry to the group: it admits G, then streams it
     monkeypatch.setattr(interval_module, "group_elements", enumerated)
-    with pytest.raises(CapExceededError, match=r"\|D\| = 322560 .* 26011238400 bytes"):
+    with pytest.raises(CapExceededError, match=r"\|D\| = 322560 .* 13005619200 bytes"):
         build_interval(GroupParams(2, 7, 1))
-    # (3,6,1): |D| = 45,045, about 0.5 GB of tables, is admitted (not built here)
+    # (3,6,1): |D| = 45,045, about 0.25 GB of table, is admitted (not built here)
     assert interval_module.interval_size(3, 6) == 45045
     with pytest.raises(Enumerated):
         build_interval(GroupParams(3, 6, 1))
@@ -417,7 +498,8 @@ def test_build_lists_no_group(monkeypatch, point):
 
 def test_build_peak_memory_is_close_to_what_it_keeps():
     """At (3,5,1), |G| = 9,720 and |D| = 3,465: the build's transient
-    memory is far below that of a list of G."""
+    memory is far below that of a list of G, and what it keeps holds one
+    divisibility table (a second one would add about 0.9 MB)."""
     import tracemalloc
 
     tracemalloc.start()
@@ -428,6 +510,7 @@ def test_build_peak_memory_is_close_to_what_it_keeps():
         tracemalloc.stop()
     assert len(iv) == 3465
     assert peak - retained < 0.2e6
+    assert retained < 2.5e6
 
 
 def test_built_size_must_match_the_prediction(monkeypatch):
@@ -459,7 +542,7 @@ def test_joins_are_least_common_multiples_on_small_grid_points():
         if size > 320:
             continue
         checked += 1
-        for side, div in (("left", interval.div_left), ("right", interval.div_right)):
+        for side, div in (("left", interval.div_left), ("right", right_rows(interval))):
             mult = _transpose(div)
             for a in range(size):
                 for b in range(a, size):
@@ -593,7 +676,8 @@ def test_divisor_scan_makes_two_tests_per_group_element(monkeypatch):
 
 def test_divisibility_tables_against_the_definition_on_small_grid_points():
     """Every bit of both tables equals the length-additivity test: bit a of
-    div_left[b] is left_divides(a, b), bit a of div_right[b] right_divides.
+    div_left[b] is left_divides(a, b), and bit a of the right row of b, read
+    through the transpose, is right_divides(a, b).
     Covers each default-grid point with |D| <= 200 (n = 2, 3 and (2,4,1))."""
     checked = 0
     for c in default_grid():
@@ -602,8 +686,8 @@ def test_divisibility_tables_against_the_definition_on_small_grid_points():
             continue
         checked += 1
         members = interval.members
-        for b, wb in enumerate(members):
-            left, right = interval.div_left[b], interval.div_right[b]
+        for b, (wb, right) in enumerate(zip(members, right_rows(interval))):
+            left = interval.div_left[b]
             for a, wa in enumerate(members):
                 assert (left >> a) & 1 == left_divides(wa, wb), (c, a, b)
                 assert (right >> a) & 1 == right_divides(wa, wb), (c, a, b)
@@ -667,10 +751,11 @@ def test_atom_tables_are_the_shortening_products(e, n, k):
 
 
 def _table_digest(interval) -> str:
-    """sha256 over the members, lengths and every per-ordinal table."""
+    """sha256 over the members, lengths and every per-ordinal table, the
+    right divisibility rows derived through the transpose."""
     payload = [
         [[list(w.perm), list(w.exps)] for w in interval.members],
-        list(interval.lengths), list(interval.div_left), list(interval.div_right),
+        list(interval.lengths), list(interval.div_left), right_rows(interval),
         list(interval.comp_left), list(interval.head_left),
         [list(row) for row in interval.down_left],
     ]
