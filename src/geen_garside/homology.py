@@ -17,8 +17,12 @@ is the ground truth), while `differential_closed_form` types out the
 worked-out row formulas.  Both hand the (face, coefficient) pairs of each
 cell to one assembly, `_boundary_matrix`, which also holds the degree guard.
 The homotopy maps u and s act on single monomials (degree, coefficient,
-cell), so each call of `differential_generic` memoizes s per monomial and
-computes every monomial once; the memo is dropped when the call returns.
+cell).  One memo scope, a `_GenericDifferential`, computes every partial
+chain, s-monomial, least right-dividing atom and normal-form product once:
+a `differential_generic` call has one of its own, and a `homology_group`
+call with the generic route has one for d_r and d_{r+1} together, so d_{r+1}
+reuses the chains of d_r.  The memo is dropped when the call returns, and
+GENERIC_OP_CAP bounds the work actually computed in one scope.
 With trivial coefficients every monoid coefficient collapses to its integer
 term count, giving the integer matrices d_1, d_2, d_3.
 
@@ -235,22 +239,32 @@ class _GenericDifferential:
     partial[alpha, A] = c[A] - u_r(c[A]) for the cofactor c of alpha over A.
     u and s are defined on monomials nf[cell] and extended linearly:
     u_0(nf[()]) = [()], u_r = s_{r-1} o partial_r, and s peels the least
-    right-dividing atom off the coefficient at each step.  A chain is one
-    flat dict from (cell, coefficient) to its nonzero integer multiplicity.
+    right-dividing atom off the coefficient at each step.  The u_r(c[A])
+    that s_r needs is read back from partial[alpha, A] by that definition.
+    A chain is one flat dict from (cell, coefficient) to its nonzero integer
+    multiplicity.
 
-    One instance serves one `differential_generic` call.  It memoizes
-    partial on cells and s on monomials (r, nf, cell), so the recursion
-    computes each of them once; the memoized chains are shared between
-    callers and never modified.  GENERIC_OP_CAP bounds the monomials and
-    chain products actually computed, not the memo hits.
+    One instance is one memo scope: one `differential_generic` call, or one
+    `homology_group` call, whose d_r and d_{r+1} then share every chain.  It
+    memoizes partial on cells, s on monomials (r, nf, cell), the least
+    right-dividing atom on coefficients, and the normal forms of simples and
+    of products, so the recursion computes each of them once; the memoized
+    chains are shared between callers and never modified.  Nothing outlives
+    the instance: no memo is kept on the structure, on its cell complex or
+    in the module.  GENERIC_OP_CAP bounds the monomials and products
+    actually computed in one scope, not the memo hits.
     """
 
     def __init__(self, cx: CellComplex):
         self.cx = cx
         self.g = cx.g
         self.identity_nf = NormalForm(0, ())
+        self._cells = [set(cells) for cells in cx.cells]
         self._partial_memo: dict[tuple[int, ...], Chain] = {}
         self._s_memo: dict[tuple[int, NormalForm, tuple[int, ...]], Chain] = {}
+        self._d_memo: dict[NormalForm, tuple[int, NormalForm]] = {}
+        self._product_memo: dict[tuple[NormalForm, NormalForm], NormalForm] = {}
+        self._simple_memo: dict[int, NormalForm] = {}
         self.ops = 0
 
     def _tick(self) -> None:
@@ -262,8 +276,31 @@ class _GenericDifferential:
                 "actually computed"
             )
 
+    def product(self, a: NormalForm, b: NormalForm) -> NormalForm:
+        """a * b, computed once per pair."""
+        key = (a, b)
+        nf = self._product_memo.get(key)
+        if nf is None:
+            self._tick()
+            nf = self._product_memo[key] = self.g.nf_product(a, b)
+        return nf
+
+    def simple(self, s: int) -> NormalForm:
+        """The normal form of the simple with ordinal s, computed once."""
+        nf = self._simple_memo.get(s)
+        if nf is None:
+            nf = self._simple_memo[s] = self.g.nf_of_simple(s)
+        return nf
+
     def _d_of(self, nf: NormalForm) -> tuple[int, NormalForm]:
-        """(atom position, quotient) for the least atom right-dividing nf."""
+        """(atom position, quotient) for the least atom right-dividing nf,
+        computed once per nf."""
+        found = self._d_memo.get(nf)
+        if found is None:
+            found = self._d_memo[nf] = self._least_divisor(nf)
+        return found
+
+    def _least_divisor(self, nf: NormalForm) -> tuple[int, NormalForm]:
         g = self.g
         for p, ordinal in enumerate(self.cx.atom_ordinal):
             quotient = g.nf_right_quotient(nf, ordinal)
@@ -277,7 +314,7 @@ class _GenericDifferential:
         if memo is not None:
             return memo
         alpha, tail = cell[0], cell[1:]
-        cofactor = self.g.nf_of_simple(self.cx.cofactor(alpha, tail))
+        cofactor = self.simple(self.cx.cofactor(alpha, tail))
         out: Chain = {(tail, cofactor): 1}
         for key, coeff in self.u(len(tail), cofactor, tail).items():
             _add(out, key, -coeff)
@@ -294,8 +331,7 @@ class _GenericDifferential:
             return {((), self.identity_nf): 1}
         out: Chain = {}
         for (bcell, bnf), bcoeff in self.partial_cell(cell).items():
-            self._tick()
-            product = self.g.nf_product(nf, bnf)
+            product = self.product(nf, bnf)
             for key, value in self.s_monomial(r - 1, product, bcell).items():
                 _add(out, key, bcoeff * value)
         return out
@@ -322,7 +358,7 @@ class _GenericDifferential:
             for key, coeff in self.s_monomial(0, quotient, ()).items():
                 _add(out, key, coeff)
             return out
-        product = self.g.nf_product(nf, self.g.nf_of_simple(self.cx.lcm(cell)))
+        product = self.product(nf, self.simple(self.cx.lcm(cell)))
         alpha, _ = self._d_of(product)
         if alpha == cell[0]:
             return {}
@@ -333,45 +369,61 @@ class _GenericDifferential:
         if not y.is_monoid_element():
             raise TheoremViolationError("homotopy quotient left the monoid")
         new_cell = (alpha,) + cell
-        if not self.cx.is_cell(new_cell):
+        if new_cell not in self._cells[r + 1]:
             raise TheoremViolationError(f"homotopy produced a non-cell {new_cell}")
-        # s_r(y * u_r(cofactor[cell])); left multiplication by y is injective,
-        # so the shifted monomials are distinct and s can take them one by one
+        # s_r(y * u_r(cofactor[cell])), where u_r(cofactor[cell]) is
+        # cofactor[cell] - partial[new_cell] by the definition of partial;
+        # left multiplication by y is injective, so the shifted monomials are
+        # distinct and s can take them one by one
         out = {(new_cell, y): 1}
-        u_cofactor = self.u(r, self.g.nf_of_simple(cofactor), cell)
+        u_cofactor: Chain = {(cell, self.simple(cofactor)): 1}
+        for key, coeff in self.partial_cell(new_cell).items():
+            _add(u_cofactor, key, -coeff)
         for (ucell, unf), coeff in u_cofactor.items():
-            shifted = self.g.nf_product(y, unf)
+            shifted = self.product(y, unf)
             for key, value in self.s_monomial(r, shifted, ucell).items():
                 _add(out, key, coeff * value)
         return out
 
 
-def differential_generic(g: GarsideStructure, r: int) -> list[list[int]]:
-    """Matrix of d_r from the recursive definition, augmented to integers."""
-    cx = complex_of(g)
-    differential = _GenericDifferential(cx)
+def _generic_matrix(generic: _GenericDifferential, r: int) -> list[list[int]]:
+    """Matrix of d_r from the partial chains of one memo scope."""
 
     def faces(cell: tuple[int, ...]):
-        for (bcell, _), coeff in differential.partial_cell(cell).items():
+        for (bcell, _), coeff in generic.partial_cell(cell).items():
             yield bcell, coeff
 
-    return _boundary_matrix(cx, r, faces)
+    return _boundary_matrix(generic.cx, r, faces)
+
+
+def differential_generic(g: GarsideStructure, r: int) -> list[list[int]]:
+    """Matrix of d_r from the recursive definition, augmented to integers."""
+    return _generic_matrix(_GenericDifferential(complex_of(g)), r)
+
+
+def _differentials(g: GarsideStructure, degrees, method: str) -> list[list[list[int]]]:
+    """The matrices of d_r for r in degrees by one method.  The generic ones
+    come from one `_GenericDifferential`, so a higher degree reuses the
+    chains of a lower one; "both" raises on any disagreement."""
+    if method not in ("closed", "generic", "both"):
+        raise ValueError(f"unknown method {method!r}")
+    generic = None if method == "closed" else _GenericDifferential(complex_of(g))
+    out = []
+    for r in degrees:
+        matrix = None if method == "generic" else differential_closed_form(g, r)
+        if generic is not None:
+            computed = _generic_matrix(generic, r)
+            if matrix is not None and matrix != computed:
+                raise TheoremViolationError(
+                    f"closed-form and generic d_{r} matrices disagree"
+                )
+            matrix = computed
+        out.append(matrix)
+    return out
 
 
 def differential(g: GarsideStructure, r: int, method: str = "closed") -> list[list[int]]:
-    if method == "closed":
-        return differential_closed_form(g, r)
-    if method == "generic":
-        return differential_generic(g, r)
-    if method == "both":
-        closed = differential_closed_form(g, r)
-        generic = differential_generic(g, r)
-        if closed != generic:
-            raise TheoremViolationError(
-                f"closed-form and generic d_{r} matrices disagree"
-            )
-        return closed
-    raise ValueError(f"unknown method {method!r}")
+    return _differentials(g, (r,), method)[0]
 
 
 def chain_condition_holds(d_lo: list[list[int]], d_hi: list[list[int]]) -> bool:
@@ -393,8 +445,7 @@ def homology_group(g: GarsideStructure, r: int, method: str = "closed") -> Abeli
     """
     if r not in (1, 2):
         raise ValueError(f"homology computed only in degrees 1 and 2, not {r}")
-    d_lo = differential(g, r, method)
-    d_hi = differential(g, r + 1, method)
+    d_lo, d_hi = _differentials(g, (r, r + 1), method)
     if not chain_condition_holds(d_lo, d_hi):
         raise TheoremViolationError(f"d_{r} d_{r + 1} != 0")
     return quotient_group(len(d_hi) - smith_normal_form(d_lo).rank, d_hi)

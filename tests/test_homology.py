@@ -279,29 +279,97 @@ def test_generic_equals_closed_form(e, n, k):
 
 @pytest.mark.parametrize("e,n,k", [(3, 4, 1), (4, 4, 2)])
 def test_generic_homotopy_is_computed_once_per_monomial(monkeypatch, e, n, k):
-    """Each (r, nf, cell) takes the miss path of s_monomial once per
-    differential, and every chain kept in the memo is left as it was stored."""
+    """One memo scope serves one differential_generic call, and one
+    homology_group call for d_r and d_{r+1} together.  In a scope, each
+    (r, nf, cell) takes the miss path of s_monomial once, each coefficient
+    that of _d_of once, and each product of monoid elements and each simple's
+    normal form is computed once; every chain kept in the memo is left as it
+    was stored."""
     import copy
 
-    computed = []
-    original = homology._GenericDifferential._s_monomial
+    scopes, computed, divided, products = [], [], [], []
+    generic, structure = homology._GenericDifferential, garside.GarsideStructure
+    init, s_monomial = generic.__init__, generic._s_monomial
+    least_divisor = generic._least_divisor
+    nf_product, nf_of_simple = structure.nf_product, structure.nf_of_simple
 
-    def spy(self, r, nf, cell):
-        chain = original(self, r, nf, cell)
-        computed.append((self, (r, nf, cell), chain, copy.deepcopy(chain)))
+    def init_spy(self, cx):
+        init(self, cx)
+        scopes.append(self)
+
+    def s_spy(self, r, nf, cell):
+        chain = s_monomial(self, r, nf, cell)
+        computed.append(((r, nf, cell), chain, copy.deepcopy(chain)))
         return chain
 
-    monkeypatch.setattr(homology._GenericDifferential, "_s_monomial", spy)
+    def least_spy(self, nf):
+        divided.append(nf)
+        return least_divisor(self, nf)
+
+    def product_spy(self, a, b):
+        # right quotients multiply by Delta^(-1) c and are not memoized
+        if b.is_monoid_element():
+            products.append((a, b))
+        return nf_product(self, a, b)
+
+    def simple_spy(self, s):
+        products.append(s)
+        return nf_of_simple(self, s)
+
+    monkeypatch.setattr(generic, "__init__", init_spy)
+    monkeypatch.setattr(generic, "_s_monomial", s_spy)
+    monkeypatch.setattr(generic, "_least_divisor", least_spy)
+    monkeypatch.setattr(structure, "nf_product", product_spy)
+    monkeypatch.setattr(structure, "nf_of_simple", simple_spy)
     g = cached_garside(e, n, k)
-    for r in (2, 3):
-        computed.clear()
-        assert differential_generic(g, r) == differential_closed_form(g, r)
-        assert len({d for d, _, _, _ in computed}) == 1
-        keys = [key for _, key, _, _ in computed]
-        assert keys and len(set(keys)) == len(keys)
-        for d, key, chain, snapshot in computed:
-            assert d._s_memo[key] is chain
+    calls = [
+        (lambda r=r: differential_generic(g, r), differential_closed_form(g, r))
+        for r in (2, 3)
+    ]
+    calls.append((lambda: homology_group(g, 2, "generic"), homology_group(g, 2)))
+    for call, expected in calls:
+        for log in (scopes, computed, divided, products):
+            log.clear()
+        assert call() == expected
+        assert len(scopes) == 1
+        for log in ([key for key, _, _ in computed], divided, products):
+            assert log and len(set(log)) == len(log)
+        for key, chain, snapshot in computed:
+            assert scopes[0]._s_memo[key] is chain
             assert chain == snapshot, key
+
+
+def test_generic_memos_end_with_the_homology_call(monkeypatch):
+    """After homology_group returns, its one _GenericDifferential is gone and
+    nothing but this test refers to any of its memos: no memo is kept on the
+    structure, on its cell complex or in the module."""
+    import gc
+    import types
+    import weakref
+
+    g = cached_garside(4, 3, 2)
+    cx = homology.complex_of(g)
+    before = [dict(vars(x)) for x in (g, cx, homology)]
+    scopes, memos = [], []
+    init = homology._GenericDifferential.__init__
+
+    def init_spy(self, cx):
+        init(self, cx)
+        scopes.append(weakref.ref(self))
+        memos.extend(v for v in vars(self).values() if isinstance(v, dict))
+
+    monkeypatch.setattr(homology._GenericDifferential, "__init__", init_spy)
+    assert homology_group(g, 2, "generic") == predicted_h2(4, 3, 2)
+    gc.collect()
+    assert len(scopes) == 1 and scopes[0]() is None
+    assert memos and all(memos)
+    for memo in memos:
+        holders = [
+            x for x in gc.get_referrers(memo)
+            if x is not memos and not isinstance(x, types.FrameType)
+        ]
+        assert holders == []
+    assert [vars(x) for x in (g, cx, homology)] == before
 
 
 @pytest.mark.parametrize("e,n", [(2, 3), (3, 3), (5, 3), (2, 4), (3, 4)])

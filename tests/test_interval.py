@@ -28,6 +28,7 @@ from geen_garside import (
     in_interval,
     inverse,
     is_balanced,
+    is_isomorphic_to_CP,
     lambda_power,
     left_divides,
     left_quotient,
@@ -264,7 +265,8 @@ def _ordinals(mask: int) -> list[int]:
 def test_galois_relabelling_maps_each_interval_onto_another():
     """Oracle with no staircase and no length formula: for each unit u mod e,
     sigma_u maps the members of [1, lambda^k] onto those of [1, lambda^(uk)],
-    both divisibility tables bit for bit, and H_1, H_2 to the same groups."""
+    both divisibility tables bit for bit, the atom tables entry for entry
+    (atom t_i to t_(ui), each s_j fixed), and H_1, H_2 to the same groups."""
     pairs = 0
     for c in default_grid():
         e, n, k = c
@@ -282,6 +284,18 @@ def test_galois_relabelling_maps_each_interval_onto_another():
                 for b, mask in enumerate(here):
                     image = sum(1 << sigma[a] for a in _ordinals(mask))
                     assert image == there[sigma[b]], (c, u, b)
+            gens = atoms(source.params)
+            moved = [
+                gens.index(Generator("t", x.index * u % e) if x.kind == "t" else x)
+                for x in gens
+            ]
+            for p, row in enumerate(source.down_left):
+                there = target.down_left[moved[p]]
+                for b, a in enumerate(row):
+                    assert there[sigma[b]] == (sigma[a] if a >= 0 else -1), (c, u, p, b)
+            for b in range(len(source)):
+                dividing = [moved[p] for p, row in enumerate(source.down_left) if row[b] >= 0]
+                assert target.head_left[sigma[b]] == min(dividing, default=-1), (c, u, b)
             if n >= 3:
                 for r in (1, 2):
                     assert homology_group(cached_garside(e, n, k), r) == homology_group(
@@ -289,6 +303,51 @@ def test_galois_relabelling_maps_each_interval_onto_another():
                     ), (c, u, r)
             pairs += 1
     assert pairs == 66
+
+
+def _shift(w: GroupElement, c: int) -> GroupElement:
+    """Conjugation by diag(zeta^c, 1, ..., 1), a diagonal matrix of G(e,1,n)
+    that normalizes G(e,e,n): entry (i, j) gains c when i = 1 and loses c
+    when j = 1.  It fixes each s_j and every diagonal element, lambda^k
+    among them, and sends t_i to t_(i-c)."""
+    return GroupElement(
+        w.e,
+        w.perm,
+        tuple(
+            (a + c * (i == 0) - c * (j == 1)) % w.e
+            for i, (a, j) in enumerate(zip(w.exps, w.perm))
+        ),
+    )
+
+
+def test_cp_witness_is_galois_then_shift():
+    """For gcd(e, k) = 1 and k > 1, the witness t_i -> t_((i+1)k) of
+    is_isomorphic_to_CP is sigma_k followed by the shift t_i -> t_(i+k), both
+    fixing every s_j.  sigma_k maps [1, lambda] onto [1, lambda^k] and the
+    shift maps [1, lambda^k] onto itself, each with its left divisibility
+    bit for bit, so the witness extends to an isomorphism of the lattices."""
+    checked = 0
+    for c in default_grid():
+        e, n, k = c
+        if k == 1 or math.gcd(e, k) != 1:
+            continue
+        ok, witness = is_isomorphic_to_CP(e, k, n)
+        assert ok
+        for x, y in witness.items():
+            image = _shift(_galois(generator_matrix(x, c), k), -k)
+            assert image == generator_matrix(y, c), (c, x)
+        target = cached_interval(e, n, k)
+        for here, relabel in (
+            (cached_interval(e, n, 1), lambda w: _galois(w, k)),
+            (target, lambda w: _shift(w, -k)),
+        ):
+            sigma = [target.index.get(relabel(w)) for w in here.members]
+            assert None not in sigma and sorted(sigma) == list(range(len(target))), c
+            for b, mask in enumerate(here.div_left):
+                image = sum(1 << sigma[a] for a in _ordinals(mask))
+                assert image == target.div_left[sigma[b]], (c, b)
+        checked += 1
+    assert checked == 18
 
 
 def test_meet_join_basics():
