@@ -37,7 +37,7 @@ from .garside import (
     is_isomorphic_to_CP,
     t_cycle_components,
 )
-from .homology import chain_condition_holds, differential, enumerate_cells, homology_group
+from .homology import _differentials, chain_condition_holds, enumerate_cells, homology_group
 from .words import cayley_length_table, length, reduced_expression
 
 EXIT_OK = 0
@@ -238,9 +238,11 @@ def _cmd_homology(args) -> int:
     g = cached_garside(args.e, args.n, args.k)
     group = homology_group(g, args.order, method=args.method)
     if args.dump_matrices:
+        # one memo scope for both matrices, so d3 reuses the chains of d2
+        d2, d3 = _differentials(g, (2, 3), args.method)
         dump = {
-            "d2": differential(g, 2, args.method),
-            "d3": differential(g, 3, args.method),
+            "d2": d2,
+            "d3": d3,
             "cells1": [format_word(c) for c in enumerate_cells(g, 1)],
             "cells2": [format_word(c) for c in enumerate_cells(g, 2)],
             "cells3": [format_word(c) for c in enumerate_cells(g, 3)],
@@ -279,8 +281,7 @@ def _verify_suite(args) -> list[str]:
                 failures.append("garside: embedding lcm compatibility failed")
         elif suite == "homology":
             g = cached_garside(args.e, args.n, args.k)
-            d2 = differential(g, 2, "closed")
-            d3 = differential(g, 3, "closed")
+            d2, d3 = _differentials(g, (2, 3), "closed")
             if not chain_condition_holds(d2, d3):
                 failures.append("homology: d2*d3 != 0")
     return failures

@@ -41,8 +41,9 @@ permutation and a row getter, read by `inverse`, `transpose` and
 `left_quotient`) and the row counts of `words.length`.  Each table is
 keyed by the permutation tuple, so it holds at most n! entries per n, and
 it has no size option.  The length-additivity
-table `words.quotient_shape` is keyed by a pair of permutations: at most n!
-entries per permutation of its right operand.
+tables of `words.divisor_table` are kept for the last two divisors only,
+each keyed by the permutation of the candidate divisor: at most 2 n!
+entries.
 """
 
 from __future__ import annotations

@@ -27,9 +27,12 @@ is built from the atom tables through flip.  lambda^k s^(-1) is the inverse
 permutation of s^(-1) lambda^k, by integer lookups.  The member set is
 checked against a divisor test on the whole group, streamed one element
 at a time so that no list of |G| elements is held, that never looks at the
-staircase: length additivity len(a) + len(a^(-1) b) = len(b), fused into
-one sum over the rows from `words.quotient_shape`, a table per pair of
-permutations, without forming a^(-1) b.
+staircase: length additivity len(a) + len(a^(-1) b) = len(b), read as one
+sum of table entries without forming a^(-1) b.  `words.divisor_table`
+holds, for the divisor b and the permutation of a, one row table per row,
+indexed by a's exponent there, and a target.  Tables are kept for the
+last two divisors only; the scan needs one, as lambda^k is its own
+transpose.
 
 Meets are bitset intersections followed by an extremality check,
 `_meet_violation`, the one check behind `Interval.meet` and the lattice
@@ -51,8 +54,8 @@ from __future__ import annotations
 
 import math
 from functools import lru_cache
-from itertools import compress, permutations, product
-from operator import itemgetter, mul, ne
+from itertools import permutations, product
+from operator import getitem, itemgetter, mul
 from typing import Iterable, Iterator, NamedTuple
 
 from .core import (
@@ -75,7 +78,7 @@ from .core import (
     multiply,
     transpose,
 )
-from .words import length, length_decreases, quotient_shape
+from .words import divisor_rows, divisor_table, length, length_decreases
 
 # Largest predicted size, in bytes, of the divisibility bitset table
 # (|D|^2 / 8) that `build_interval` accepts; it refuses larger intervals
@@ -147,22 +150,26 @@ def left_divides(a: GroupElement, b: GroupElement) -> bool:
     """a <= b in left divisibility: len(a) + len(a^(-1) b) = len(b).
 
     This is the definition of the order, b = a * (a^(-1) b) with additive
-    lengths, evaluated as one fused sum of closed-form lengths: the
-    `quotient_shape` of the permutation pair gives the three row weightings,
-    and the quotient's exponent on row j of a is non-zero exactly when
-    a and b differ there, so no quotient is formed.  It never consults the
-    staircase criterion of `in_interval`, so it can serve as its oracle.
-    Operands from different groups raise ParameterMismatchError.
+    lengths, evaluated from closed-form lengths without forming the
+    quotient: the `words.divisor_table` of b holds, per permutation of a,
+    a target and one row table per row, whose entry at a's exponent x is
+    what that row adds to len(a) + len(a^(-1) b), so the test is one sum
+    of n table entries.  Tables are kept for the last two divisors only,
+    at most 2 n! entries.  It never consults the staircase criterion of
+    `in_interval`, so it can serve as its oracle.  Operands from different
+    groups raise ParameterMismatchError.
     """
     if a.e != b.e or len(a.perm) != len(b.perm):
         raise ParameterMismatchError(
             f"cannot divide elements of G({a.e},{a.e},{len(a.perm)}) "
             f"and G({b.e},{b.e},{len(b.perm)})"
         )
-    base, adoubled, qweights, bdoubled = quotient_shape(a.perm, b.perm)
-    aexps, bexps = a.exps, b.exps
-    total = sum(compress(adoubled, aexps)) + sum(compress(qweights, map(ne, aexps, bexps)))
-    return base + total == sum(compress(bdoubled, bexps))
+    table = divisor_table(b)
+    try:
+        rows, target = table[a.perm]
+    except KeyError:
+        rows, target = table[a.perm] = divisor_rows(a.perm, b)
+    return sum(map(getitem, rows, a.exps)) == target
 
 
 def right_divides(a: GroupElement, b: GroupElement) -> bool:
@@ -376,7 +383,11 @@ def divisor_theorem_oracle(interval: Interval, group: Iterable[GroupElement]) ->
     Scans the whole group, a list or a stream such as `group_elements`,
     with the length-additivity test `left_divides`, on the left and on
     transposes for the right, and raises on any element where either test
-    disagrees with membership, read from the interval's index.
+    disagrees with membership, read from the interval's index.  lambda^k
+    is its own transpose, so the right test at w repeats the left test at
+    w^T, which the scan reaches as well; it is kept because the benchmark
+    asserts 2 |G| divisor tests per build, a count that a check by atom
+    closure would change together with that assertion.
     """
     index = interval.index
     delta = interval.members[interval.delta_ordinal]

@@ -18,9 +18,11 @@ Their agreement is a cross-check against transcription slips in either one.
 `length` counts the letters of these words in closed form and equals the
 Cayley-graph distance from the identity, for which `cayley_length_table` is
 the independent BFS oracle; the part of that count fixed by the permutation
-is tabulated once per permutation by `_row_shape`, and that of
-len(a) + len(a^(-1) b) - len(b) once per pair of permutations by
-`quotient_shape`.  `length_decreases` answers whether a single left
+is tabulated once per permutation by `_row_shape`.  `divisor_rows` turns
+the test len(a) + len(a^(-1) b) = len(b) into one sum of n entries: for a
+divisor b and a permutation of a, one row table per row, indexed by a's
+exponent there, and a target; `divisor_table` keeps them for the last two
+divisors only.  `length_decreases` answers whether a single left
 multiplication by a generator shortens an element, straight from the matrix
 entries, without recomputing any words.
 """
@@ -171,30 +173,53 @@ def _row_shape(perm: tuple[int, ...]) -> tuple[int, tuple[int, ...]]:
 
 
 @lru_cache(maxsize=None)
-def quotient_shape(
-    aperm: tuple[int, ...], bperm: tuple[int, ...]
-) -> tuple[int, tuple[int, ...], tuple[int, ...], tuple[int, ...]]:
-    """(base, a's weights, a^(-1) b's weights on a's rows, b's weights) for
-    elements a and b with these permutations; each weight is the 2 c_i of
-    `_row_shape`.
+def _divisor_row(aweight: int, qweight: int, bexp: int, e: int) -> tuple[int, ...]:
+    """What one row adds to the length sum of `divisor_rows`, per exponent x
+    of a there: a's weight when x != 0, plus the quotient's when x != bexp.
 
-    base is the `_row_shape` base of a plus that of a^(-1) b minus that of
-    b.  Row j of a becomes row sigma_a(j) of the quotient, with exponent
-    eps_b(j) - eps_a(j), so the quotient's weight of that row is stored at
-    index j and counts exactly when eps_a(j) != eps_b(j).  Then
-    len(a) + len(a^(-1) b) - len(b) is base plus the weights of a and of
-    the quotient on their non-zero rows, minus those of b.  The table holds
-    at most n! entries per permutation of b; every caller in the package
-    passes a diagonal b.
+    Rows are interned by their four arguments, so each (e, n) holds at most
+    n^2 e of them, whatever the divisors.
+    """
+    return tuple(aweight * (x != 0) + qweight * (x != bexp) for x in range(e))
+
+
+def divisor_rows(
+    aperm: tuple[int, ...], b: GroupElement
+) -> tuple[tuple[tuple[int, ...], ...], int]:
+    """(rows, target) of the test a <= b for the elements a with permutation
+    aperm.
+
+    Row j of a becomes row sigma_a(j) of a^(-1) b, with exponent
+    eps_b(j) - eps_a(j), so it counts a's weight 2 c_j (of `_row_shape`)
+    when eps_a(j) != 0 and the quotient's weight of that row when
+    eps_a(j) != eps_b(j); rows[j] is that sum for each value of eps_a(j).
+    target is len(b) minus the `_row_shape` bases of a and of a^(-1) b, so
+    that len(a) + len(a^(-1) b) = len(b) exactly when
+    sum(map(getitem, rows, a.exps)) == target.  No quotient is formed.
     """
     qperm = [0] * len(aperm)
-    for c, d in zip(aperm, bperm):
+    for c, d in zip(aperm, b.perm):
         qperm[c - 1] = d
-    abase, adoubled = _row_shape(aperm)
-    qbase, qdoubled = _row_shape(tuple(qperm))
-    bbase, bdoubled = _row_shape(bperm)
-    qweights = tuple([qdoubled[c - 1] for c in aperm])
-    return abase + qbase - bbase, adoubled, qweights, bdoubled
+    abase, aweights = _row_shape(aperm)
+    qbase, qweights = _row_shape(tuple(qperm))
+    rows = tuple([
+        _divisor_row(w, qweights[c - 1], x, b.e)
+        for w, c, x in zip(aweights, aperm, b.exps)
+    ])
+    return rows, length(b) - abase - qbase
+
+
+@lru_cache(maxsize=2)
+def divisor_table(b: GroupElement) -> dict:
+    """The `divisor_rows` of b, keyed by the permutation of a and filled by
+    the caller on first use: at most n! entries.
+
+    Only the tables of the last two divisors are kept, at most 2 n! entries
+    however many divisors are tested: enough for the divisor scan, whose
+    lambda^k is its own transpose, and for `is_balanced`, which alternates
+    w and w^T.
+    """
+    return {}
 
 
 def length(w: GroupElement) -> int:

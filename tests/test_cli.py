@@ -173,6 +173,37 @@ def test_homology_dump(tmp_path, capsys):
     assert len(dump["cells2"]) == 5 and len(dump["cells3"]) == 2
 
 
+@pytest.mark.parametrize("method", ["closed", "generic", "both"])
+@pytest.mark.parametrize("e,n,k,digest", [
+    (3, 3, 1, "d1e42c95ba48cff6d9a96692510d43be99cefb677e54329dd412136eb2ab967a"),
+    (4, 4, 2, "df4814d162ed4032d9296c1842b0afbedfff30bb8fd064fbc6c69e75cf2aa712"),
+])
+def test_homology_dump_is_golden_and_builds_two_generic_scopes(
+    tmp_path, capsys, monkeypatch, method, e, n, k, digest
+):
+    """The dumped matrices are pinned bytes, the same for every method, and
+    a call builds at most two _GenericDifferential memo scopes: one for
+    homology_group and one shared by d2 and d3 of the dump."""
+    import hashlib
+
+    from geen_garside import homology
+
+    scopes = []
+    init = homology._GenericDifferential.__init__
+
+    def init_spy(self, cx):
+        init(self, cx)
+        scopes.append(1)
+
+    monkeypatch.setattr(homology._GenericDifferential, "__init__", init_spy)
+    path = tmp_path / "matrices.json"
+    assert run(["homology", "--e", str(e), "--n", str(n), "--k", str(k), "--order", "2",
+                "--method", method, "--dump-matrices", str(path)]) == EXIT_OK
+    capsys.readouterr()
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
+    assert len(scopes) == (0 if method == "closed" else 2)
+
+
 def test_verify_suites(capsys):
     for e, n, k in [(3, 3, 1), (3, 2, 1)]:
         for suite in ("lattice", "lcm", "balanced", "garside", "homology", "all"):

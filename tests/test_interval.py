@@ -89,14 +89,17 @@ def test_in_interval_matches_the_definition_exhaustive(e, n):
 def test_permutation_tables_hold_one_entry_per_permutation():
     """A (3,5,1) build leaves exactly 5! = 120 entries in each table keyed by
     a permutation, however many elements (3^4 * 120 = 9,720) it touched, and
-    at most 5! in the one keyed by a pair of permutations."""
+    at most 5! in the divisor table of lambda, keyed by the permutation of
+    the candidate divisor."""
     code = (
-        "from geen_garside import GroupParams, build_interval\n"
+        "from geen_garside import GroupParams, build_interval, lambda_power\n"
         "from geen_garside.core import _inverse_order\n"
-        "from geen_garside.words import _row_shape, quotient_shape\n"
-        "build_interval(GroupParams(3, 5, 1))\n"
+        "from geen_garside.words import _row_shape, divisor_table\n"
+        "params = GroupParams(3, 5, 1)\n"
+        "build_interval(params)\n"
         "print(_inverse_order.cache_info().currsize, _row_shape.cache_info().currsize,\n"
-        "      quotient_shape.cache_info().currsize)\n"
+        "      divisor_table.cache_info().currsize,\n"
+        "      len(divisor_table(lambda_power(params, 1))))\n"
     )
     root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
     env = dict(os.environ, PYTHONPATH=os.path.join(root, "src"))
@@ -104,11 +107,32 @@ def test_permutation_tables_hold_one_entry_per_permutation():
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=300,
     )
     assert result.returncode == 0, result.stderr
-    inverse_orders, row_shapes, quotient_shapes = map(int, result.stdout.split())
+    inverse_orders, row_shapes, divisors, entries = map(int, result.stdout.split())
     assert (inverse_orders, row_shapes) == (120, 120)
-    # keyed by (a.perm, b.perm), but the build only divides into the diagonal
-    # lambda^k, so at most 5! pairs
-    assert quotient_shapes <= 120
+    # the build only divides into the diagonal lambda^k, its own transpose,
+    # so one divisor holds at most one entry per permutation
+    assert divisors == 1
+    assert entries <= 120
+
+
+def test_divisor_tables_are_kept_for_two_divisors_at_most():
+    """Builds at three points in one process leave divisor tables for at
+    most the last two divisors, and a test against a third divisor evicts
+    the oldest table without changing any answer."""
+    from geen_garside.words import divisor_table
+
+    divisor_table.cache_clear()
+    for point in ((3, 3, 1), (3, 3, 2), (4, 3, 1)):
+        build_interval(GroupParams(*point))
+        assert divisor_table.cache_info().currsize <= 2
+    params = GroupParams(4, 3)
+    group = enumerate_group(params)
+    divisors = [lambda_power(params, 1), group[40], group[80]]
+    for b in divisors:
+        for a in group:
+            assert left_divides(a, b) == _divides_by_definition(a, b), (a, b)
+        assert divisor_table.cache_info().currsize <= 2
+        assert len(divisor_table(b)) <= 6
 
 
 def test_left_divides_basics():
@@ -708,16 +732,12 @@ def test_divisor_theorem_oracle_reports_a_disagreement(monkeypatch):
         divisor_theorem_oracle(iv, group)
 
 
-def test_divisor_scan_makes_two_tests_per_group_element(monkeypatch):
-    """The divisor-theorem scan at (3,3,2) makes exactly 2 |G| = 108
-    left_divides calls, one on w and one on its transpose; the benchmark's
-    traced interval.divisor_scan_calls counts the same calls."""
+def _divisor_scan_calls(monkeypatch, params: GroupParams) -> int:
+    """left_divides calls made by the divisor-theorem scan of one interval."""
     from geen_garside import interval as interval_module
     from geen_garside.interval import divisor_theorem_oracle
 
-    params = GroupParams(3, 3, 2)
-    iv = cached_interval(3, 3, 2)
-    group = enumerate_group(params)
+    iv = cached_interval(*params)
     calls = []
     honest = interval_module.left_divides
 
@@ -726,11 +746,28 @@ def test_divisor_scan_makes_two_tests_per_group_element(monkeypatch):
         return honest(a, b)
 
     monkeypatch.setattr(interval_module, "left_divides", counted)
-    divisor_theorem_oracle(iv, group)
-    assert len(calls) == 2 * params.order() == 108, (
-        f"the divisor scan made {len(calls)} left_divides calls, not 2 |G| = "
+    divisor_theorem_oracle(iv, enumerate_group(params))
+    monkeypatch.undo()
+    return len(calls)
+
+
+def test_divisor_scan_makes_two_tests_per_group_element(monkeypatch):
+    """The divisor-theorem scan at (3,3,2) makes exactly 2 |G| = 108
+    left_divides calls, one on w and one on its transpose; the benchmark's
+    traced interval.divisor_scan_calls counts the same calls."""
+    params = GroupParams(3, 3, 2)
+    calls = _divisor_scan_calls(monkeypatch, params)
+    assert calls == 2 * params.order() == 108, (
+        f"the divisor scan made {calls} left_divides calls, not 2 |G| = "
         f"{2 * params.order()}; the benchmark asserts 2 |G| divisor tests per build"
     )
+
+
+@pytest.mark.parametrize("point", [(4, 3, 2), (2, 4, 1)])
+def test_divisor_scan_makes_two_tests_per_group_element_elsewhere(monkeypatch, point):
+    """The 2 |G| count holds off (3,3,2) too, in rank 3 and in rank 4."""
+    params = GroupParams(*point)
+    assert _divisor_scan_calls(monkeypatch, params) == 2 * params.order()
 
 
 def test_divisibility_tables_against_the_definition_on_small_grid_points():
