@@ -73,9 +73,9 @@ from .garside import (
 from .snf import AbelianGroup, smith_normal_form
 from .homology import (
     chain_condition_holds,
-    differential,
     differential_closed_form,
     differential_generic,
+    differentials,
     enumerate_cells,
     homology_group,
     predicted_h2,

@@ -37,7 +37,13 @@ from .garside import (
     is_isomorphic_to_CP,
     t_cycle_components,
 )
-from .homology import _differentials, chain_condition_holds, enumerate_cells, homology_group
+from .homology import (
+    TOP_DEGREE,
+    chain_condition_holds,
+    differentials,
+    enumerate_cells,
+    homology_group,
+)
 from .words import cayley_length_table, length, reduced_expression
 
 EXIT_OK = 0
@@ -176,12 +182,11 @@ def _cmd_interval(args) -> int:
     }
     if args.verify_lattice:
         report = verify_lattice(interval)
-        summary["lattice"] = {
-            "meet_left": report.meet_left,
-            "join_left": report.join_left,
-            "meet_right": report.meet_right,
-            "join_right": report.join_right,
-        }
+        # one verdict: the right order is the left one read through the
+        # transpose, and joins are complemented meets
+        summary["lattice"] = dict.fromkeys(
+            ("meet_left", "join_left", "meet_right", "join_right"), report.all_ok
+        )
         if not report.all_ok:
             print(_canonical(summary))
             print(f"lattice violation: {report.counterexample}", file=sys.stderr)
@@ -239,7 +244,7 @@ def _cmd_homology(args) -> int:
     group = homology_group(g, args.order, method=args.method)
     if args.dump_matrices:
         # one memo scope for both matrices, so d3 reuses the chains of d2
-        d2, d3 = _differentials(g, (2, 3), args.method)
+        d2, d3 = differentials(g, (2, 3), args.method)
         dump = {
             "d2": d2,
             "d3": d3,
@@ -281,7 +286,7 @@ def _verify_suite(args) -> list[str]:
                 failures.append("garside: embedding lcm compatibility failed")
         elif suite == "homology":
             g = cached_garside(args.e, args.n, args.k)
-            d2, d3 = _differentials(g, (2, 3), "closed")
+            d2, d3 = differentials(g, (2, 3))
             if not chain_condition_holds(d2, d3):
                 failures.append("homology: d2*d3 != 0")
     return failures
@@ -427,9 +432,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dot", help="write a DOT diagram to this path")
     p.set_defaults(func=_cmd_presentation)
 
-    p = sub.add_parser("homology", help="integral homology H_1 or H_2")
+    p = sub.add_parser("homology", help="integral homology H_r")
     _add_params(p, with_k=True)
-    p.add_argument("--order", type=int, choices=(1, 2), required=True)
+    p.add_argument("--order", type=int, choices=range(1, TOP_DEGREE), required=True)
     p.add_argument(
         "--method", choices=("closed", "generic", "both"), default="closed"
     )

@@ -5,31 +5,32 @@ finite free resolution.
 Cells in degree r are the increasing r-tuples of atoms, under the order
 s_n < s_{n-1} < ... < s_3 < t_0 < t_1 < ... < t_{e-1}, that pass the head
 condition: each atom must be the least atom right-dividing the right lcm of
-the tail it starts.  `CellComplex` filters the cells of degrees 0..3 once,
-when it is built for a structure, and is the one place that knows the top
-degree; the right lcm of a tail is one join of its first atom with the lcm
-of the shorter tail.
+the tail it starts.  `TOP_DEGREE` is the one place the top degree is
+written: `CellComplex` filters the cells of degrees 0..TOP_DEGREE once, when
+it is built for a structure, and `homology_group` takes 1 <= r < TOP_DEGREE.
+The right lcm of a tail is one join of its first atom with the lcm of the
+shorter tail.
 
 Chains carry coefficients in the monoid ring and are flat dicts
-(cell, normal form) -> integer; `differential_generic` implements the
-recursive contracting-homotopy definition of the boundary maps verbatim (it
-is the ground truth), while `differential_closed_form` types out the
-worked-out row formulas.  Both hand the (face, coefficient) pairs of each
-cell to one assembly, `_boundary_matrix`, which also holds the degree guard.
-The homotopy maps u and s act on single monomials (degree, coefficient,
-cell).  One memo scope, a `_GenericDifferential`, computes every partial
-chain, s-monomial, least right-dividing atom and normal-form product once:
-a `differential_generic` call has one of its own, and a `homology_group`
-call with the generic route has one for d_r and d_{r+1} together, so d_{r+1}
-reuses the chains of d_r.  The memo is dropped when the call returns, and
-GENERIC_OP_CAP bounds the work actually computed in one scope.
-With trivial coefficients every monoid coefficient collapses to its integer
-term count, giving the integer matrices d_1, d_2, d_3.
+(cell, normal form) -> integer; the generic route implements the recursive
+contracting-homotopy definition of the boundary maps verbatim (it is the
+ground truth), while `differential_closed_form` types out the worked-out row
+formulas.  Both hand the (face, coefficient) pairs of each cell to one
+assembly, `_boundary_matrix`, which also holds the degree guard, and
+`differentials` is the one entry point that picks the route.  The homotopy
+maps u and s act on single monomials (degree, coefficient, cell).  One memo
+scope, a `_GenericDifferential`, computes every partial chain, s-monomial,
+least right-dividing atom and normal-form product once: a `differentials`
+call has one for all the degrees it is asked for, so d_{r+1} reuses the
+chains of d_r.  The memo is dropped when the call returns, and
+GENERIC_OP_CAP bounds the work actually computed in one scope.  With trivial
+coefficients every monoid coefficient collapses to its integer term count,
+giving the integer matrices d_1, ..., d_TOP_DEGREE.
 
 Homology is ker(d_r)/im(d_{r+1}), read off integer Smith diagonals by one
-formula for r = 1, 2: the cokernel of d_{r+1} with the rank of d_r taken off
-its free part, so no kernel basis is ever formed.  Above the interval, cells
-and their faces are only ordinals: the cofactors that the boundary maps need
+formula: the cokernel of d_{r+1} with the rank of d_r taken off its free
+part, so no kernel basis is ever formed.  Above the interval, cells and
+their faces are only ordinals: the cofactors that the boundary maps need
 are left quotients of complements, which the Garside layer's
 `normalize_pair` computes by the same atom-by-atom walk that makes normal
 forms left-weighted.
@@ -49,6 +50,10 @@ Cell = tuple[Generator, ...]
 
 GENERIC_OP_CAP = 10**6
 
+# the top degree of the resolution: cells are filtered up to it, and H_r is
+# computed below it, where d_{r+1} exists
+TOP_DEGREE = 3
+
 
 def atom_order(params: GroupParams) -> list[Generator]:
     """s_n < s_{n-1} < ... < s_3 < t_0 < t_1 < ... < t_{e-1}."""
@@ -60,7 +65,7 @@ def atom_order(params: GroupParams) -> list[Generator]:
 class CellComplex:
     """Cell bases and lcm/head machinery over a Garside structure.
 
-    `cells[r]` holds the r-cells for r = 0..3 as position tuples, in
+    `cells[r]` holds the r-cells for r = 0..TOP_DEGREE as position tuples, in
     lexicographic order (the order `combinations` yields them in); its length
     is the number of degrees the resolution is computed in.
     """
@@ -73,7 +78,8 @@ class CellComplex:
         self._lcm_cache: dict[tuple[int, ...], int] = {(): self.interval.identity_ordinal}
         positions = range(len(self.order))
         self.cells = [
-            [c for c in combinations(positions, r) if self.is_cell(c)] for r in range(4)
+            [c for c in combinations(positions, r) if self.is_cell(c)]
+            for r in range(TOP_DEGREE + 1)
         ]
 
     def lcm(self, positions: tuple[int, ...]) -> int:
@@ -132,7 +138,8 @@ def complex_of(g: GarsideStructure) -> CellComplex:
 
 
 def enumerate_cells(g: GarsideStructure, r: int) -> list[Cell]:
-    """All r-cells (r <= 3) in lexicographic order of atom positions."""
+    """All r-cells (0 <= r <= TOP_DEGREE) in lexicographic order of atom
+    positions."""
     cx = complex_of(g)
     if not 0 <= r < len(cx.cells):
         raise ValueError(f"only cells of dimension <= {len(cx.cells) - 1} are supported")
@@ -160,8 +167,6 @@ def _boundary_matrix(cx: CellComplex, r: int, faces) -> list[list[int]]:
 def differential_closed_form(g: GarsideStructure, r: int) -> list[list[int]]:
     """Matrix of d_r from the row formulas, picked by the braid_m of each pair
     of atoms of the cell."""
-    if r > 3:
-        raise ValueError("closed forms exist for r in {1, 2, 3}")
     cx = complex_of(g)
     e, k = g.params.e, g.params.k
     position = {x: p for p, x in enumerate(cx.order)}
@@ -244,15 +249,15 @@ class _GenericDifferential:
     A chain is one flat dict from (cell, coefficient) to its nonzero integer
     multiplicity.
 
-    One instance is one memo scope: one `differential_generic` call, or one
-    `homology_group` call, whose d_r and d_{r+1} then share every chain.  It
-    memoizes partial on cells, s on monomials (r, nf, cell), the least
-    right-dividing atom on coefficients, and the normal forms of simples and
-    of products, so the recursion computes each of them once; the memoized
-    chains are shared between callers and never modified.  Nothing outlives
-    the instance: no memo is kept on the structure, on its cell complex or
-    in the module.  GENERIC_OP_CAP bounds the monomials and products
-    actually computed in one scope, not the memo hits.
+    One instance is one memo scope: one `differentials` call, whose degrees
+    then share every chain.  It memoizes partial on cells, s on monomials
+    (r, nf, cell), the least right-dividing atom on coefficients, and the
+    normal forms of simples and of products, so the recursion computes each
+    of them once; the memoized chains are shared between callers and never
+    modified.  Nothing outlives the instance: no memo is kept on the
+    structure, on its cell complex or in the module.  GENERIC_OP_CAP bounds
+    the monomials and products actually computed in one scope, not the memo
+    hits.
     """
 
     def __init__(self, cx: CellComplex):
@@ -266,6 +271,12 @@ class _GenericDifferential:
         self._product_memo: dict[tuple[NormalForm, NormalForm], NormalForm] = {}
         self._simple_memo: dict[int, NormalForm] = {}
         self.ops = 0
+
+    def faces(self, cell: tuple[int, ...]):
+        """The (face, coefficient) pairs of partial[cell], coefficients
+        augmented to integers."""
+        for (bcell, _), coeff in self.partial_cell(cell).items():
+            yield bcell, coeff
 
     def _tick(self) -> None:
         self.ops += 1
@@ -386,25 +397,18 @@ class _GenericDifferential:
         return out
 
 
-def _generic_matrix(generic: _GenericDifferential, r: int) -> list[list[int]]:
-    """Matrix of d_r from the partial chains of one memo scope."""
-
-    def faces(cell: tuple[int, ...]):
-        for (bcell, _), coeff in generic.partial_cell(cell).items():
-            yield bcell, coeff
-
-    return _boundary_matrix(generic.cx, r, faces)
-
-
 def differential_generic(g: GarsideStructure, r: int) -> list[list[int]]:
     """Matrix of d_r from the recursive definition, augmented to integers."""
-    return _generic_matrix(_GenericDifferential(complex_of(g)), r)
+    return differentials(g, (r,), "generic")[0]
 
 
-def _differentials(g: GarsideStructure, degrees, method: str) -> list[list[list[int]]]:
-    """The matrices of d_r for r in degrees by one method.  The generic ones
-    come from one `_GenericDifferential`, so a higher degree reuses the
-    chains of a lower one; "both" raises on any disagreement."""
+def differentials(
+    g: GarsideStructure, degrees, method: str = "closed"
+) -> list[list[list[int]]]:
+    """The matrices of d_r for r in degrees by one method: "closed",
+    "generic" or "both".  The generic ones come from one
+    `_GenericDifferential`, so a higher degree reuses the chains of a lower
+    one; "both" raises on any disagreement."""
     if method not in ("closed", "generic", "both"):
         raise ValueError(f"unknown method {method!r}")
     generic = None if method == "closed" else _GenericDifferential(complex_of(g))
@@ -412,7 +416,7 @@ def _differentials(g: GarsideStructure, degrees, method: str) -> list[list[list[
     for r in degrees:
         matrix = None if method == "generic" else differential_closed_form(g, r)
         if generic is not None:
-            computed = _generic_matrix(generic, r)
+            computed = _boundary_matrix(generic.cx, r, generic.faces)
             if matrix is not None and matrix != computed:
                 raise TheoremViolationError(
                     f"closed-form and generic d_{r} matrices disagree"
@@ -422,10 +426,6 @@ def _differentials(g: GarsideStructure, degrees, method: str) -> list[list[list[
     return out
 
 
-def differential(g: GarsideStructure, r: int, method: str = "closed") -> list[list[int]]:
-    return _differentials(g, (r,), method)[0]
-
-
 def chain_condition_holds(d_lo: list[list[int]], d_hi: list[list[int]]) -> bool:
     """d_lo * d_hi = 0 as integer matrices."""
     product = mat_mul(d_lo, d_hi)
@@ -433,7 +433,7 @@ def chain_condition_holds(d_lo: list[list[int]], d_hi: list[list[int]]) -> bool:
 
 
 def homology_group(g: GarsideStructure, r: int, method: str = "closed") -> AbelianGroup:
-    """H_r = ker(d_r)/im(d_{r+1}) for r = 1, 2, over the integers.
+    """H_r = ker(d_r)/im(d_{r+1}) for 1 <= r < TOP_DEGREE, over the integers.
 
     Once d_r d_{r+1} = 0 is checked, im d_{r+1} lies in ker d_r, and
     C_r/ker d_r is isomorphic to im d_r, a subgroup of the free module
@@ -443,9 +443,9 @@ def homology_group(g: GarsideStructure, r: int, method: str = "closed") -> Abeli
     taken off its free rank.  After trivializing coefficients d_1 = 0, so
     H_1 is the whole cokernel of d_2 on the atom module.
     """
-    if r not in (1, 2):
-        raise ValueError(f"homology computed only in degrees 1 and 2, not {r}")
-    d_lo, d_hi = _differentials(g, (r, r + 1), method)
+    if not 1 <= r < TOP_DEGREE:
+        raise ValueError(f"homology is computed in degrees 1..{TOP_DEGREE - 1}, not {r}")
+    d_lo, d_hi = differentials(g, (r, r + 1), method)
     if not chain_condition_holds(d_lo, d_hi):
         raise TheoremViolationError(f"d_{r} d_{r + 1} != 0")
     return quotient_group(len(d_hi) - smith_normal_form(d_lo).rank, d_hi)

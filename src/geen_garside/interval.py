@@ -266,8 +266,9 @@ class Interval:
         flip = self.flip
         return sum(1 << flip[a] for a in _bits(self.div_left[flip[ordinal]]))
 
-    def divisors(self, ordinal: int, side: str = "left") -> list[int]:
-        return _bits(self.div_left[ordinal] if side == "left" else self.right_row(ordinal))
+    def divisors(self, ordinal: int) -> list[int]:
+        """Ordinals of the left divisors of a member."""
+        return _bits(self.div_left[ordinal])
 
     def covers(self, ordinal: int) -> list[int]:
         """Ordinals covered by `ordinal` on the left: its divisors one length
@@ -322,27 +323,16 @@ def _read_through(
 
 
 class LatticeReport(NamedTuple):
-    """Meets per side; a join on one side is a complemented meet on the other.
+    """Whether every pair of members has a meet and a join on both sides,
+    with the first violation found when not.
 
-    A right meet is a left meet read through the transpose, so meet_right
-    equals meet_left in every report built from an `Interval`.
+    One verdict covers all four: the right order is the left order read
+    through the transpose, and a join on one side is a complemented meet on
+    the other.
     """
 
-    meet_left: bool
-    meet_right: bool
+    all_ok: bool
     counterexample: LatticeViolation | None = None
-
-    @property
-    def join_left(self) -> bool:
-        return self.meet_right
-
-    @property
-    def join_right(self) -> bool:
-        return self.meet_left
-
-    @property
-    def all_ok(self) -> bool:
-        return self.meet_left and self.meet_right
 
 
 def _bits(mask: int) -> list[int]:
@@ -593,15 +583,16 @@ def verify_lattice(interval: Interval) -> LatticeReport:
     antichain lists the bits of div[b] that disagree with the closure.
 
     The table is the left one.  The right order is the left order read
-    through the transpose, an order isomorphism onto it, so meet_right ==
-    meet_left; joins are complemented meets, so all joins on one side
-    exist exactly when all meets on the other do.
+    through the transpose, an order isomorphism onto it, so right meets
+    exist exactly when left meets do; joins are complemented meets, so all
+    joins on one side exist exactly when all meets on the other do.  The
+    report's one verdict therefore covers meets and joins on both sides.
     """
     div = interval.div_left
     top = interval.delta_ordinal
     full = (1 << len(interval)) - 1
     if div[top] != full:
-        return _report(_closure_violation(div, top, full & ~div[top]))
+        return LatticeReport(False, _closure_violation(div, top, full & ~div[top]))
     lengths, layer_start = interval.lengths, interval.layer_start
     for b in range(len(interval)):
         # the covers of b, as in `Interval.covers`, and the union of their tables
@@ -621,15 +612,15 @@ def verify_lattice(interval: Interval) -> LatticeReport:
         # bits that differ from the closure, and bit 0 if the identity is missing
         wrong = (closure ^ here) | (~here & 1)
         if wrong:
-            return _report(_closure_violation(div, b, wrong))
+            return LatticeReport(False, _closure_violation(div, b, wrong))
         # the check of `_meet_violation` on every pair of covers
         for i, a in enumerate(covers):
             above = div[a]
             for c in covers[i + 1:]:
                 common = above & div[c]
                 if common & ~div[common.bit_length() - 1]:
-                    return _report(_meet_violation(div, a, c))
-    return _report(None)
+                    return LatticeReport(False, _meet_violation(div, a, c))
+    return LatticeReport(True)
 
 
 def _closure_violation(div: list[int], b: int, wrong: int) -> LatticeViolation:
@@ -653,15 +644,8 @@ def lattice_pairwise_oracle(interval: Interval) -> LatticeReport:
         for b in range(a, len(div)):
             violation = _meet_violation(div, a, b)
             if violation:
-                return _report(violation)
-    return _report(None)
-
-
-def _report(violation: LatticeViolation | None) -> LatticeReport:
-    """The first violation of the left table as a report; the right side,
-    the same order read through the transpose, shares its verdict."""
-    ok = violation is None
-    return LatticeReport(meet_left=ok, meet_right=ok, counterexample=violation)
+                return LatticeReport(False, violation)
+    return LatticeReport(True)
 
 
 def atom_lcm_table(interval: Interval):

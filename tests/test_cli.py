@@ -16,6 +16,7 @@ from geen_garside.cli import (
     regression_records,
     run,
 )
+from geen_garside.homology import TOP_DEGREE
 from geen_garside.interval import TheoremViolationError
 
 WORKED = '{"e":3,"n":4,"perm":[4,2,3,1],"exps":[0,2,1,0]}'
@@ -244,7 +245,7 @@ def test_interval_lattice_violation_exits_4(capsys, monkeypatch):
 
     violation = LatticeViolation("left", "meet", (1, 2), (3, 4))
     monkeypatch.setattr(
-        cli, "verify_lattice", lambda interval: LatticeReport(False, True, violation)
+        cli, "verify_lattice", lambda interval: LatticeReport(False, violation)
     )
     assert run(["interval", "--e", "3", "--n", "3", "--k", "1",
                 "--verify-lattice"]) == EXIT_VIOLATION
@@ -252,8 +253,8 @@ def test_interval_lattice_violation_exits_4(capsys, monkeypatch):
     summary = json.loads(captured.out)
     assert summary["members"] == 35
     assert summary["lattice"] == {
-        "meet_left": False, "join_left": True,
-        "meet_right": True, "join_right": False,
+        "meet_left": False, "join_left": False,
+        "meet_right": False, "join_right": False,
     }
     assert captured.err.startswith("lattice violation: ")
     assert "(1, 2)" in captured.err
@@ -286,6 +287,20 @@ def test_malformed_element_is_a_usage_error(command, element, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: ")
+
+
+@pytest.mark.parametrize("order", ["0", str(TOP_DEGREE)])
+def test_homology_order_outside_the_resolution_is_a_usage_error(capsys, monkeypatch, order):
+    """argparse refuses the order before any structure is built."""
+    from geen_garside import cli
+
+    def build(*args):
+        raise AssertionError("a structure was built")
+
+    monkeypatch.setattr(cli, "cached_garside", build)
+    args = ["homology", "--e", "3", "--n", "3", "--k", "1", "--order", order]
+    assert run(args) == EXIT_USAGE
+    assert "invalid choice" in capsys.readouterr().err
 
 
 def test_cap_exceeded(capsys, monkeypatch):

@@ -399,9 +399,9 @@ _VIOLATION = LatticeViolation("left", "meet", (1, 2), (3, 4))
             "LatticeViolation(side='left', operation='meet', pair=(1, 2), antichain=(3, 4))",
         ),
         (
-            LatticeReport(True, False, _VIOLATION),
-            (True, False, _VIOLATION),
-            "LatticeReport(meet_left=True, meet_right=False, counterexample="
+            LatticeReport(False, _VIOLATION),
+            (False, _VIOLATION),
+            "LatticeReport(all_ok=False, counterexample="
             "LatticeViolation(side='left', operation='meet', pair=(1, 2), antichain=(3, 4)))",
         ),
         (
@@ -437,11 +437,10 @@ def test_smith_result_is_a_record_of_its_fields():
 
 def test_record_defaults_and_properties():
     assert GroupParams(3, 3).k is None
-    report = LatticeReport(True, True)
-    assert report.counterexample is None
-    assert (report.join_left, report.join_right, report.all_ok) == (True, True, True)
-    report = LatticeReport(True, False, _VIOLATION)
-    assert (report.join_left, report.join_right, report.all_ok) == (False, True, False)
+    report = LatticeReport(True)
+    assert report.counterexample is None and report.all_ok
+    report = LatticeReport(False, _VIOLATION)
+    assert not report.all_ok and report.counterexample is _VIOLATION
     record = RegressionRecord("key", {"b": 1, "a": [2]})
     assert record.line() == f'{{"key":"key","value":{{"a":[2],"b":1}},"version":"{__version__}"}}'
 

@@ -12,9 +12,9 @@ from geen_garside import (
     build_interval,
     cached_garside,
     chain_condition_holds,
-    differential,
     differential_closed_form,
     differential_generic,
+    differentials,
     enumerate_cells,
     homology_group,
     is_isomorphic_to_CP,
@@ -106,11 +106,45 @@ def test_no_cells_above_dimension():
         enumerate_cells(cached_garside(3, 3, 1), -1)
 
 
-@pytest.mark.parametrize("r", [0, 4])
-@pytest.mark.parametrize("route", [differential_closed_form, differential_generic])
+@pytest.mark.parametrize("r", [0, homology.TOP_DEGREE + 1])
+@pytest.mark.parametrize(
+    "route",
+    [differential_closed_form, differential_generic]
+    + [
+        pytest.param(lambda g, r, m=m: differentials(g, (r,), m), id=f"differentials-{m}")
+        for m in ("closed", "generic", "both")
+    ],
+)
 def test_differentials_only_in_degrees_1_to_3(route, r):
     with pytest.raises(ValueError):
         route(cached_garside(3, 3, 1), r)
+
+
+@pytest.mark.parametrize("r", [0, homology.TOP_DEGREE])
+def test_homology_degree_is_refused_before_any_matrix(monkeypatch, r):
+    def entered(*args):
+        raise AssertionError("_boundary_matrix was entered")
+
+    monkeypatch.setattr(homology, "_boundary_matrix", entered)
+    with pytest.raises(ValueError, match=f"not {r}$"):
+        homology_group(cached_garside(3, 3, 1), r)
+
+
+def test_top_degree_is_the_one_bound(monkeypatch):
+    """Raising TOP_DEGREE alone extends both routes one degree.  (2,3,1) is
+    the braid group on 4 strands, whose homology Z, Z/2, 0 is Arnold's (On
+    some topological invariants of algebraic functions, 1970); with three
+    atoms it has no 4-cell."""
+    monkeypatch.setattr(homology, "TOP_DEGREE", 4)
+    g = build_garside(build_interval(GroupParams(2, 3, 1)))
+    cells = homology.complex_of(g).cells
+    assert len(cells) == 5 and cells[4] == []
+    for method in ("closed", "generic"):
+        assert [homology_group(g, r, method) for r in (1, 2, 3)] == [
+            AbelianGroup.from_cyclic([0]),
+            AbelianGroup.from_cyclic([2]),
+            AbelianGroup.from_cyclic([]),
+        ], method
 
 
 @pytest.mark.parametrize("e,n,k", [(3, 3, 1), (4, 4, 2), (2, 5, 1)])
@@ -274,7 +308,7 @@ def test_generic_equals_closed_form(e, n, k):
     assert differential_generic(g, 2) == d2c
     assert differential_generic(g, 3) == d3c
     assert chain_condition_holds(d2c, d3c)
-    assert differential(g, 2, method="both") == d2c
+    assert differentials(g, (2,), "both")[0] == d2c
 
 
 @pytest.mark.parametrize("e,n,k", [(3, 4, 1), (4, 4, 2)])

@@ -38,6 +38,37 @@ def test_no_unused_top_level_imports(path):
     assert unused_imports(path.read_text()) == []
 
 
+def private_imports(source: str) -> list[str]:
+    """Underscore names imported from a module of the package, at any depth;
+    dunders such as `__version__` are public."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom) and (
+            node.level or (node.module or "").split(".")[0] == SRC.name
+        ):
+            found += [
+                a.name for a in node.names
+                if a.name.startswith("_") and not a.name.endswith("__")
+            ]
+    return found
+
+
+def test_the_check_sees_a_private_import():
+    source = (
+        "from . import __version__\n"
+        "from os import _exit\n"
+        "from .homology import _GenericDifferential, homology_group\n"
+        "def f():\n    from geen_garside.interval import _bits\n"
+    )
+    assert private_imports(source) == ["_GenericDifferential", "_bits"]
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_no_private_names_imported_across_modules(path):
+    """A library module uses only the public names of its siblings."""
+    assert private_imports(path.read_text()) == []
+
+
 ROOT = SRC.parent.parent
 TREES = [ROOT / name for name in ("src", "tests", "demos", "perfbench")]
 
