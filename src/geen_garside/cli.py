@@ -11,6 +11,8 @@ lines and fails on any drift when rerun against an existing file.
 from __future__ import annotations
 
 import json
+import os
+import stat
 import sys
 from typing import NamedTuple
 
@@ -43,6 +45,7 @@ from .homology import (
     differentials,
     enumerate_cells,
     homology_group,
+    homology_of,
 )
 from .words import cayley_length_table, length, reduced_expression
 
@@ -241,13 +244,15 @@ def _cmd_presentation(args) -> int:
 
 def _cmd_homology(args) -> int:
     g = cached_garside(args.e, args.n, args.k)
-    group = homology_group(g, args.order, method=args.method)
+    r = args.order
+    # one differentials call, so one memo scope serves H_r and the dump
+    degrees = sorted({r, r + 1} | ({2, 3} if args.dump_matrices else set()))
+    d = dict(zip(degrees, differentials(g, degrees, args.method)))
+    group = homology_of(r, d[r], d[r + 1])
     if args.dump_matrices:
-        # one memo scope for both matrices, so d3 reuses the chains of d2
-        d2, d3 = differentials(g, (2, 3), args.method)
         dump = {
-            "d2": d2,
-            "d3": d3,
+            "d2": d[2],
+            "d3": d[3],
             "cells1": [format_word(c) for c in enumerate_cells(g, 1)],
             "cells2": [format_word(c) for c in enumerate_cells(g, 2)],
             "cells3": [format_word(c) for c in enumerate_cells(g, 3)],
@@ -341,24 +346,40 @@ def regression_records(params: GroupParams) -> list[RegressionRecord]:
 
 
 def freeze_regressions(grid: list[GroupParams], path: str) -> list[RegressionRecord]:
-    """Write (or check against) a canonical JSONL regression file."""
+    """Write (or check against) a canonical JSONL regression file.
+
+    An existing path must be a regular file, and at most one character more
+    than the expected text is read from it, so no file or device is read
+    without a bound.
+    """
+    try:
+        mode = os.stat(path).st_mode
+    except FileNotFoundError:
+        mode = None
+    if mode is not None and not stat.S_ISREG(mode):
+        raise ValueError(f"{path} exists and is not a regular file")
     records: list[RegressionRecord] = []
     for params in grid:
         records.extend(regression_records(params))
     lines = [record.line() for record in records]
-    try:
-        with open(path) as handle:
-            existing = handle.read().splitlines()
-    except FileNotFoundError:
+    text = "\n".join(lines) + ("\n" if lines else "")
+    if mode is None:
         with open(path, "w") as handle:
-            handle.write("\n".join(lines) + ("\n" if lines else ""))
+            handle.write(text)
         return records
+    with open(path) as handle:
+        frozen = handle.read(len(text) + 1)
+    existing = frozen.splitlines()
     if existing != lines:
         for old, new in zip(existing, lines):
             if old != new:
                 raise TheoremViolationError(
                     f"regression drift:\n  frozen: {old}\n  now:    {new}"
                 )
+        if len(frozen) > len(text):
+            raise TheoremViolationError(
+                f"regression drift: frozen file longer than the {len(lines)} lines now"
+            )
         raise TheoremViolationError(
             f"regression drift: {len(existing)} frozen lines vs {len(lines)} now"
         )

@@ -190,15 +190,22 @@ def format_word(letters) -> str:
     return " ".join(str(x) for x in letters)
 
 
-def _check_generator(g: Generator, params: GroupParams) -> None:
+def is_atom(g: Generator, params: GroupParams) -> bool:
+    """Whether g is one of `atoms(params)`: t_i with 0 <= i < e, or s_j with
+    3 <= j <= n."""
     if g.kind == "t":
-        if not 0 <= g.index < params.e:
-            raise ValueError(f"t-index {g.index} out of range for e={params.e}")
-    elif g.kind == "s":
-        if not 3 <= g.index <= params.n:
-            raise ValueError(f"s-index {g.index} out of range for n={params.n}")
-    else:
-        raise ValueError(f"unknown generator kind {g.kind!r}")
+        return 0 <= g.index < params.e
+    return g.kind == "s" and 3 <= g.index <= params.n
+
+
+def _check_generator(g: Generator, params: GroupParams) -> None:
+    if is_atom(g, params):
+        return
+    if g.kind == "t":
+        raise ValueError(f"t-index {g.index} out of range for e={params.e}")
+    if g.kind == "s":
+        raise ValueError(f"s-index {g.index} out of range for n={params.n}")
+    raise ValueError(f"unknown generator kind {g.kind!r}")
 
 
 class GroupElement(NamedTuple):

@@ -52,6 +52,7 @@ from .core import (
     braid_m,
     evaluate_word,
     inverse,
+    is_atom,
     multiply,
     parse_word,
 )
@@ -335,7 +336,7 @@ def is_defining_relation(
         m = braid_m(x, y)
         if not (m > 0 and lhs == alternating(x, y, m) and rhs == alternating(y, x, m)):
             return False
-    return set(lhs + rhs) <= set(atoms(params))
+    return all(is_atom(x, params) for x in lhs + rhs)
 
 
 def t_cycle_components(e: int, k: int) -> int:

@@ -5,11 +5,13 @@ finite free resolution.
 Cells in degree r are the increasing r-tuples of atoms, under the order
 s_n < s_{n-1} < ... < s_3 < t_0 < t_1 < ... < t_{e-1}, that pass the head
 condition: each atom must be the least atom right-dividing the right lcm of
-the tail it starts.  `TOP_DEGREE` is the one place the top degree is
-written: `CellComplex` filters the cells of degrees 0..TOP_DEGREE once, when
-it is built for a structure, and `homology_group` takes 1 <= r < TOP_DEGREE.
-The right lcm of a tail is one join of its first atom with the lcm of the
-shorter tail.
+the tail it starts.  So the tail of a cell is a cell, and the (r+1)-cells
+are the r-cells c extended by an atom p < c[0] that heads lcm(p, c).
+`TOP_DEGREE` is the one place the top degree is written: `CellComplex`
+generates the cells of degrees 0..TOP_DEGREE by that extension once, when
+it is built for a structure, together with the row of each cell in its
+degree, and `homology_group` takes 1 <= r < TOP_DEGREE.  The right lcm of a
+tail is one join of its first atom with the lcm of the shorter tail.
 
 Chains carry coefficients in the monoid ring and are flat dicts
 (cell, normal form) -> integer; the generic route implements the recursive
@@ -28,10 +30,10 @@ coefficients every monoid coefficient collapses to its integer term count,
 giving the integer matrices d_1, ..., d_TOP_DEGREE.
 
 Homology is ker(d_r)/im(d_{r+1}), read off integer Smith diagonals by one
-formula: the cokernel of d_{r+1} with the rank of d_r taken off its free
-part, so no kernel basis is ever formed.  Above the interval, cells and
-their faces are only ordinals: the cofactors that the boundary maps need
-are left quotients of complements, which the Garside layer's
+formula, `homology_of`: the cokernel of d_{r+1} with the rank of d_r taken
+off its free part, so no kernel basis is ever formed.  Above the interval,
+cells and their faces are only ordinals: the cofactors that the boundary
+maps need are left quotients of complements, which the Garside layer's
 `normalize_pair` computes by the same atom-by-atom walk that makes normal
 forms left-weighted.
 """
@@ -39,7 +41,6 @@ forms left-weighted.
 from __future__ import annotations
 
 import math
-from itertools import combinations
 
 from .core import CapExceededError, Generator, GroupParams, braid_m
 from .garside import GarsideStructure, NormalForm
@@ -50,7 +51,7 @@ Cell = tuple[Generator, ...]
 
 GENERIC_OP_CAP = 10**6
 
-# the top degree of the resolution: cells are filtered up to it, and H_r is
+# the top degree of the resolution: cells are generated up to it, and H_r is
 # computed below it, where d_{r+1} exists
 TOP_DEGREE = 3
 
@@ -65,9 +66,12 @@ def atom_order(params: GroupParams) -> list[Generator]:
 class CellComplex:
     """Cell bases and lcm/head machinery over a Garside structure.
 
-    `cells[r]` holds the r-cells for r = 0..TOP_DEGREE as position tuples, in
-    lexicographic order (the order `combinations` yields them in); its length
-    is the number of degrees the resolution is computed in.
+    `cells[r]` holds the r-cells for r = 0..TOP_DEGREE as position tuples in
+    lexicographic order, and `row_index[r]` maps each r-cell to its place in
+    `cells[r]`; their length is the number of degrees the resolution is
+    computed in.  The (r+1)-cells are the r-cells c extended by an atom
+    p < c[0] with head lcm(p, c) = p, since the tail of a cell is a cell, so
+    the lcm memo holds only the cells and their one-atom extensions.
     """
 
     def __init__(self, g: GarsideStructure):
@@ -76,11 +80,16 @@ class CellComplex:
         self.order = atom_order(g.params)
         self.atom_ordinal = [self.interval.atom_ordinal[x] for x in self.order]
         self._lcm_cache: dict[tuple[int, ...], int] = {(): self.interval.identity_ordinal}
-        positions = range(len(self.order))
-        self.cells = [
-            [c for c in combinations(positions, r) if self.is_cell(c)]
-            for r in range(TOP_DEGREE + 1)
-        ]
+        self.cells = [[()]]
+        # each cell tuple is also its key in the lcm memo, so it is made once
+        for _ in range(TOP_DEGREE):
+            self.cells.append(sorted(
+                cell
+                for c in self.cells[-1]
+                for p in range(c[0] if c else len(self.order))
+                if self.head_atom(self.lcm(cell := (p,) + c)) == p
+            ))
+        self.row_index = [{c: i for i, c in enumerate(cells)} for cells in self.cells]
 
     def lcm(self, positions: tuple[int, ...]) -> int:
         """Right lcm (least common left-multiple) of an increasing atom tuple:
@@ -102,15 +111,10 @@ class CellComplex:
                 return p
         return None
 
-    def is_cell(self, positions: tuple[int, ...]) -> bool:
-        """Whether an increasing atom tuple passes the head condition."""
-        return all(
-            self.head_atom(self.lcm(positions[i:])) == positions[i]
-            for i in range(len(positions))
-        )
-
     def cofactor(self, alpha: int, tail: tuple[int, ...]) -> int:
-        """Simple c with c * lcm(tail) = lcm(alpha, tail), as an ordinal.
+        """Simple c with c * lcm(tail) = lcm(alpha, tail), as an ordinal.  The
+        callers pass alpha < tail[0], so (alpha,) + tail is the increasing
+        tuple whose lcm the memo keeps.
 
         With whole = c * base, the left complements satisfy
         comp_right[base] = comp_right[whole] * c, so c is the left quotient
@@ -120,7 +124,7 @@ class CellComplex:
         into a, since it divides comp_right[base]; its second factor is c.
         """
         iv = self.interval
-        whole = iv.comp_right[self.lcm(tuple(sorted((alpha,) + tail)))]
+        whole = iv.comp_right[self.lcm((alpha,) + tail)]
         c = iv.comp_right[self.lcm(tail)]
         if not (iv.div_left[c] >> whole) & 1:
             raise TheoremViolationError(
@@ -153,11 +157,11 @@ def _boundary_matrix(cx: CellComplex, r: int, faces) -> list[list[int]]:
         raise ValueError(
             f"the resolution is computed in degrees 1..{len(cx.cells) - 1}, not {r}"
         )
-    row_of = {c: i for i, c in enumerate(cx.cells[r - 1])}
-    matrix = zero_matrix(len(cx.cells[r - 1]), len(cx.cells[r]))
+    row_index = cx.row_index[r - 1]
+    matrix = zero_matrix(len(row_index), len(cx.cells[r]))
     for col, cell in enumerate(cx.cells[r]):
         for face, coeff in faces(cell):
-            matrix[row_of[face]][col] += coeff
+            matrix[row_index[face]][col] += coeff
     return matrix
 
 
@@ -264,7 +268,6 @@ class _GenericDifferential:
         self.cx = cx
         self.g = cx.g
         self.identity_nf = NormalForm(0, ())
-        self._cells = [set(cells) for cells in cx.cells]
         self._partial_memo: dict[tuple[int, ...], Chain] = {}
         self._s_memo: dict[tuple[int, NormalForm, tuple[int, ...]], Chain] = {}
         self._d_memo: dict[NormalForm, tuple[int, NormalForm]] = {}
@@ -380,7 +383,7 @@ class _GenericDifferential:
         if not y.is_monoid_element():
             raise TheoremViolationError("homotopy quotient left the monoid")
         new_cell = (alpha,) + cell
-        if new_cell not in self._cells[r + 1]:
+        if new_cell not in self.cx.row_index[r + 1]:
             raise TheoremViolationError(f"homotopy produced a non-cell {new_cell}")
         # s_r(y * u_r(cofactor[cell])), where u_r(cofactor[cell]) is
         # cofactor[cell] - partial[new_cell] by the definition of partial;
@@ -432,8 +435,8 @@ def chain_condition_holds(d_lo: list[list[int]], d_hi: list[list[int]]) -> bool:
     return all(all(entry == 0 for entry in row) for row in product)
 
 
-def homology_group(g: GarsideStructure, r: int, method: str = "closed") -> AbelianGroup:
-    """H_r = ker(d_r)/im(d_{r+1}) for 1 <= r < TOP_DEGREE, over the integers.
+def homology_of(r: int, d_lo: list[list[int]], d_hi: list[list[int]]) -> AbelianGroup:
+    """H_r = ker(d_r)/im(d_{r+1}) from the matrices d_lo = d_r, d_hi = d_{r+1}.
 
     Once d_r d_{r+1} = 0 is checked, im d_{r+1} lies in ker d_r, and
     C_r/ker d_r is isomorphic to im d_r, a subgroup of the free module
@@ -443,12 +446,17 @@ def homology_group(g: GarsideStructure, r: int, method: str = "closed") -> Abeli
     taken off its free rank.  After trivializing coefficients d_1 = 0, so
     H_1 is the whole cokernel of d_2 on the atom module.
     """
-    if not 1 <= r < TOP_DEGREE:
-        raise ValueError(f"homology is computed in degrees 1..{TOP_DEGREE - 1}, not {r}")
-    d_lo, d_hi = differentials(g, (r, r + 1), method)
     if not chain_condition_holds(d_lo, d_hi):
         raise TheoremViolationError(f"d_{r} d_{r + 1} != 0")
     return quotient_group(len(d_hi) - smith_normal_form(d_lo).rank, d_hi)
+
+
+def homology_group(g: GarsideStructure, r: int, method: str = "closed") -> AbelianGroup:
+    """H_r over the integers for 1 <= r < TOP_DEGREE, from one `differentials`
+    call for d_r and d_{r+1}."""
+    if not 1 <= r < TOP_DEGREE:
+        raise ValueError(f"homology is computed in degrees 1..{TOP_DEGREE - 1}, not {r}")
+    return homology_of(r, *differentials(g, (r, r + 1), method))
 
 
 def predicted_h2(e: int, n: int, k: int) -> AbelianGroup:

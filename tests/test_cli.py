@@ -183,8 +183,9 @@ def test_homology_dump_is_golden_and_builds_two_generic_scopes(
     tmp_path, capsys, monkeypatch, method, e, n, k, digest
 ):
     """The dumped matrices are pinned bytes, the same for every method, and
-    a call builds at most two _GenericDifferential memo scopes: one for
-    homology_group and one shared by d2 and d3 of the dump."""
+    a generic or both call builds one _GenericDifferential memo scope,
+    shared by H_2 and the dump's d2 and d3 (two before the dump shared the
+    homology call's differentials, hence the name)."""
     import hashlib
 
     from geen_garside import homology
@@ -202,7 +203,7 @@ def test_homology_dump_is_golden_and_builds_two_generic_scopes(
                 "--method", method, "--dump-matrices", str(path)]) == EXIT_OK
     capsys.readouterr()
     assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
-    assert len(scopes) == (0 if method == "closed" else 2)
+    assert len(scopes) == (0 if method == "closed" else 1)
 
 
 def test_verify_suites(capsys):
@@ -386,6 +387,38 @@ def test_freeze_and_drift(tmp_path):
     path.write_text("\n".join(lines) + "\n")
     with pytest.raises(TheoremViolationError):
         freeze_regressions(grid, str(path))
+
+
+def test_freeze_reads_a_padded_file_with_bounded_memory(tmp_path, capsys):
+    """A frozen file holding the expected lines plus 8 MB more is drift, found
+    without reading the padding: the check reads one character past the
+    expected text."""
+    import tracemalloc
+
+    path = tmp_path / "reg.jsonl"
+    argv = ["freeze", "--out", str(path), "--e", "3", "--n", "2"]
+    assert run(argv) == EXIT_OK
+    expected = path.read_bytes()
+    path.write_bytes(expected + b"x" * (8 << 20))
+    capsys.readouterr()
+    tracemalloc.start()
+    try:
+        assert run(argv) == EXIT_VIOLATION
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert "regression drift" in capsys.readouterr().err
+    assert peak < 1 << 20
+    path.write_bytes(expected)
+    assert run(argv) == EXIT_OK
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/zero"), reason="needs /dev/zero")
+def test_freeze_refuses_an_out_that_is_not_a_regular_file(capsys):
+    """An existing --out that is a device is a usage error, not an endless read."""
+    assert run(["freeze", "--out", "/dev/zero", "--e", "2", "--n", "2"]) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == "" and "not a regular file" in captured.err
 
 
 def test_freeze_empty_grid(tmp_path):

@@ -425,6 +425,23 @@ def test_is_defining_relation_refuses_letters_that_are_not_atoms():
     assert is_defining_relation((t[1], t[3]), (t[0], t[2]), params)
 
 
+def test_is_isomorphic_to_CP_lists_the_atoms_a_constant_number_of_times(monkeypatch):
+    """The witness check tests each letter against the parameters instead of
+    building the atom set per relation, so its cost stays linear in e."""
+    from geen_garside import garside
+
+    calls = []
+    original = garside.atoms
+
+    def spy(params):
+        calls.append(params)
+        return original(params)
+
+    monkeypatch.setattr(garside, "atoms", spy)
+    assert is_isomorphic_to_CP(200, 1)[0]
+    assert len(calls) <= 2
+
+
 def test_is_defining_relation_is_the_presentation():
     """On all pairs of words of length <= 3, lhs = rhs is a defining relation
     exactly when it is one of emit_presentation's, in either order, or both

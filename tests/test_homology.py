@@ -185,19 +185,19 @@ def test_lcm_is_the_least_common_left_multiple_g331():
 
 def test_cells_are_filtered_once_per_structure(monkeypatch):
     """Once the complex exists, reading cells and the closed-form d_2 and d_3
-    runs no head-condition test."""
+    runs no head-condition test: no least right-dividing atom is looked up."""
     from geen_garside.homology import CellComplex, complex_of
 
     g = cached_garside(4, 4, 2)
     complex_of(g)
     calls = []
-    original = CellComplex.is_cell
+    original = CellComplex.head_atom
 
-    def spy(self, positions):
-        calls.append(positions)
-        return original(self, positions)
+    def spy(self, member):
+        calls.append(member)
+        return original(self, member)
 
-    monkeypatch.setattr(CellComplex, "is_cell", spy)
+    monkeypatch.setattr(CellComplex, "head_atom", spy)
     for r in range(4):
         enumerate_cells(g, r)
     differential_closed_form(g, 2)
@@ -205,9 +205,12 @@ def test_cells_are_filtered_once_per_structure(monkeypatch):
     assert calls == []
 
 
-@pytest.mark.parametrize("e,n,k", [(3, 3, 2), (2, 4, 1), (4, 3, 1)])
+@pytest.mark.parametrize(
+    "e,n,k", [(3, 3, 2), (2, 4, 1), (4, 3, 1), (8, 4, 2), (3, 5, 2), (12, 3, 1)]
+)
 def test_cells_against_brute_force(e, n, k):
-    """Re-derive the cell bases directly from the head condition."""
+    """Re-derive the cell bases directly from the head condition, testing
+    every increasing atom tuple at every position."""
     import itertools
 
     from geen_garside.homology import complex_of
@@ -226,6 +229,23 @@ def test_cells_against_brute_force(e, n, k):
             c for c in itertools.combinations(range(count), r) if is_cell(list(c))
         ]
         assert brute == cx.cells[r]
+
+
+def test_cells_by_extension_join_only_cells_and_their_extensions():
+    """The complex forms the lcm of each cell and of each one-atom extension
+    p < c[0] of a cell below the top degree, and nothing else: at (40,3,1)
+    the memo holds at most 1 + A (|C_0| + |C_1| + |C_2|) entries, against
+    the 11,522 suffixes of a scan over every atom tuple."""
+    from geen_garside.homology import CellComplex
+
+    cx = CellComplex(cached_garside(40, 3, 1))
+    atoms = len(cx.order)
+    assert [len(c) for c in cx.cells] == [1, 41, 79, 39]
+    assert len(cx._lcm_cache) <= 1 + atoms * sum(len(c) for c in cx.cells[:3])
+    assert all(
+        cx.row_index[r] == {c: i for i, c in enumerate(cx.cells[r])}
+        for r in range(len(cx.cells))
+    )
 
 
 def test_d2_t_pair_column_with_cancellation():
