@@ -61,11 +61,7 @@ class RegressionRecord(NamedTuple):
     value: object
 
     def line(self) -> str:
-        return json.dumps(
-            {"key": self.key, "value": self.value, "version": __version__},
-            sort_keys=True,
-            separators=(",", ":"),
-        )
+        return _canonical({"key": self.key, "value": self.value, "version": __version__})
 
 
 def _canonical(obj) -> str:
@@ -493,7 +489,7 @@ def run(argv: list[str]) -> int:
     except TheoremViolationError as exc:
         print(f"theorem violation: {exc}", file=sys.stderr)
         return EXIT_VIOLATION
-    except (ValueError, KeyError, OSError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

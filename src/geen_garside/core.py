@@ -21,11 +21,13 @@ The distinguished generators are the reflections
 and the diagonal element lambda = diag(zeta_e^{-(n-1)}, zeta_e, ..., zeta_e)
 whose powers bound the divisibility intervals built in `interval`.
 
-Each pair of atoms has one defining relation, given by `braid_m`: x y x =
-y x y, x y = y x, or for two t's the dual t_i t_{i-k} = t_j t_{j-k}.  Both
-sides spell lcm(x, y), as the presentation is complemented (Dehornoy-Paris,
-Proc. LMS 1999).  Every module reads the relations from this rule but
-`garside.emit_presentation`, which writes them out and is tested against it.
+Each pair of atoms has one defining relation, whose length `braid_m`
+gives: x y x = y x y, x y = y x, or for two t's the dual t_i t_{i-k} =
+t_j t_{j-k}.  Both sides spell lcm(x, y), as the presentation is
+complemented (Dehornoy-Paris, Proc. LMS 1999), and `lcm_word(x, y)` is the
+side that ends in y.  Every reader takes its relation words from
+`lcm_word` but `garside.emit_presentation`, which writes the relations out
+and is tested against it.
 
 Elements, the generator symbols and the group parameters are NamedTuples,
 like every value record of the package: immutable, hashable, and equal to
@@ -40,16 +42,14 @@ permutation, not once per element: `_inverse_order` here (the inverse
 permutation and a row getter, read by `inverse`, `transpose` and
 `left_quotient`) and the row counts of `words.length`.  Each table is
 keyed by the permutation tuple, so it holds at most n! entries per n, and
-it has no size option.  The length-additivity
-tables of `words.divisor_table` are kept for the last two divisors only,
-each keyed by the permutation of the candidate divisor: at most 2 n!
-entries.
+it has no size option.
 """
 
 from __future__ import annotations
 
 import itertools
 import json
+import math
 import os
 from functools import lru_cache
 from operator import itemgetter
@@ -119,10 +119,7 @@ class GroupParams(_GroupParams):
 
     def order(self) -> int:
         """Group order e^(n-1) * n!."""
-        result = self.e ** (self.n - 1)
-        for m in range(2, self.n + 1):
-            result *= m
-        return result
+        return self.e ** (self.n - 1) * math.factorial(self.n)
 
 
 class Generator(NamedTuple):
@@ -159,6 +156,16 @@ def braid_m(x: Generator, y: Generator) -> int:
 def alternating(x: Generator, y: Generator, m: int) -> tuple[Generator, ...]:
     """The word x y x ... of m letters."""
     return tuple((x, y)[i % 2] for i in range(m))
+
+
+def lcm_word(x: Generator, y: Generator, params: GroupParams) -> tuple[Generator, ...]:
+    """The word of lcm(x, y) whose last letter is y, for two distinct atoms:
+    ... x y of m = braid_m(x, y) letters, or t_(j+k) t_j for two t's with
+    y = t_j.  Their defining relation is lcm_word(y, x) = lcm_word(x, y)."""
+    m = braid_m(x, y)
+    if m:
+        return alternating(y, x, m)[::-1]
+    return Generator("t", (y.index + params.k) % params.e), y
 
 
 def parse_word(text: str, params: GroupParams, *, allow_inverses: bool = False):

@@ -49,10 +49,10 @@ from .core import (
     GroupParams,
     alternating,
     atoms,
-    braid_m,
     evaluate_word,
     inverse,
     is_atom,
+    lcm_word,
     multiply,
     parse_word,
 )
@@ -320,23 +320,19 @@ def emit_presentation(params: GroupParams) -> Presentation:
 def is_defining_relation(
     lhs: tuple[Generator, ...], rhs: tuple[Generator, ...], params: GroupParams
 ) -> bool:
-    """Whether lhs = rhs is a defining relation: both sides dual words
-    t_i t_{i-k}, or the alternating words x y x ... and y x y ... of
-    m = braid_m(x, y) > 0 letters for distinct atoms x, y; and every letter
-    is an atom of params."""
-    e, k = params.e, params.k
-    if not all(
-        len(w) == 2 and w[0].kind == w[1].kind == "t"
-        and (w[0].index - w[1].index) % e == k
-        for w in (lhs, rhs)
-    ):
-        if not lhs or not rhs or lhs[0] == rhs[0]:
-            return False
-        x, y = lhs[0], rhs[0]
-        m = braid_m(x, y)
-        if not (m > 0 and lhs == alternating(x, y, m) and rhs == alternating(y, x, m)):
-            return False
-    return all(is_atom(x, params) for x in lhs + rhs)
+    """Whether lhs = rhs is a defining relation: with x and y the last
+    letters of lhs and rhs, lhs is lcm_word(y, x), rhs is lcm_word(x, y),
+    and every letter is an atom of params.  Two equal dual words t_i t_{i-k}
+    count as a relation; a braid or commutation relation needs x != y."""
+    if not lhs or not rhs:
+        return False
+    x, y = lhs[-1], rhs[-1]
+    return (
+        (x != y or x.kind == "t")
+        and lhs == lcm_word(y, x, params)
+        and rhs == lcm_word(x, y, params)
+        and all(is_atom(z, params) for z in lhs + rhs)
+    )
 
 
 def t_cycle_components(e: int, k: int) -> int:
@@ -453,8 +449,8 @@ def embedding_lcm_check(g: GarsideStructure, i: int = 0) -> bool:
     for a in range(len(images)):
         for b in range(a + 1, len(images)):
             m = 4 if (a, b) == (0, 1) else 3 if b == a + 1 else 2
-            word = (images[a] + images[b]) * (m // 2) + images[a] * (m % 2)
-            expected = g.normal_form([(x, 1) for x in word])
+            word = alternating(images[a], images[b], m)
+            expected = g.normal_form([(x, 1) for image in word for x in image])
             join_left = interval.join("left", ordinals[a], ordinals[b])
             join_right = interval.join("right", ordinals[a], ordinals[b])
             if join_left != join_right:

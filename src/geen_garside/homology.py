@@ -16,8 +16,12 @@ tail is one join of its first atom with the lcm of the shorter tail.
 Chains carry coefficients in the monoid ring and are flat dicts
 (cell, normal form) -> integer; the generic route implements the recursive
 contracting-homotopy definition of the boundary maps verbatim (it is the
-ground truth), while `differential_closed_form` types out the worked-out row
-formulas.  Both hand the (face, coefficient) pairs of each cell to one
+ground truth), while `differential_closed_form` writes the boundary maps in
+closed form: with trivial coefficients, d_2 of a 2-cell [x, y] is the
+relation of x and y abelianized, the letters of `core.lcm_word(x, y)` minus
+those of `lcm_word(y, x)` (Dehornoy-Lafont, Homology of Gaussian groups,
+Ann. Inst. Fourier 2003), and d_3 types out the worked-out row formulas.
+Both hand the (face, coefficient) pairs of each cell to one
 assembly, `_boundary_matrix`, which also holds the degree guard, and
 `differentials` is the one entry point that picks the route.  The homotopy
 maps u and s act on single monomials (degree, coefficient, cell).  One memo
@@ -42,7 +46,7 @@ from __future__ import annotations
 
 import math
 
-from .core import CapExceededError, Generator, GroupParams, braid_m
+from .core import CapExceededError, Generator, GroupParams, braid_m, lcm_word
 from .garside import GarsideStructure, NormalForm
 from .interval import TheoremViolationError
 from .snf import AbelianGroup, mat_mul, quotient_group, smith_normal_form, zero_matrix
@@ -152,16 +156,22 @@ def enumerate_cells(g: GarsideStructure, r: int) -> list[Cell]:
 
 def _boundary_matrix(cx: CellComplex, r: int, faces) -> list[list[int]]:
     """Matrix of d_r (rows: (r-1)-cells, columns: r-cells); the column of an
-    r-cell sums the (face, coefficient) pairs that `faces(cell)` yields."""
+    r-cell sums the (face, coefficient) pairs that `faces(cell)` yields.  A
+    face that is not an (r-1)-cell is a theorem violation."""
     if not 1 <= r < len(cx.cells):
         raise ValueError(
             f"the resolution is computed in degrees 1..{len(cx.cells) - 1}, not {r}"
         )
     row_index = cx.row_index[r - 1]
     matrix = zero_matrix(len(row_index), len(cx.cells[r]))
-    for col, cell in enumerate(cx.cells[r]):
-        for face, coeff in faces(cell):
-            matrix[row_index[face]][col] += coeff
+    try:
+        for col, cell in enumerate(cx.cells[r]):
+            for face, coeff in faces(cell):
+                matrix[row_index[face]][col] += coeff
+    except KeyError as exc:
+        raise TheoremViolationError(
+            f"face {exc.args[0]} of the cell {cell} is not a cell"
+        ) from None
     return matrix
 
 
@@ -169,8 +179,10 @@ def _boundary_matrix(cx: CellComplex, r: int, faces) -> list[list[int]]:
 
 
 def differential_closed_form(g: GarsideStructure, r: int) -> list[list[int]]:
-    """Matrix of d_r from the row formulas, picked by the braid_m of each pair
-    of atoms of the cell."""
+    """Matrix of d_r from closed forms.  The column of a 2-cell [x, y] is
+    its defining relation abelianized, the letters of lcm_word(x, y) minus
+    those of lcm_word(y, x); that of a 3-cell is a row formula picked by the
+    braid_m of each pair of its atoms."""
     cx = complex_of(g)
     e, k = g.params.e, g.params.k
     position = {x: p for p, x in enumerate(cx.order)}
@@ -183,14 +195,11 @@ def differential_closed_form(g: GarsideStructure, r: int) -> list[list[int]]:
             return [((), 1), ((), -1)]  # d_1[x] = (x - 1)[()] collapses to zero
         if len(cell) == 2:
             x, y = cell
-            m = braid_m(x, y)
-            if m == 0:
-                if x != t(0):
-                    raise TheoremViolationError(f"unexpected two-t cell {cell}")
-                i = y.index
-                return [((t(i),), 1), ((t(0),), -1), ((t(k),), -1), ((t(i + k),), 1)]
-            # commuting pairs contribute nothing
-            return [((y,), 1), ((x,), -1)] if m == 3 else []
+            if x.kind == y.kind == "t" and x != t(0):
+                raise TheoremViolationError(f"unexpected two-t cell {cell}")
+            return [((z,), 1) for z in lcm_word(x, y, g.params)] + [
+                ((z,), -1) for z in lcm_word(y, x, g.params)
+            ]
         x, y, z = cell
         if y.kind == "t":
             # the only cells with two t's are [s_j, t_0, t_i]

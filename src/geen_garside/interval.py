@@ -28,11 +28,11 @@ permutation of s^(-1) lambda^k, by integer lookups.  The member set is
 checked against a divisor test on the whole group, streamed one element
 at a time so that no list of |G| elements is held, that never looks at the
 staircase: length additivity len(a) + len(a^(-1) b) = len(b), read as one
-sum of table entries without forming a^(-1) b.  `words.divisor_table`
-holds, for the divisor b and the permutation of a, one row table per row,
-indexed by a's exponent there, and a target.  Tables are kept for the
-last two divisors only; the scan needs one, as lambda^k is its own
-transpose.
+sum of table entries without forming a^(-1) b.  `divisor_table` holds,
+for the divisor b and the permutation of a, the `words.divisor_rows`: one
+row table per row, indexed by a's exponent there, and a target.  Tables are
+kept for the last two divisors only; the scan needs one, as lambda^k is its
+own transpose.
 
 Meets are bitset intersections followed by an extremality check,
 `_meet_violation`, the one check behind `Interval.meet` and the lattice
@@ -65,20 +65,19 @@ from .core import (
     GroupParams,
     ParameterMismatchError,
     admit_group,
-    alternating,
     atoms,
-    braid_m,
     enumerate_group,
     evaluate_word,
     exponent_vectors,
     generator_matrix,
     group_elements,
     lambda_power,
+    lcm_word,
     left_quotient,
     multiply,
     transpose,
 )
-from .words import divisor_rows, divisor_table, length, length_decreases
+from .words import divisor_rows, length, length_decreases, maximal_length_elements
 
 # Largest predicted size, in bytes, of the divisibility bitset table
 # (|D|^2 / 8) that `build_interval` accepts; it refuses larger intervals
@@ -146,12 +145,25 @@ def in_interval(w: GroupElement, k: int) -> bool:
     return True
 
 
+@lru_cache(maxsize=2)
+def divisor_table(b: GroupElement) -> dict:
+    """The `divisor_rows` of b, keyed by the permutation of a and filled by
+    `left_divides` on first use: at most n! entries.
+
+    Only the tables of the last two divisors are kept, at most 2 n! entries
+    however many divisors are tested: enough for the divisor scan, whose
+    lambda^k is its own transpose, and for `is_balanced`, which alternates
+    w and w^T.
+    """
+    return {}
+
+
 def left_divides(a: GroupElement, b: GroupElement) -> bool:
     """a <= b in left divisibility: len(a) + len(a^(-1) b) = len(b).
 
     This is the definition of the order, b = a * (a^(-1) b) with additive
     lengths, evaluated from closed-form lengths without forming the
-    quotient: the `words.divisor_table` of b holds, per permutation of a,
+    quotient: the `divisor_table` of b holds, per permutation of a,
     a target and one row table per row, whose entry at a's exponent x is
     what that row adds to len(a) + len(a^(-1) b), so the test is one sum
     of n table entries.  Tables are kept for the last two divisors only,
@@ -194,8 +206,6 @@ def balanced_max_length(params: GroupParams) -> list[GroupElement]:
     is raised as a violation.  The group is admitted before the (e-1)^(n-1)
     candidates are listed, since each balance test scans all of it.
     """
-    from .words import maximal_length_elements
-
     admit_group(params)
     found = [w for w in maximal_length_elements(params) if is_balanced(w)]
     expected = {lambda_power(params, k) for k in range(1, params.e)}
@@ -449,11 +459,11 @@ def build_interval(params: GroupParams) -> Interval:
     left covers of b are flip[down_left[p][flip[b]]], as (b x)^T = x^T b^T;
     the left table is their closure, and the right order is read from it
     through flip.  comp_left is one `left_quotient` per member and
-    comp_right its inverse permutation.  A row move that disagrees with its
-    product, a transpose leaving the interval, or a comp_left that is not a
-    permutation, is a theorem violation.  Last, `divisor_theorem_oracle`
-    checks the member set against divisor tests of lambda^k over the whole
-    group, which `group_elements` streams to it.
+    comp_right its inverse permutation.  A row move that leaves the interval
+    or disagrees with its product, a transpose leaving the interval, or a
+    comp_left that is not a permutation, is a theorem violation.  Last,
+    `divisor_theorem_oracle` checks the member set against divisor tests of
+    lambda^k over the whole group, which `group_elements` streams to it.
 
     Before anything is enumerated, |D| is predicted by `interval_size` and
     the interval is refused with CapExceededError when its bitset table
@@ -500,20 +510,25 @@ def build_interval(params: GroupParams) -> Interval:
         (p, x, _row_swap(n, x.index if x.kind == "s" else 2), x.kind == "t", row)
         for p, (x, row) in enumerate(zip(gens, down_left))
     ]
-    for b, w in enumerate(members):
-        perm, exps = w.perm, w.exps
-        head = -1
-        for p, x, swap, shift, row in moves:
-            if length_decreases(x, w):
-                moved = swap(exps)
-                if shift:
-                    m = x.index
-                    moved = ((moved[0] - m) % e, (moved[1] + m) % e) + moved[2:]
-                # a plain (e, perm, exps) tuple hashes and compares as the element
-                row[b] = index[(e, swap(perm), moved)]
-                if head < 0:
-                    head = p
-        head_left[b] = head
+    try:
+        for b, w in enumerate(members):
+            perm, exps = w.perm, w.exps
+            head = -1
+            for p, x, swap, shift, row in moves:
+                if length_decreases(x, w):
+                    moved = swap(exps)
+                    if shift:
+                        m = x.index
+                        moved = ((moved[0] - m) % e, (moved[1] + m) % e) + moved[2:]
+                    # a plain (e, perm, exps) tuple hashes and compares as the element
+                    row[b] = index[(e, swap(perm), moved)]
+                    if head < 0:
+                        head = p
+            head_left[b] = head
+    except KeyError:
+        raise TheoremViolationError(
+            f"the row move of {x} on the member {w} left the interval"
+        ) from None
     for x, row in zip(gens, down_left):
         if row[-1] != index.get(multiply(generator_matrix(x, params), delta)):
             raise TheoremViolationError(
@@ -652,11 +667,9 @@ def atom_lcm_table(interval: Interval):
     """Join of every generator pair on both sides, with the closed forms.
 
     Left and right joins agree, and the join of x and y is the word
-    alternating(x, y, braid_m(x, y)) (x y x = y x y, or x y), or t_k t_0
-    for two t's: both sides of a defining relation spell the lcm.
+    `lcm_word(x, y)`: both sides of a defining relation spell the lcm.
     """
     params = interval.params
-    t_k_t_0 = (Generator("t", interval.k % params.e), Generator("t", 0))
     gens = atoms(params)
     table: dict[tuple[Generator, Generator], GroupElement] = {}
     for i, x in enumerate(gens):
@@ -671,8 +684,7 @@ def atom_lcm_table(interval: Interval):
                 )
             value = interval.element(left)
             table[(x, y)] = value
-            m = braid_m(x, y)
-            expected = evaluate_word(alternating(x, y, m) if m else t_k_t_0, params)
+            expected = evaluate_word(lcm_word(x, y, params), params)
             if value != expected:
                 raise TheoremViolationError(
                     f"join of {x}, {y} is {value}, expected {expected}"

@@ -21,16 +21,15 @@ the independent BFS oracle; the part of that count fixed by the permutation
 is tabulated once per permutation by `_row_shape`.  `divisor_rows` turns
 the test len(a) + len(a^(-1) b) = len(b) into one sum of n entries: for a
 divisor b and a permutation of a, one row table per row, indexed by a's
-exponent there, and a target; `divisor_table` keeps them for the last two
-divisors only.  `length_decreases` answers whether a single left
-multiplication by a generator shortens an element, straight from the matrix
-entries, without recomputing any words.
+exponent there, and a target.  `length_decreases` answers whether a single
+left multiplication by a generator shortens an element, straight from the
+matrix entries, without recomputing any words.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import compress
+from itertools import compress, product
 
 from .core import (
     CapExceededError,
@@ -209,19 +208,6 @@ def divisor_rows(
     return rows, length(b) - abase - qbase
 
 
-@lru_cache(maxsize=2)
-def divisor_table(b: GroupElement) -> dict:
-    """The `divisor_rows` of b, keyed by the permutation of a and filled by
-    the caller on first use: at most n! entries.
-
-    Only the tables of the last two divisors are kept, at most 2 n! entries
-    however many divisors are tested: enough for the divisor scan, whose
-    lambda^k is its own transpose, and for `is_balanced`, which alternates
-    w and w^T.
-    """
-    return {}
-
-
 def length(w: GroupElement) -> int:
     """Minimal word length of w over the generating set.
 
@@ -263,12 +249,10 @@ def maximal_length_elements(params: GroupParams) -> list[GroupElement]:
     These are exactly the elements of maximal length n(n-1); the first
     diagonal entry is forced by the exponent-sum rule.
     """
-    import itertools
-
     e, n = params.e, params.n
     perm = tuple(range(1, n + 1))
     out = []
-    for tail in itertools.product(range(1, e), repeat=n - 1):
+    for tail in product(range(1, e), repeat=n - 1):
         head = (-sum(tail)) % e
         out.append(GroupElement(e, perm, (head,) + tail))
     out.sort(key=lambda w: w.exps)

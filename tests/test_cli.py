@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import shlex
 
 import pytest
@@ -229,6 +230,27 @@ def test_verify_theorem_violation_exits_4(capsys, monkeypatch):
     assert "atoms have no common multiple" in captured.err
 
 
+def test_row_move_leaving_the_interval_exits_4(capsys, monkeypatch):
+    """A build whose row move lands outside the interval is a theorem
+    violation naming the atom and the member, not a usage error.  The
+    build is fresh, so no cached interval hides the patch."""
+    from geen_garside import cli, interval
+
+    monkeypatch.setattr(interval, "length_decreases", lambda x, w: True)
+    monkeypatch.setattr(
+        cli, "cached_interval",
+        lambda e, n, k: interval.build_interval(GroupParams(e, n, k)),
+    )
+    assert run(["interval", "--e", "3", "--n", "3", "--k", "1"]) == EXIT_VIOLATION
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert re.fullmatch(
+        r"theorem violation: the row move of [ts]\d+ on the member "
+        r"GroupElement\(.*\) left the interval\n",
+        captured.err,
+    )
+
+
 def test_verify_failed_suite_exits_4(capsys, monkeypatch):
     from geen_garside import cli
 
@@ -336,13 +358,13 @@ def test_unparsable_cap_names_the_setting(capsys, monkeypatch, value):
 
 def test_balanced_suite_admits_the_group_before_listing(capsys, monkeypatch):
     """|G(3,3,3)| = 54 is refused before any maximal-length element is listed."""
-    from geen_garside import interval, words
+    from geen_garside import interval
 
     def forbidden(params):
         raise AssertionError("the maximal-length elements were listed")
 
     monkeypatch.setenv("GARSIDE_CAP", "53")
-    monkeypatch.setattr(words, "maximal_length_elements", forbidden)
+    monkeypatch.setattr(interval, "maximal_length_elements", forbidden)
     with pytest.raises(CapExceededError, match=r"\| = 54 exceeds .*GARSIDE_CAP"):
         interval.balanced_max_length(GroupParams(3, 3))
     assert run(["verify", "--e", "3", "--n", "3", "--k", "1", "--suite", "balanced"]) == EXIT_CAP

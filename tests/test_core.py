@@ -25,7 +25,7 @@ from geen_garside import (
 )
 from geen_garside import AbelianGroup, LatticeReport, LatticeViolation, Presentation, __version__
 from geen_garside.cli import RegressionRecord
-from geen_garside.core import alternating, braid_m
+from geen_garside.core import alternating, braid_m, lcm_word
 from geen_garside.snf import SNFResult
 from conftest import element_of_matrix, matrix_of, matrix_product
 
@@ -331,6 +331,21 @@ def test_braid_m_is_the_order_of_the_pair(e, n):
     assert alternating(t0, s3, 3) == (t0, s3, t0)
     assert alternating(s3, t0, 2) == (s3, t0)
     assert alternating(t0, s3, 0) == ()
+
+
+@pytest.mark.parametrize("e,n,k", [(2, 4, 1), (4, 4, 2), (6, 3, 4)])
+def test_lcm_word_ends_in_its_second_atom(e, n, k):
+    """lcm_word(x, y) ends in y and equals lcm_word(y, x) as a matrix; it has
+    braid_m(x, y) letters, or two for two t's."""
+    params = GroupParams(e, n, k)
+    for x, y in itertools.permutations(atoms(params), 2):
+        word = lcm_word(x, y, params)
+        assert word[-1] == y
+        assert len(word) == (braid_m(x, y) or 2)
+        assert evaluate_word(word, params) == evaluate_word(lcm_word(y, x, params), params)
+    t1, t3, s3 = Generator("t", 1), Generator("t", 3), Generator("s", 3)
+    assert lcm_word(t1, t3, params) == (Generator("t", (3 + k) % e), t3)
+    assert lcm_word(t1, s3, params) == (s3, t1, s3)
 
 
 def test_json_round_trip():

@@ -23,7 +23,7 @@ from geen_garside import (
 from geen_garside import garside, homology
 from geen_garside.cli import default_grid
 from geen_garside.homology import atom_order
-from geen_garside.snf import smith_normal_form
+from geen_garside.snf import quotient_group, smith_normal_form
 from conftest import all_k, right_rows
 
 # sha256 over d_1, d_2, d_3 by both routes, the cells of degrees 0..3 and H_1,
@@ -432,6 +432,22 @@ def test_h1_is_z(e, n):
         assert homology_group(cached_garside(e, n, k), 1) == AbelianGroup(1, ())
 
 
+@pytest.mark.parametrize(
+    "e,n,k", [(p.e, p.n, p.k) for p in default_grid()] + [(2, 5, 1), (3, 5, 1), (4, 5, 2)]
+)
+def test_h1_is_the_abelianized_presentation(e, n, k):
+    """H_1 of a presented group is its abelianization: Z^atoms modulo the
+    letter counts of lhs minus rhs of each relation of `emit_presentation`,
+    the family-by-family writer that the closed-form d_2 does not read."""
+    params = GroupParams(e, n, k)
+    gens = garside.atoms(params)
+    relations = garside.emit_presentation(params).relations
+    matrix = [
+        [lhs.count(x) - rhs.count(x) for lhs, rhs in relations] for x in gens
+    ]
+    assert quotient_group(len(gens), matrix) == homology_group(cached_garside(e, n, k), 1)
+
+
 def test_h2_paper_values_n3():
     assert homology_group(cached_garside(3, 3, 1), 2) == AbelianGroup(0, (3,))
     assert homology_group(cached_garside(6, 3, 2), 2) == AbelianGroup(1, (3,))
@@ -584,6 +600,15 @@ def test_cofactor_rejects_a_non_divisor():
     cx._lcm_cache[(t0, t1)] = cx.atom_ordinal[t0]
     with pytest.raises(TheoremViolationError):
         cx.cofactor(t0, (t1,))
+
+
+def test_boundary_matrix_rejects_a_face_that_is_not_a_cell():
+    from geen_garside.homology import _boundary_matrix, complex_of
+    from geen_garside.interval import TheoremViolationError
+
+    cx = complex_of(cached_garside(3, 3, 1))
+    with pytest.raises(TheoremViolationError, match=r"face \(0, 0\) of the cell .* not a cell"):
+        _boundary_matrix(cx, 3, lambda cell: [((0, 0), 1)])
 
 
 @pytest.mark.parametrize("e,n,k", [(3, 3, 1), (2, 4, 1)])

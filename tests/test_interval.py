@@ -94,7 +94,8 @@ def test_permutation_tables_hold_one_entry_per_permutation():
     code = (
         "from geen_garside import GroupParams, build_interval, lambda_power\n"
         "from geen_garside.core import _inverse_order\n"
-        "from geen_garside.words import _row_shape, divisor_table\n"
+        "from geen_garside.interval import divisor_table\n"
+        "from geen_garside.words import _row_shape\n"
         "params = GroupParams(3, 5, 1)\n"
         "build_interval(params)\n"
         "print(_inverse_order.cache_info().currsize, _row_shape.cache_info().currsize,\n"
@@ -119,7 +120,7 @@ def test_divisor_tables_are_kept_for_two_divisors_at_most():
     """Builds at three points in one process leave divisor tables for at
     most the last two divisors, and a test against a third divisor evicts
     the oldest table without changing any answer."""
-    from geen_garside.words import divisor_table
+    from geen_garside.interval import divisor_table
 
     divisor_table.cache_clear()
     for point in ((3, 3, 1), (3, 3, 2), (4, 3, 1)):
