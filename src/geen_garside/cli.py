@@ -16,7 +16,7 @@ import stat
 import sys
 from typing import NamedTuple
 
-from . import __version__
+from . import __version__, garside
 from .core import (
     CapExceededError,
     GroupElement,
@@ -40,6 +40,7 @@ from .garside import (
     t_cycle_components,
 )
 from .homology import (
+    METHODS,
     TOP_DEGREE,
     chain_condition_holds,
     differentials,
@@ -47,13 +48,21 @@ from .homology import (
     homology_group,
     homology_of,
 )
-from .words import cayley_length_table, length, reduced_expression
+from .words import (
+    cayley_length_table,
+    length,
+    maximal_length_elements,
+    reduced_expression,
+)
 
 EXIT_OK = 0
 EXIT_FALSE = 1
 EXIT_USAGE = 2
 EXIT_CAP = 3
 EXIT_VIOLATION = 4
+
+# the suites of `verify`, in the order "all" runs them
+SUITES = ("lattice", "lcm", "balanced", "garside", "homology")
 
 
 class RegressionRecord(NamedTuple):
@@ -115,6 +124,10 @@ def _interval_json(interval) -> str:
     return _canonical(data)
 
 
+# the formats of `interval --export`, each with the text it writes
+EXPORTS = {"dot": _interval_dot, "json": _interval_json}
+
+
 def _presentation_dot(params: GroupParams) -> str:
     """Kite diagram: the t-cycle with dashed k-step edges, s-chain below."""
     e, n, k = params.e, params.n, params.k
@@ -143,6 +156,12 @@ def _presentation_dot(params: GroupParams) -> str:
 def _cmd_reduce(args) -> int:
     params = GroupParams(args.e, args.n)
     w = _element(args, params)
+    letters = args.n * (args.n - 1)
+    if letters > garside.MATSUMOTO_CAP:
+        raise CapExceededError(
+            f"a reduced word in G({args.e},{args.e},{args.n}) has up to {letters} "
+            f"letters, above MATSUMOTO_CAP = {garside.MATSUMOTO_CAP}"
+        )
     print(format_word(reduced_expression(w)))
     return EXIT_OK
 
@@ -168,8 +187,10 @@ def _cmd_bfs_length(args) -> int:
 
 
 def _cmd_interval(args) -> int:
-    if args.export and args.export[0] not in ("dot", "json"):
-        raise ValueError(f"unknown export format {args.export[0]!r}; use dot or json")
+    if args.export and args.export[0] not in EXPORTS:
+        raise ValueError(
+            f"unknown export format {args.export[0]!r}; use {' or '.join(EXPORTS)}"
+        )
     interval = cached_interval(args.e, args.n, args.k)
     summary = {
         "e": args.e,
@@ -192,9 +213,8 @@ def _cmd_interval(args) -> int:
             return EXIT_VIOLATION
     if args.export:
         kind, path = args.export
-        text = _interval_dot(interval) if kind == "dot" else _interval_json(interval)
         with open(path, "w") as handle:
-            handle.write(text)
+            handle.write(EXPORTS[kind](interval))
         summary["exported"] = kind
     print(_canonical(summary))
     return EXIT_OK
@@ -261,19 +281,13 @@ def _cmd_homology(args) -> int:
 
 def _verify_suite(args) -> list[str]:
     failures = []
-    interval = cached_interval(args.e, args.n, args.k)
-    suites = (
-        ["lattice", "lcm", "balanced", "garside", "homology"]
-        if args.suite == "all"
-        else [args.suite]
-    )
-    for suite in suites:
+    for suite in SUITES if args.suite == "all" else (args.suite,):
         if suite == "lattice":
-            report = verify_lattice(interval)
+            report = verify_lattice(cached_interval(args.e, args.n, args.k))
             if not report.all_ok:
                 failures.append(f"lattice: {report.counterexample}")
         elif suite == "lcm":
-            atom_lcm_table(interval)
+            atom_lcm_table(cached_interval(args.e, args.n, args.k))
         elif suite == "balanced":
             balanced_max_length(GroupParams(args.e, args.n))
         elif suite == "garside":
@@ -320,7 +334,7 @@ def regression_records(params: GroupParams) -> list[RegressionRecord]:
     records = [
         RegressionRecord(f"interval-cardinality {tag}", len(interval)),
         RegressionRecord(
-            f"max-length-census e={e} n={n}", (e - 1) ** (n - 1)
+            f"max-length-census e={e} n={n}", len(maximal_length_elements(params))
         ),
         RegressionRecord(
             f"t-cycle-components e={e} k={k}", t_cycle_components(e, k)
@@ -429,7 +443,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--export",
         nargs=2,
         metavar=("FORMAT", "PATH"),
-        help="FORMAT is dot or json",
+        help=f"FORMAT is {' or '.join(EXPORTS)}",
     )
     p.set_defaults(func=_cmd_interval)
 
@@ -452,19 +466,13 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("homology", help="integral homology H_r")
     _add_params(p, with_k=True)
     p.add_argument("--order", type=int, choices=range(1, TOP_DEGREE), required=True)
-    p.add_argument(
-        "--method", choices=("closed", "generic", "both"), default="closed"
-    )
+    p.add_argument("--method", choices=METHODS, default="closed")
     p.add_argument("--dump-matrices", metavar="PATH")
     p.set_defaults(func=_cmd_homology)
 
     p = sub.add_parser("verify", help="run a verification suite")
     _add_params(p, with_k=True)
-    p.add_argument(
-        "--suite",
-        choices=("lattice", "lcm", "balanced", "garside", "homology", "all"),
-        default="all",
-    )
+    p.add_argument("--suite", choices=SUITES + ("all",), default="all")
     p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser("freeze", help="freeze or check regression values")

@@ -168,18 +168,14 @@ def lcm_word(x: Generator, y: Generator, params: GroupParams) -> tuple[Generator
     return Generator("t", (y.index + params.k) % params.e), y
 
 
-def parse_word(text: str, params: GroupParams, *, allow_inverses: bool = False):
-    """Parse a whitespace-separated word like "t0 s3 t1^-1".
-
-    Returns a list of Generator when inverses are disallowed, or a list of
-    (Generator, sign) pairs with sign in {+1, -1} when they are allowed.
+def parse_word(text: str, params: GroupParams) -> list[tuple[Generator, int]]:
+    """Parse a whitespace-separated word like "t0 s3 t1^-1" into
+    (Generator, sign) pairs, with sign +1, or -1 for a letter ending in ^-1.
     """
     letters = []
     for token in text.split():
         sign = 1
         if token.endswith("^-1"):
-            if not allow_inverses:
-                raise ValueError(f"inverse letter {token!r} not accepted here")
             sign = -1
             token = token[:-3]
         digits = token[1:]
@@ -189,7 +185,7 @@ def parse_word(text: str, params: GroupParams, *, allow_inverses: bool = False):
             raise ValueError(f"bad generator token {token!r}")
         gen = Generator(token[0], int(digits))
         _check_generator(gen, params)
-        letters.append((gen, sign) if allow_inverses else gen)
+        letters.append((gen, sign))
     return letters
 
 

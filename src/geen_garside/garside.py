@@ -67,7 +67,8 @@ from .words import all_reduced_expressions
 
 # Bound on every word list garside.py builds: the relations of
 # `emit_presentation`, and the reduced expressions and rewritten words of
-# `matsumoto_check`.
+# `matsumoto_check`; the CLI's `reduce` also refuses n(n-1), the length of
+# the longest reduced word, above it.
 MATSUMOTO_CAP = 10**5
 
 
@@ -192,7 +193,7 @@ class GarsideStructure:
         letters in all, the whole list is mapped back by tau^(-d).
         """
         if isinstance(word, str):
-            word = parse_word(word, self.params, allow_inverses=True)
+            word = parse_word(word, self.params)
         powers = self.tau_powers
         d = 0
         frame = powers[0]

@@ -59,6 +59,10 @@ GENERIC_OP_CAP = 10**6
 # computed below it, where d_{r+1} exists
 TOP_DEGREE = 3
 
+# the routes to the differentials: the closed form, the recursive generic
+# one, or both, checked against each other
+METHODS = ("closed", "generic", "both")
+
 
 def atom_order(params: GroupParams) -> list[Generator]:
     """s_n < s_{n-1} < ... < s_3 < t_0 < t_1 < ... < t_{e-1}."""
@@ -421,7 +425,7 @@ def differentials(
     "generic" or "both".  The generic ones come from one
     `_GenericDifferential`, so a higher degree reuses the chains of a lower
     one; "both" raises on any disagreement."""
-    if method not in ("closed", "generic", "both"):
+    if method not in METHODS:
         raise ValueError(f"unknown method {method!r}")
     generic = None if method == "closed" else _GenericDifferential(complex_of(g))
     out = []

@@ -5,9 +5,10 @@ Left divisibility a <= b means b = a*c with additive lengths; right
 divisibility mirrors it.  The interval below lambda^k has a closed-form
 membership test: call the nonzero entries of w that are strict left-to-right
 column minima its bullets; then w divides lambda^k exactly when every
-non-bullet entry is 1 or zeta_e^k, which `in_interval` decides in one pass
-over the rows with a running column minimum, stopping at the first entry
-that fails.  `build_interval` does not test the group against it: it lists
+non-bullet entry is 1 or zeta_e^k.  The bullets depend on the permutation
+alone, and `_bullets` finds them, the one place a running column minimum is
+kept; `bullet_rows`, `in_interval` and the build all read it.
+`build_interval` does not test the group against the criterion: it lists
 the members per permutation straight from the staircase, row 1's exponent
 fixed by the exponent-sum rule, the other bullet rows free and the
 non-bullet rows 0 or k.  It forms the products x*s, for the atoms x
@@ -54,8 +55,8 @@ from __future__ import annotations
 
 import math
 from functools import lru_cache
-from itertools import permutations, product
-from operator import getitem, itemgetter, mul
+from itertools import accumulate, compress, permutations, product
+from operator import eq, getitem, itemgetter, mul
 from typing import Iterable, Iterator, NamedTuple
 
 from .core import (
@@ -111,38 +112,30 @@ class LatticeViolationError(TheoremViolationError):
         )
 
 
-def bullet_rows(w: GroupElement) -> list[int]:
-    """Rows (1-based) whose entry is a strict running minimum of the columns.
+def _bullets(perm: tuple[int, ...]) -> list[bool]:
+    """Per row of a permutation, whether its entry is a bullet: a strict
+    running minimum of the columns.  The entries are distinct, so a row's
+    entry is one exactly when it equals the minimum of the rows up to it.
 
-    Row 1 always qualifies.  These are exactly the entries with only zeros
-    above and to the left, i.e. the corners of the staircase separating the
+    Row 1 always is.  The bullets are exactly the entries with only zeros
+    above and to the left, the corners of the staircase separating the
     zero region of the matrix.
     """
-    out = []
-    best = len(w.perm) + 1
-    for i, c in enumerate(w.perm, start=1):
-        if c < best:
-            out.append(i)
-            best = c
-    return out
+    return list(map(eq, perm, accumulate(perm, min)))
+
+
+def bullet_rows(w: GroupElement) -> list[int]:
+    """Rows (1-based) of the bullets of w, by `_bullets`."""
+    return list(compress(range(1, len(w.perm) + 1), _bullets(w.perm)))
 
 
 def in_interval(w: GroupElement, k: int) -> bool:
     """Membership of w in [1, lambda^k]: non-bullet entries must be 1 or zeta^k.
 
-    One pass keeps the running column minimum, so the bullets of
-    `bullet_rows` are the rows that lower it, and stops at the first
-    non-bullet exponent outside {0, k}.
+    A k outside 1 <= k <= e-1 is refused by `GroupParams`.
     """
-    if not 1 <= k <= w.e - 1:
-        raise ValueError(f"k must satisfy 1 <= k <= e-1, got {k}")
-    best = len(w.perm) + 1
-    for c, a in zip(w.perm, w.exps):
-        if c < best:
-            best = c
-        elif a and a != k:
-            return False
-    return True
+    GroupParams(w.e, w.n, k)
+    return all(bullet or a in (0, k) for bullet, a in zip(_bullets(w.perm), w.exps))
 
 
 @lru_cache(maxsize=2)
@@ -384,19 +377,17 @@ def divisor_theorem_oracle(interval: Interval, group: Iterable[GroupElement]) ->
     with the length-additivity test `left_divides`, on the left and on
     transposes for the right, and raises on any element where either test
     disagrees with membership, read from the interval's index.  lambda^k
-    is its own transpose, so the right test at w repeats the left test at
-    w^T, which the scan reaches as well; it is kept because the benchmark
-    asserts 2 |G| divisor tests per build, a count that a check by atom
-    closure would change together with that assertion.
+    is its own transpose, so both tests divide into it, and the right test
+    at w repeats the left test at w^T, which the scan reaches as well; it
+    is kept because the benchmark asserts 2 |G| divisor tests per build, a
+    count that a check by atom closure would change together with that
+    assertion.
     """
     index = interval.index
     delta = interval.members[interval.delta_ordinal]
-    delta_t = transpose(delta)
     for w in group:
-        lw = left_divides(w, delta)
-        rw = left_divides(transpose(w), delta_t)
         member = w in index
-        if lw != member or rw != member:
+        if left_divides(w, delta) != member or left_divides(transpose(w), delta) != member:
             raise TheoremViolationError(
                 f"divisors of lambda^{interval.k} disagree with the staircase "
                 f"criterion at {w}"
@@ -424,14 +415,7 @@ def _staircase(params: GroupParams) -> Iterator[GroupElement]:
     first, *weights = [e ** (n - 2 - i) for i in range(n - 1)]
     free, fixed = range(e), (0, k)
     for perm in permutations(range(1, n + 1)):
-        choices = []
-        best = perm[0]
-        for c in perm[1:]:
-            if c < best:
-                best = c
-                choices.append(free)
-            else:
-                choices.append(fixed)
+        choices = [free if bullet else fixed for bullet in _bullets(perm)[1:]]
         for rest in product(*choices):
             # zip in map stops at row n-1: the last row is not in the head
             position = (-sum(rest) % e) * first + sum(map(mul, rest, weights))
@@ -545,10 +529,12 @@ def build_interval(params: GroupParams) -> Interval:
 
     comp_left = [index.get(left_quotient(w, delta)) for w in members]
     # lambda^k (s^(-1) lambda^k)^(-1) = s; a slot left at -1 means comp_left
-    # left the interval or hit some ordinal twice
+    # left the interval or hit some ordinal twice.  The ordinals are read
+    # from the index, so comp_right shares their int objects instead of
+    # holding a fresh one per member.
     comp_right = [-1] * size
     if None not in comp_left:
-        for s, c in enumerate(comp_left):
+        for s, c in zip(index.values(), comp_left):
             comp_right[c] = s
     if -1 in comp_right:
         raise TheoremViolationError("the complement is not a permutation of the simples")

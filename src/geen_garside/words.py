@@ -29,7 +29,7 @@ matrix entries, without recomputing any words.
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import compress, product
+from itertools import compress
 
 from .core import (
     CapExceededError,
@@ -38,6 +38,7 @@ from .core import (
     GroupParams,
     admit_group,
     atoms,
+    exponent_vectors,
     generator_matrix,
     identity,
     multiply,
@@ -247,16 +248,13 @@ def maximal_length_elements(params: GroupParams) -> list[GroupElement]:
     """The (e-1)^(n-1) diagonal matrices with nontrivial entries in rows 2..n.
 
     These are exactly the elements of maximal length n(n-1); the first
-    diagonal entry is forced by the exponent-sum rule.
+    diagonal entry is forced by the exponent-sum rule, so they are the
+    vectors of `exponent_vectors` with no zero in rows 2..n, in its
+    lexicographic order.
     """
     e, n = params.e, params.n
     perm = tuple(range(1, n + 1))
-    out = []
-    for tail in product(range(1, e), repeat=n - 1):
-        head = (-sum(tail)) % e
-        out.append(GroupElement(e, perm, (head,) + tail))
-    out.sort(key=lambda w: w.exps)
-    return out
+    return [GroupElement(e, perm, v) for v in exponent_vectors(e, n) if all(v[1:])]
 
 
 def all_reduced_expressions(

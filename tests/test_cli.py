@@ -28,6 +28,26 @@ def test_reduce_worked_example(capsys):
     assert capsys.readouterr().out.strip() == "t0 s3 t1 t0 s4 s3 t0"
 
 
+def test_reduce_cap_refuses_before_reducing(capsys, monkeypatch):
+    """The longest reduced word at n = 4 has n(n-1) = 12 letters.  With
+    MATSUMOTO_CAP at 12 the worked example reduces; at 11, reduce exits 3
+    naming the count and the constant, and the loop is never entered."""
+    from geen_garside import cli, garside
+
+    def forbidden(w):
+        raise AssertionError("reduced_expression was entered")
+
+    monkeypatch.setattr(garside, "MATSUMOTO_CAP", 12)
+    assert run(["reduce", "--e", "3", "--n", "4", "--element", WORKED]) == EXIT_OK
+    assert capsys.readouterr().out.strip() == "t0 s3 t1 t0 s4 s3 t0"
+    monkeypatch.setattr(garside, "MATSUMOTO_CAP", 11)
+    monkeypatch.setattr(cli, "reduced_expression", forbidden)
+    assert run(["reduce", "--e", "3", "--n", "4", "--element", WORKED]) == EXIT_CAP
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "12 letters" in captured.err and "MATSUMOTO_CAP = 11" in captured.err
+
+
 def test_length_worked_example(capsys):
     assert run(["length", "--e", "3", "--n", "4", "--element", WORKED]) == EXIT_OK
     assert capsys.readouterr().out.strip() == "7"
@@ -213,6 +233,20 @@ def test_verify_suites(capsys):
             assert run(["verify", "--e", str(e), "--n", str(n), "--k", str(k),
                         "--suite", suite]) == EXIT_OK
             capsys.readouterr()
+
+
+def test_verify_suites_build_only_what_they_read(capsys, monkeypatch):
+    """The balanced suite scans the group: it builds neither the interval
+    nor the Garside tables."""
+    from geen_garside import cli
+
+    def forbidden(e, n, k):
+        raise AssertionError("a structure was built")
+
+    monkeypatch.setattr(cli, "cached_interval", forbidden)
+    monkeypatch.setattr(cli, "cached_garside", forbidden)
+    assert run(["verify", "--e", "3", "--n", "3", "--k", "1", "--suite", "balanced"]) == EXIT_OK
+    assert capsys.readouterr().out.strip() == '{"ok":true,"suite":"balanced"}'
 
 
 def test_verify_theorem_violation_exits_4(capsys, monkeypatch):

@@ -485,11 +485,10 @@ def test_generators_sort_by_kind_then_index():
 def test_word_parsing():
     params = GroupParams(3, 4)
     word = parse_word("t0 s3 t1 t0 s4 s3 t0", params)
-    assert [str(x) for x in word] == ["t0", "s3", "t1", "t0", "s4", "s3", "t0"]
-    signed = parse_word("t0 t1^-1", params, allow_inverses=True)
+    assert [str(x) for x, _ in word] == ["t0", "s3", "t1", "t0", "s4", "s3", "t0"]
+    assert {sign for _, sign in word} == {1}
+    signed = parse_word("t0 t1^-1", params)
     assert signed == [(Generator("t", 0), 1), (Generator("t", 1), -1)]
-    with pytest.raises(ValueError):
-        parse_word("t0^-1", params)
     with pytest.raises(ValueError):
         parse_word("q7", params)
     with pytest.raises(ValueError):
@@ -497,4 +496,4 @@ def test_word_parsing():
     # indices are ASCII digits only: no sign, underscore or other Unicode digit
     for text in ("s+3", "t\u0660", "t-0", "t0_0", "s\u00b3"):
         with pytest.raises(ValueError):
-            parse_word(text, params, allow_inverses=True)
+            parse_word(text, params)

@@ -405,7 +405,7 @@ def test_presentation_relations_are_family_members():
         ("s3 s4 t0", "s4 s3 s4"),
         ("t0 s3 t0", "s3 t0 t0"),
     ):
-        lhs, rhs = tuple(parse_word(lhs, params)), tuple(parse_word(rhs, params))
+        lhs, rhs = (tuple(x for x, _ in parse_word(w, params)) for w in (lhs, rhs))
         assert not is_defining_relation(lhs, rhs, params)
         assert not is_defining_relation(rhs, lhs, params)
 
