@@ -91,40 +91,50 @@ def _add_params(parser, with_k: bool):
         parser.add_argument("--k", type=int, required=True)
 
 
-def _interval_dot(interval) -> str:
-    lines = ["digraph interval {", "  rankdir=BT;"]
+def _interval_dot(interval, out) -> None:
+    out.write("digraph interval {\n  rankdir=BT;\n")
     for i, w in enumerate(interval.members):
         word = format_word(reduced_expression(w)) or "1"
-        lines.append(f'  n{i} [label="{word}"];')
+        out.write(f'  n{i} [label="{word}"];\n')
     for b in range(len(interval)):
         for a in interval.covers(b):
-            lines.append(f"  n{a} -> n{b};")
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+            out.write(f"  n{a} -> n{b};\n")
+    out.write("}\n")
 
 
-def _interval_json(interval) -> str:
+def _interval_json(interval, out) -> None:
+    """Write the canonical JSON (sorted keys, no spaces) of the interval one
+    row at a time, so neither table is held as text."""
     import base64
 
+    width = (len(interval) + 7) // 8
+
     def rows(table):
-        width = (len(interval) + 7) // 8
-        return [
-            base64.b64encode(mask.to_bytes(width, "little")).decode("ascii")
-            for mask in table
-        ]
+        out.write("[")
+        for b, mask in enumerate(table):
+            text = base64.b64encode(mask.to_bytes(width, "little")).decode("ascii")
+            out.write(f',"{text}"' if b else f'"{text}"')
+        out.write("]")
 
-    data = {
-        "e": interval.e,
-        "n": interval.n,
-        "k": interval.k,
-        "members": [json.loads(w.to_json()) for w in interval.members],
-        "left_divides": rows(interval.div_left),
-        "right_divides": rows(map(interval.right_row, range(len(interval)))),
-    }
-    return _canonical(data)
+    # a <= b on the right exactly when a = b or a <= c for some c with
+    # b = x c, x an atom; down_left lists those c, all below b in ordinal order
+    right: list[int] = []
+    for b in range(len(interval)):
+        row = 1 << b
+        for down in interval.down_left:
+            if down[b] >= 0:
+                row |= right[down[b]]
+        right.append(row)
+
+    out.write(f'{{"e":{interval.e},"k":{interval.k},"left_divides":')
+    rows(interval.div_left)
+    out.write(',"members":[' + ",".join(w.to_json() for w in interval.members))
+    out.write(f'],"n":{interval.n},"right_divides":')
+    rows(right)
+    out.write("}")
 
 
-# the formats of `interval --export`, each with the text it writes
+# the formats of `interval --export`, each with its writer
 EXPORTS = {"dot": _interval_dot, "json": _interval_json}
 
 
@@ -214,7 +224,7 @@ def _cmd_interval(args) -> int:
     if args.export:
         kind, path = args.export
         with open(path, "w") as handle:
-            handle.write(EXPORTS[kind](interval))
+            EXPORTS[kind](interval, handle)
         summary["exported"] = kind
     print(_canonical(summary))
     return EXIT_OK

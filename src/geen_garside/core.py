@@ -66,22 +66,26 @@ class ParameterMismatchError(ValueError):
     """Operands live in different groups G(e,e,n)."""
 
 
-def admit_group(params: GroupParams) -> None:
-    """Refuse a group G(e,e,n) whose order exceeds the group-size cap.
-
-    The cap is DEFAULT_GROUP_CAP unless the GARSIDE_CAP environment variable
-    sets it; the error names the predicted order and that variable.  A
-    GARSIDE_CAP that is not a positive integer raises ValueError naming it.
-    """
+def group_cap() -> int:
+    """The group-size cap: DEFAULT_GROUP_CAP unless the GARSIDE_CAP
+    environment variable sets it.  A GARSIDE_CAP that is not a positive
+    integer raises ValueError naming it."""
     value = os.environ.get("GARSIDE_CAP")
-    cap = DEFAULT_GROUP_CAP
-    if value:
-        try:
-            cap = int(value)
-        except ValueError:
-            cap = 0
-        if cap < 1:
-            raise ValueError(f"GARSIDE_CAP={value!r} is not a positive integer")
+    if not value:
+        return DEFAULT_GROUP_CAP
+    try:
+        cap = int(value)
+    except ValueError:
+        cap = 0
+    if cap < 1:
+        raise ValueError(f"GARSIDE_CAP={value!r} is not a positive integer")
+    return cap
+
+
+def admit_group(params: GroupParams) -> None:
+    """Refuse a group G(e,e,n) whose order exceeds `group_cap`; the error
+    names the predicted order and GARSIDE_CAP."""
+    cap = group_cap()
     order = params.order()
     if order > cap:
         raise CapExceededError(

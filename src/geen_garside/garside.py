@@ -114,7 +114,8 @@ class GarsideStructure:
         if tau[self.identity] != self.identity or tau[self.delta] != self.delta:
             raise TheoremViolationError("tau moves the identity or Delta")
         self.tau = tau
-        powers = [list(range(len(members)))]
+        # tau^0 holds the index's own ordinals, not a fresh int per simple
+        powers = [list(interval.index.values())]
         image = tau
         while image != powers[0]:
             powers.append(image)

@@ -71,6 +71,7 @@ from .core import (
     evaluate_word,
     exponent_vectors,
     generator_matrix,
+    group_cap,
     group_elements,
     lambda_power,
     lcm_word,
@@ -197,9 +198,16 @@ def balanced_max_length(params: GroupParams) -> list[GroupElement]:
 
     The equality with {lambda^k : 1 <= k <= e-1} is a theorem; its failure
     is raised as a violation.  The group is admitted before the (e-1)^(n-1)
-    candidates are listed, since each balance test scans all of it.
+    candidates are listed, and then the census itself, which scans G once
+    per candidate: |G| (e-1)^(n-1) must not exceed the same cap.
     """
     admit_group(params)
+    scans, cap = params.order() * (params.e - 1) ** (params.n - 1), group_cap()
+    if scans > cap:
+        raise CapExceededError(
+            f"the balanced census scans |G| (e-1)^(n-1) = {scans} elements, "
+            f"above the group-size cap {cap} (set by GARSIDE_CAP)"
+        )
     found = [w for w in maximal_length_elements(params) if is_balanced(w)]
     expected = {lambda_power(params, k) for k in range(1, params.e)}
     if set(found) != expected:

@@ -1,20 +1,21 @@
 """
 Reduced words over the generating set {t_0..t_{e-1}, s_3..s_n} of G(e,e,n).
 
-Two independent routes produce the same minimal word for an element w:
+Two routes produce the same minimal word for an element w.  Both emit, for
+block i = n..2, the word `_block_word(i, c, k)`, a fixed function of the
+column c and exponent k of the entry of row i; they differ only in how they
+find (c, k):
 
-* `reduced_expression` runs the row-reduction loop literally: working on a
-  scratch copy, for i = n down to 2 it locates the nonzero entry of row i,
-  clears its root of unity by right-multiplying with s_c..s_2 t_k (s_2 means
-  t_0), and shifts the resulting 1 onto the diagonal with s_{c+1}..s_i,
-  prepending the used letters.
+* `reduced_expression` runs the row-reduction loop literally: on a scratch
+  copy, for i = n down to 2 it reads (c, k) off row i, prepends the block
+  word and right-multiplies the scratch by its letters, last first, through
+  `_rmul`, which leaves a 1 at (i, i).
 
-* `reduced_expression_blockwise` reads each block straight off the matrix:
+* `reduced_expression_blockwise` reads (c, k) straight off the matrix:
   block i is rows 1..i with their columns renumbered 1..i in order and the
-  first column's exponent fixed by the row sum, and the word emitted for
-  each block is a fixed function of (c, exponent).
+  first column's exponent fixed by the row sum.
 
-Their agreement is a cross-check against transcription slips in either one.
+Their agreement checks the two ways of finding (c, k) against each other.
 `length` counts the letters of these words in closed form and equals the
 Cayley-graph distance from the identity, for which `cayley_length_table` is
 the independent BFS oracle; the part of that count fixed by the permutation
@@ -45,64 +46,40 @@ from .core import (
 )
 
 
-def _rmul_s(perm: list[int], m: int) -> None:
-    """Right-multiply by s_m: swap columns m-1 and m."""
-    for i, c in enumerate(perm):
-        if c == m - 1:
-            perm[i] = m
-        elif c == m:
-            perm[i] = m - 1
+def _rmul(perm: list[int], exps: list[int], x: Generator, e: int) -> None:
+    """Right-multiply the scratch matrix by the atom x, in place.
 
-
-def _rmul_t(perm: list[int], exps: list[int], m: int, e: int) -> None:
-    """Right-multiply by t_m: column 1 -> 2 gaining -m, column 2 -> 1 gaining m."""
-    for i, c in enumerate(perm):
-        if c == 1:
-            perm[i] = 2
-            exps[i] = (exps[i] - m) % e
-        elif c == 2:
-            perm[i] = 1
-            exps[i] = (exps[i] + m) % e
+    s_m swaps columns m-1 and m; t_m swaps columns 1 and 2, the entry
+    leaving column 1 gaining -m and the one leaving column 2 gaining m.
+    """
+    if x.kind == "s":
+        a, b, shift = x.index - 1, x.index, 0
+    else:
+        a, b, shift = 1, 2, x.index
+    i, j = perm.index(a), perm.index(b)
+    perm[i], perm[j] = b, a
+    exps[i] = (exps[i] - shift) % e
+    exps[j] = (exps[j] + shift) % e
 
 
 def reduced_expression(w: GroupElement) -> list[Generator]:
     """Minimal word for w, by the literal row-reduction loop."""
-    e, n = w.e, w.n
     perm = list(w.perm)
     exps = list(w.exps)
-    word: list[Generator] = []
-    for i in range(n, 1, -1):
-        c = perm[i - 1]
-        k = exps[i - 1]
-        if k != 0:
-            # Shift the entry to column 1 (via s_c..s_3, then s_2 = t_0),
-            # then turn it into a 1 sitting in column 2 with t_k.
-            for m in range(c, 2, -1):
-                _rmul_s(perm, m)
-            if c >= 2:
-                _rmul_t(perm, exps, 0, e)
-            _rmul_t(perm, exps, k, e)
-            prefix = [Generator("t", k)]
-            if c >= 2:
-                prefix.append(Generator("t", 0))
-            prefix += [Generator("s", m) for m in range(3, c + 1)]
-            word = prefix + word
-            c = 2
-        # Shift the 1 from column c to the diagonal position (i, i).
-        for m in range(c + 1, i + 1):
-            if m >= 3:
-                _rmul_s(perm, m)
-            else:
-                _rmul_t(perm, exps, 0, e)
-        word = [
-            Generator("s", m) if m >= 3 else Generator("t", 0)
-            for m in range(i, c, -1)
-        ] + word
-    return word
+    blocks: list[list[Generator]] = []
+    for i in range(w.n, 1, -1):
+        block = _block_word(i, perm[i - 1], exps[i - 1])
+        # right-multiply by the block's inverse, which moves the entry of
+        # row i onto the diagonal as a 1; every atom is an involution
+        for x in reversed(block):
+            _rmul(perm, exps, x, w.e)
+        blocks.append(block)
+    return [x for block in reversed(blocks) for x in block]
 
 
 def _block_word(i: int, c: int, k: int) -> list[Generator]:
-    """Word contributed by block i, by the closed-form case split on (c, k)."""
+    """Word contributed by block i, by the closed-form case split on (c, k);
+    both routes emit it."""
     if k != 0:
         word = [Generator("s", m) for m in range(i, 2, -1)]
         word.append(Generator("t", k))

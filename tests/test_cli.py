@@ -18,7 +18,8 @@ from geen_garside.cli import (
     run,
 )
 from geen_garside.homology import TOP_DEGREE
-from geen_garside.interval import TheoremViolationError
+from geen_garside.interval import TheoremViolationError, cached_interval
+from conftest import right_rows
 
 WORKED = '{"e":3,"n":4,"perm":[4,2,3,1],"exps":[0,2,1,0]}'
 
@@ -97,6 +98,21 @@ def test_interval_json_export_is_golden(tmp_path, capsys, e, n, k, digest):
                 "--export", "json", str(blob)]) == EXIT_OK
     capsys.readouterr()
     assert hashlib.sha256(blob.read_bytes()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("e,n,k", [(2, 5, 1), (3, 4, 2), (6, 3, 2), (8, 4, 2)])
+def test_interval_json_right_rows_are_the_transposed_left_rows(tmp_path, capsys, e, n, k):
+    """The exported right_divides rows, built by closure over the atom
+    tables, decode to the rows read through the transpose."""
+    import base64
+
+    blob = tmp_path / "interval.json"
+    assert run(["interval", "--e", str(e), "--n", str(n), "--k", str(k),
+                "--export", "json", str(blob)]) == EXIT_OK
+    capsys.readouterr()
+    rows = json.loads(blob.read_text())["right_divides"]
+    decoded = [int.from_bytes(base64.b64decode(row), "little") for row in rows]
+    assert decoded == right_rows(cached_interval(e, n, k))
 
 
 def test_interval_export_rejects_an_unknown_format(tmp_path, capsys, monkeypatch):
@@ -403,6 +419,24 @@ def test_balanced_suite_admits_the_group_before_listing(capsys, monkeypatch):
         interval.balanced_max_length(GroupParams(3, 3))
     assert run(["verify", "--e", "3", "--n", "3", "--k", "1", "--suite", "balanced"]) == EXIT_CAP
     assert "| = 54 exceeds" in capsys.readouterr().err
+
+
+def test_balanced_census_is_bounded_before_any_scan(capsys, monkeypatch):
+    """|G(3,3,3)| = 54 passes GARSIDE_CAP = 100, but the census scans G once
+    per candidate, 54 (3-1)^2 = 216 elements, so it is refused before any
+    candidate is tested."""
+    from geen_garside import interval
+
+    def forbidden(w):
+        raise AssertionError("a candidate was scanned")
+
+    monkeypatch.setenv("GARSIDE_CAP", "100")
+    monkeypatch.setattr(interval, "is_balanced", forbidden)
+    with pytest.raises(CapExceededError, match=r"= 216 elements, above .*GARSIDE_CAP"):
+        interval.balanced_max_length(GroupParams(3, 3))
+    assert run(["verify", "--e", "3", "--n", "3", "--k", "1", "--suite", "balanced"]) == EXIT_CAP
+    err = capsys.readouterr().err
+    assert "= 216 elements" in err and "GARSIDE_CAP" in err
 
 
 def test_interval_cap_refuses_before_enumerating(capsys, monkeypatch):

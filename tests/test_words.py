@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from geen_garside import (
@@ -118,6 +120,23 @@ def test_evaluation_round_trip_sampled_large():
     params = GroupParams(5, 4)
     for w in enumerate_group(params)[::37]:
         assert evaluate_word(reduced_expression(w), params) == w
+
+
+@pytest.mark.parametrize("n", [20, 40, 60])
+def test_loop_agrees_evaluates_and_counts_beyond_the_exhaustive_sizes(n):
+    """Seeded random elements of G(e,e,n): the loop's word is the blockwise
+    one, its product is w, and it has length(w) letters."""
+    rng = random.Random(n)
+    for _ in range(6):
+        e = rng.randint(2, 7)
+        perm = list(range(1, n + 1))
+        rng.shuffle(perm)
+        exps = [rng.randrange(e) for _ in range(n - 1)]
+        w = GroupElement(e, tuple(perm), ((-sum(exps)) % e, *exps))
+        word = reduced_expression(w)
+        assert reduced_expression_blockwise(w).word() == word
+        assert evaluate_word(word, GroupParams(e, n)) == w
+        assert len(word) == length(w)
 
 
 @pytest.mark.parametrize("e,n", LENGTH_ORACLE_GRID + [(2, 5), (3, 5), (2, 6)])
