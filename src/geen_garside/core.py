@@ -31,18 +31,23 @@ and is tested against it.
 
 Elements, the generator symbols and the group parameters are NamedTuples,
 like every value record of the package: immutable, hashable, and equal to
-the tuple of their fields, so building, hashing and comparing them runs in
-C.  `left_quotient` forms a^(-1) b in one pass, without the intermediate
-inverse.  `group_elements` streams the group, so that a scan over it holds
-no list of |G| elements; the elements share their exponent tuples, from
-the one table `exponent_vectors` per (e, n).
+the tuple of their fields, so hashing and comparing them runs in C.
+Building one through its class does not: the generated `__new__` is a
+Python function.  `new_element` builds a GroupElement from one
+(e, perm, exps) tuple with `tuple.__new__`, in C, and is the route of the
+hot paths: `multiply`, `inverse`, `transpose`, `left_quotient`,
+`group_elements` and the interval's staircase.  `left_quotient` forms
+a^(-1) b in one pass, without the intermediate inverse.  `group_elements`
+streams the group, so that a scan over it holds no list of |G| elements;
+the elements share their exponent tuples, from the one table
+`exponent_vectors` per (e, n).
 
 Data that depends on the permutation alone is tabulated once per
-permutation, not once per element: `_inverse_order` here (the inverse
-permutation and a row getter, read by `inverse`, `transpose` and
-`left_quotient`) and the row counts of `words.length`.  Each table is
-keyed by the permutation tuple, so it holds at most n! entries per n, and
-it has no size option.
+permutation, not once per element: `inverse_order` here (the inverse
+permutation and a row getter, read by `inverse`, `transpose`,
+`left_quotient` and the interval's divisor scan) and the row counts of
+`words.length`.  Each table is keyed by the permutation tuple, so it
+holds at most n! entries per n, and it has no size option.
 """
 
 from __future__ import annotations
@@ -51,7 +56,7 @@ import itertools
 import json
 import math
 import os
-from functools import lru_cache
+from functools import lru_cache, partial
 from operator import itemgetter
 from typing import Callable, Iterator, NamedTuple
 
@@ -263,6 +268,11 @@ class GroupElement(NamedTuple):
         return w
 
 
+# GroupElement from one (e, perm, exps) tuple, built in C; the fields are
+# taken as given, unchecked.
+new_element = partial(tuple.__new__, GroupElement)
+
+
 def _is_int(value) -> bool:
     """Whether a parsed JSON value is an integer (a bool is not)."""
     return type(value) is int
@@ -319,11 +329,11 @@ def multiply(u: GroupElement, v: GroupElement) -> GroupElement:
     vexps = v.exps
     perm = tuple([vperm[c - 1] for c in u.perm])
     exps = tuple([(a + vexps[c - 1]) % e for a, c in zip(u.exps, u.perm)])
-    return GroupElement(e, perm, exps)
+    return new_element((e, perm, exps))
 
 
 @lru_cache(maxsize=None)
-def _inverse_order(perm: tuple[int, ...]) -> tuple[tuple[int, ...], Callable]:
+def inverse_order(perm: tuple[int, ...]) -> tuple[tuple[int, ...], Callable]:
     """(sigma^(-1), a getter of the rows j in increasing sigma(j)) of a permutation.
 
     Row i of the inverse or the transpose of w is row j of w, the i-th in
@@ -350,23 +360,23 @@ def left_quotient(a: GroupElement, b: GroupElement) -> GroupElement:
             f"and G({b.e},{b.e},{len(b.perm)})"
         )
     e = a.e
-    rows = _inverse_order(a.perm)[1]
+    rows = inverse_order(a.perm)[1]
     exps = tuple([(y - x) % e for x, y in zip(rows(a.exps), rows(b.exps))])
-    return GroupElement(e, rows(b.perm), exps)
+    return new_element((e, rows(b.perm), exps))
 
 
 def inverse(w: GroupElement) -> GroupElement:
     """Inverse = conjugate transpose: sigma^(-1) with negated, relabeled exponents."""
-    perm, rows = _inverse_order(w.perm)
+    perm, rows = inverse_order(w.perm)
     e = w.e
-    return GroupElement(e, perm, tuple([-a % e for a in rows(w.exps)]))
+    return new_element((e, perm, tuple([-a % e for a in rows(w.exps)])))
 
 
 def transpose(w: GroupElement) -> GroupElement:
     """Plain transpose: the length-preserving antiautomorphism sending t_i to
     t_{-i} and fixing every s_j."""
-    perm, rows = _inverse_order(w.perm)
-    return GroupElement(w.e, perm, rows(w.exps))
+    perm, rows = inverse_order(w.perm)
+    return new_element((w.e, perm, rows(w.exps)))
 
 
 def evaluate_word(letters, params: GroupParams) -> GroupElement:
@@ -399,15 +409,15 @@ def group_elements(params: GroupParams) -> Iterator[GroupElement]:
 
     The group is admitted (`admit_group`) when this is called, before the
     first element is asked for; the elements come one at a time, so no
-    list of |G| elements is held.
+    list of |G| elements is held.  Per permutation, its elements are built
+    by `new_element` in one `map`, with no Python frame per element.
     """
     admit_group(params)
     e, n = params.e, params.n
     vectors = exponent_vectors(e, n)
-    return (
-        GroupElement(e, perm, exps)
+    return itertools.chain.from_iterable(
+        map(new_element, zip(itertools.repeat(e), itertools.repeat(perm), vectors))
         for perm in itertools.permutations(range(1, n + 1))
-        for exps in vectors
     )
 
 

@@ -26,10 +26,11 @@ exactly when a^T <= b^T on the left: with flip[s] the ordinal of s^T, right
 divisibility is the left table read through flip, and the left table itself
 is built from the atom tables through flip.  lambda^k s^(-1) is the inverse
 permutation of s^(-1) lambda^k, by integer lookups.  The member set is
-checked against a divisor test on the whole group, streamed one element
-at a time so that no list of |G| elements is held, that never looks at the
+checked against a divisor test on the whole group that never looks at the
 staircase: length additivity len(a) + len(a^(-1) b) = len(b), read as one
-sum of table entries without forming a^(-1) b.  `divisor_table` holds,
+sum of table entries without forming a^(-1) b.  The scan goes through G
+one permutation at a time, on plain (e, perm, exps) tuples built in C,
+so that no list of |G| elements is held.  `divisor_table` holds,
 for the divisor b and the permutation of a, the `words.divisor_rows`: one
 row table per row, indexed by a's exponent there, and a target.  Tables are
 kept for the last two divisors only; the scan needs one, as lambda^k is its
@@ -55,9 +56,9 @@ from __future__ import annotations
 
 import math
 from functools import lru_cache
-from itertools import accumulate, compress, permutations, product
+from itertools import accumulate, compress, permutations, product, repeat
 from operator import eq, getitem, itemgetter, mul
-from typing import Iterable, Iterator, NamedTuple
+from typing import Iterator, NamedTuple
 
 from .core import (
     CapExceededError,
@@ -72,11 +73,12 @@ from .core import (
     exponent_vectors,
     generator_matrix,
     group_cap,
-    group_elements,
+    inverse_order,
     lambda_power,
     lcm_word,
     left_quotient,
     multiply,
+    new_element,
     transpose,
 )
 from .words import divisor_rows, length, length_decreases, maximal_length_elements
@@ -162,20 +164,24 @@ def left_divides(a: GroupElement, b: GroupElement) -> bool:
     what that row adds to len(a) + len(a^(-1) b), so the test is one sum
     of n table entries.  Tables are kept for the last two divisors only,
     at most 2 n! entries.  It never consults the staircase criterion of
-    `in_interval`, so it can serve as its oracle.  Operands from different
-    groups raise ParameterMismatchError.
+    `in_interval`, so it can serve as its oracle.  The operands are read
+    by unpacking, so a plain (e, perm, exps) tuple as a gets the answer of
+    its GroupElement.  Operands from different groups raise
+    ParameterMismatchError.
     """
-    if a.e != b.e or len(a.perm) != len(b.perm):
+    ae, aperm, aexps = a
+    be, bperm, _ = b
+    if ae != be or len(aperm) != len(bperm):
         raise ParameterMismatchError(
-            f"cannot divide elements of G({a.e},{a.e},{len(a.perm)}) "
-            f"and G({b.e},{b.e},{len(b.perm)})"
+            f"cannot divide elements of G({ae},{ae},{len(aperm)}) "
+            f"and G({be},{be},{len(bperm)})"
         )
     table = divisor_table(b)
     try:
-        rows, target = table[a.perm]
+        rows, target = table[aperm]
     except KeyError:
-        rows, target = table[a.perm] = divisor_rows(a.perm, b)
-    return sum(map(getitem, rows, a.exps)) == target
+        rows, target = table[aperm] = divisor_rows(aperm, b)
+    return sum(map(getitem, rows, aexps)) == target
 
 
 def right_divides(a: GroupElement, b: GroupElement) -> bool:
@@ -378,28 +384,38 @@ def _meet_violation(div: list[int], a: int, b: int) -> LatticeViolation | None:
     return None
 
 
-def divisor_theorem_oracle(interval: Interval, group: Iterable[GroupElement]) -> None:
+def divisor_theorem_oracle(interval: Interval) -> None:
     """Oracle: the staircase members are exactly the divisors of lambda^k.
 
-    Scans the whole group, a list or a stream such as `group_elements`,
-    with the length-additivity test `left_divides`, on the left and on
-    transposes for the right, and raises on any element where either test
-    disagrees with membership, read from the interval's index.  lambda^k
-    is its own transpose, so both tests divide into it, and the right test
-    at w repeats the left test at w^T, which the scan reaches as well; it
-    is kept because the benchmark asserts 2 |G| divisor tests per build, a
+    Scans the whole group with the length-additivity test `left_divides`,
+    on the left and on transposes for the right, and raises on any element
+    where either test disagrees with membership, read from the interval's
+    index.  The scan goes one permutation sigma at a time: sigma^(-1) and
+    the row getter are read once from `inverse_order`, and each element
+    (e, sigma, x), for x in `exponent_vectors`, is paired with its
+    transpose (e, sigma^(-1), rows(x)), both as plain tuples built in C;
+    the error names the element as a GroupElement.  lambda^k is its own
+    transpose, so both tests divide into it, and the right test at w
+    repeats the left test at w^T, which the scan reaches as well; it is
+    kept because the benchmark asserts 2 |G| divisor tests per build, a
     count that a check by atom closure would change together with that
     assertion.
     """
     index = interval.index
     delta = interval.members[interval.delta_ordinal]
-    for w in group:
-        member = w in index
-        if left_divides(w, delta) != member or left_divides(transpose(w), delta) != member:
-            raise TheoremViolationError(
-                f"divisors of lambda^{interval.k} disagree with the staircase "
-                f"criterion at {w}"
-            )
+    e = interval.e
+    vectors = exponent_vectors(e, interval.n)
+    for perm in permutations(range(1, interval.n + 1)):
+        inv, rows = inverse_order(perm)
+        elements = zip(repeat(e), repeat(perm), vectors)
+        transposes = zip(repeat(e), repeat(inv), map(rows, vectors))
+        for w, wt in zip(elements, transposes):
+            member = w in index
+            if left_divides(w, delta) != member or left_divides(wt, delta) != member:
+                raise TheoremViolationError(
+                    f"divisors of lambda^{interval.k} disagree with the staircase "
+                    f"criterion at {new_element(w)}"
+                )
 
 
 def _row_swap(n: int, j: int):
@@ -427,7 +443,7 @@ def _staircase(params: GroupParams) -> Iterator[GroupElement]:
         for rest in product(*choices):
             # zip in map stops at row n-1: the last row is not in the head
             position = (-sum(rest) % e) * first + sum(map(mul, rest, weights))
-            yield GroupElement(e, perm, vectors[position])
+            yield new_element((e, perm, vectors[position]))
 
 
 def interval_size(e: int, n: int) -> int:
@@ -455,12 +471,12 @@ def build_interval(params: GroupParams) -> Interval:
     or disagrees with its product, a transpose leaving the interval, or a
     comp_left that is not a permutation, is a theorem violation.  Last,
     `divisor_theorem_oracle` checks the member set against divisor tests of
-    lambda^k over the whole group, which `group_elements` streams to it.
+    lambda^k over the whole group, one permutation at a time.
 
     Before anything is enumerated, |D| is predicted by `interval_size` and
     the interval is refused with CapExceededError when its bitset table
     would exceed INTERVAL_TABLE_CAP_BYTES, and the group is admitted by
-    `group_elements`; a built size that differs from the prediction is a
+    `admit_group`; a built size that differs from the prediction is a
     theorem violation.
     """
     if params.k is None:
@@ -475,7 +491,7 @@ def build_interval(params: GroupParams) -> Interval:
             f"{table_bytes} bytes, above INTERVAL_TABLE_CAP_BYTES = "
             f"{INTERVAL_TABLE_CAP_BYTES}"
         )
-    group = group_elements(params)  # admitted now, read by the oracle last
+    admit_group(params)
     members = list(_staircase(params))
     if len(members) != predicted:
         raise TheoremViolationError(
@@ -555,7 +571,7 @@ def build_interval(params: GroupParams) -> Interval:
     if div_left[interval.delta_ordinal] != (1 << size) - 1:
         raise TheoremViolationError("some member does not left-divide lambda^k")
 
-    divisor_theorem_oracle(interval, group)
+    divisor_theorem_oracle(interval)
     return interval
 
 

@@ -168,7 +168,7 @@ def test_inverse_and_transpose_exhaustive_g335():
 @pytest.mark.parametrize("e,n,step", [(3, 3, 1), (2, 4, 5)])
 def test_row_getter_operations_are_their_matrix_definitions(e, n, step):
     """transpose, inverse (the conjugate transpose) and left_quotient read
-    rows through the getter that `_inverse_order` caches per permutation.
+    rows through the getter that `inverse_order` caches per permutation.
     Each equals its matrix definition on every element a, against every
     step-th b for the quotient."""
     group = enumerate_group(GroupParams(e, n))

@@ -12,6 +12,7 @@ from geen_garside import (
     Generator,
     GroupElement,
     GroupParams,
+    ParameterMismatchError,
     atom_lcm_table,
     atoms,
     balanced_max_length,
@@ -93,12 +94,12 @@ def test_permutation_tables_hold_one_entry_per_permutation():
     the candidate divisor."""
     code = (
         "from geen_garside import GroupParams, build_interval, lambda_power\n"
-        "from geen_garside.core import _inverse_order\n"
+        "from geen_garside.core import inverse_order\n"
         "from geen_garside.interval import divisor_table\n"
         "from geen_garside.words import _row_shape\n"
         "params = GroupParams(3, 5, 1)\n"
         "build_interval(params)\n"
-        "print(_inverse_order.cache_info().currsize, _row_shape.cache_info().currsize,\n"
+        "print(inverse_order.cache_info().currsize, _row_shape.cache_info().currsize,\n"
         "      divisor_table.cache_info().currsize,\n"
         "      len(divisor_table(lambda_power(params, 1))))\n"
     )
@@ -547,8 +548,8 @@ def test_interval_admission_by_predicted_table_size(monkeypatch):
     def enumerated(params):
         raise Enumerated
 
-    # the build's one entry to the group: it admits G, then streams it
-    monkeypatch.setattr(interval_module, "group_elements", enumerated)
+    # the build admits G before it enumerates anything
+    monkeypatch.setattr(interval_module, "admit_group", enumerated)
     with pytest.raises(CapExceededError, match=r"\|D\| = 322560 .* 13005619200 bytes"):
         build_interval(GroupParams(2, 7, 1))
     # (3,6,1): |D| = 45,045, about 0.25 GB of table, is admitted (not built here)
@@ -559,8 +560,8 @@ def test_interval_admission_by_predicted_table_size(monkeypatch):
 
 @pytest.mark.parametrize("point", [(3, 3, 1), (4, 4, 2), (2, 5, 1)])
 def test_build_lists_no_group(monkeypatch, point):
-    """The members come from the staircase and the oracle reads a stream:
-    no list of G is made."""
+    """The members come from the staircase and the oracle scans G one
+    permutation at a time: no list of G is made."""
     from geen_garside import core
     from geen_garside import interval as interval_module
 
@@ -718,15 +719,14 @@ def test_divisor_theorem_oracle_reports_a_disagreement(monkeypatch):
 
     params = GroupParams(3, 3, 1)
     iv = cached_interval(3, 3, 1)
-    group = enumerate_group(params)
-    divisor_theorem_oracle(iv, group)
-    outsider = next(w for w in group if w not in iv.index)
+    divisor_theorem_oracle(iv)
+    outsider = next(w for w in enumerate_group(params) if w not in iv.index)
     honest = interval_module.left_divides
     monkeypatch.setattr(
         interval_module, "left_divides", lambda a, b: a == outsider or honest(a, b)
     )
     with pytest.raises(TheoremViolationError, match="staircase criterion"):
-        divisor_theorem_oracle(iv, group)
+        divisor_theorem_oracle(iv)
 
 
 def _divisor_scan_calls(monkeypatch, params: GroupParams) -> int:
@@ -743,7 +743,7 @@ def _divisor_scan_calls(monkeypatch, params: GroupParams) -> int:
         return honest(a, b)
 
     monkeypatch.setattr(interval_module, "left_divides", counted)
-    divisor_theorem_oracle(iv, enumerate_group(params))
+    divisor_theorem_oracle(iv)
     monkeypatch.undo()
     return len(calls)
 
@@ -765,6 +765,80 @@ def test_divisor_scan_makes_two_tests_per_group_element_elsewhere(monkeypatch, p
     """The 2 |G| count holds off (3,3,2) too, in rank 3 and in rank 4."""
     params = GroupParams(*point)
     assert _divisor_scan_calls(monkeypatch, params) == 2 * params.order()
+
+
+@pytest.mark.parametrize("point", [(3, 3, 2), (2, 4, 1)])
+def test_divisor_scan_covers_each_element_twice(monkeypatch, point):
+    """The scan tests every element of G as a divisor of lambda^k exactly
+    twice: once as w and once as the transpose of w^T.  The calls come in
+    pairs, an element and then its transpose."""
+    from geen_garside import interval as interval_module
+    from geen_garside.interval import divisor_theorem_oracle
+
+    params = GroupParams(*point)
+    iv = cached_interval(*point)
+    delta = lambda_power(params, params.k)
+    tested = []
+    honest = interval_module.left_divides
+
+    def spy(a, b):
+        assert b == delta
+        tested.append(a)
+        return honest(a, b)
+
+    monkeypatch.setattr(interval_module, "left_divides", spy)
+    divisor_theorem_oracle(iv)
+    monkeypatch.undo()
+    group = enumerate_group(params)
+    assert sorted(tested) == sorted(group + group)
+    assert tested[1::2] == [transpose(GroupElement(*w)) for w in tested[::2]]
+
+
+def test_divisor_scan_names_a_group_element(monkeypatch):
+    """The scan runs on plain tuples, but its error names a GroupElement."""
+    from geen_garside import interval as interval_module
+    from geen_garside.interval import TheoremViolationError, divisor_theorem_oracle
+
+    iv = cached_interval(3, 3, 2)
+    monkeypatch.setattr(interval_module, "left_divides", lambda a, b: True)
+    with pytest.raises(TheoremViolationError, match=r"at GroupElement\(e=3, perm="):
+        divisor_theorem_oracle(iv)
+
+
+def test_left_divides_reads_plain_tuples():
+    """A plain (e, perm, exps) tuple gets the answer of its GroupElement,
+    against lambda and against a divisor that is not diagonal; plain tuples
+    from different groups are refused."""
+    params = GroupParams(3, 3)
+    lam = lambda_power(params, 1)
+    other = evaluate_word([Generator("t", 1), Generator("s", 3)], params)
+    assert other.perm != (1, 2, 3)
+    group = enumerate_group(params)
+    for b in (lam, other):
+        answers = [left_divides(w, b) for w in group]
+        assert [left_divides(tuple(w), b) for w in group] == answers
+        assert any(answers) and not all(answers)
+    for a, b in [((3, (1, 2, 3), (0, 0, 0)), (4, (1, 2, 3), (0, 0, 0))),
+                 ((3, (1, 2), (0, 0)), (3, (1, 2, 3), (0, 0, 0)))]:
+        with pytest.raises(ParameterMismatchError, match="cannot divide elements"):
+            left_divides(a, b)
+
+
+def test_element_constructors_return_group_elements():
+    """Plain tuples compare equal to elements, so only the type shows a
+    constructor that leaks one."""
+    from geen_garside.core import group_elements
+
+    params = GroupParams(3, 3)
+    a = evaluate_word([Generator("t", 1), Generator("s", 3)], params)
+    b = generator_matrix(Generator("t", 2), params)
+    built = [
+        multiply(a, b), inverse(a), transpose(a), left_quotient(a, b), b,
+        lambda_power(params, 1), identity(params), *group_elements(params),
+    ]
+    for point in [(3, 3, 1), (4, 4, 2)]:
+        built += cached_interval(*point).members
+    assert all(type(x) is GroupElement for x in built)
 
 
 def test_divisibility_tables_against_the_definition_on_small_grid_points():
