@@ -10,17 +10,20 @@ element exactly when their normal forms coincide, which settles the word
 problem.
 
 Above the interval, simples are only ordinals and every step is an integer
-table lookup.  A pair is normalized by stripping its head from b atom by
-atom through the interval's atom tables, and a product of simples is made
-left-greedy incrementally: each new simple is pushed leftwards until a pair
-stays unchanged (the domino rule).  Matrices come back only in
-`evaluate_nf`, which serves as the oracle.
+table lookup.  A pair (a, b) is normalized by one of two walks through the
+interval's atom tables, whichever is shorter: stripping its head t from b
+atom by atom, or stripping comp_left[b] and tau(a) from the right of the
+complement of t.  A product of simples is made left-greedy incrementally:
+each new simple is pushed leftwards until a pair stays unchanged (the
+domino rule).  Matrices come back only in `evaluate_nf`, which serves as
+the oracle.
 
-Simples, products and right quotients all take this one path, with no
-identity or Delta special case: a Delta factor moves to the front pair by
-pair, (f, Delta) -> (Delta, tau(f)), and a trivial factor vanishes, as in
-any Garside normal form (Dehornoy-Paris, Gaussian groups and Garside
-groups, Proc. LMS 1999).
+Simples, products and right quotients all take this one path.  A Delta,
+pushed or made by a pair, goes to the front in one pass: every factor to
+its left is mapped by tau, which is what the pairwise moves (f, Delta) ->
+(Delta, tau(f)) would give, and a trivial factor vanishes, as in any
+Garside normal form (Dehornoy-Paris, Gaussian groups and Garside groups,
+Proc. LMS 1999).
 
 Inverse letters ride on the balanced structure: x^(-1) = Delta^(-1) (Delta
 x^(-1)), whose second factor is a simple because every generator
@@ -126,6 +129,9 @@ class GarsideStructure:
         self._div_left = interval.div_left
         self._head_left = interval.head_left
         self._down_left = interval.down_left
+        self._flip = interval.flip
+        self._lengths = lengths
+        self._delta_len = delta_len
         self._atom = interval.atom_ordinal
 
     # -- normalization -----------------------------------------------------
@@ -135,17 +141,40 @@ class GarsideStructure:
 
         The lattice has been verified at build time, so the meet candidate
         (top ordinal of the intersected divisor bitsets) needs no recheck.
-        t is stripped atom by atom from b and from c = complement(a) =
-        a^(-1) Delta, both of which it left-divides.  What is left of c is
-        (a t)^(-1) Delta, whose left complement is a t.
+        Either walk strips atoms through the left atom tables, and takes
+        the shorter of:
+
+        * l(t) steps on the left: t is stripped atom by atom from b and from
+          c = complement(a) = a^(-1) Delta, both of which it left-divides.
+          What is left of c is (a t)^(-1) Delta, whose left complement is
+          a t.
+        * l(Delta) - l(b) + l(a) steps on the complements: with
+          u = comp_left[t], t^(-1) b = u comp_left[b]^(-1) and
+          t^(-1) c = u tau(a)^(-1), two right quotients of u.  A right
+          quotient is a left quotient of transposes, so these two walks run
+          on the same tables, read through flip.
         """
         identity = self.identity
-        c = self.comp_left[a]
+        comp_left = self.comp_left
+        c = comp_left[a]
         div = self._div_left
         t = (div[c] & div[b]).bit_length() - 1
         if t == identity:
             return a, b
         head, down = self._head_left, self._down_left
+        lengths = self._lengths
+        if self._delta_len - lengths[b] + lengths[a] < lengths[t]:
+            flip = self._flip
+            u = flip[comp_left[t]]
+            x, b = flip[comp_left[b]], u
+            while x != identity:
+                row = down[head[x]]
+                x, b = row[x], row[b]
+            x, c = flip[self.tau[a]], u
+            while x != identity:
+                row = down[head[x]]
+                x, c = row[x], row[c]
+            return self.comp_right[flip[c]], flip[b]
         while t != identity:
             row = down[head[t]]
             t, b, c = row[t], row[b], row[c]
@@ -160,14 +189,24 @@ class GarsideStructure:
         left-greedy list of simples without Delta or the identity.
 
         Each simple is pushed onto the left-greedy form of the ones before it
-        and normalized leftwards, pair by pair.  By the domino rule the pass
-        can stop at the first pair that normalize_pair leaves unchanged.
-        Delta factors collect at the front; an identity factor can only be
-        the last, and is dropped.
+        and normalized leftwards, pair by pair, through self.normalize_pair,
+        so that a wrapper set on the instance sees every call.  By the domino
+        rule the pass can stop at the first pair that normalize_pair leaves
+        unchanged.  A Delta, pushed or made as the left result of a pair,
+        never enters the list: it adds one to the Delta power, the factors to
+        its left are mapped by tau in one pass, as (f, Delta) ->
+        (Delta, tau(f)) pair by pair would give, and the pass stops, since
+        the pairs to its right are left-weighted already.  An identity factor
+        can only be the last, and is dropped.
         """
         normalize_pair = self.normalize_pair
-        identity = self.identity
+        identity, delta, tau = self.identity, self.delta, self.tau
+        power = 0
         for s in factors:
+            if s == delta:
+                power += 1
+                out = [tau[f] for f in out]
+                continue
             out.append(s)
             i = len(out) - 1
             while i:
@@ -175,14 +214,15 @@ class GarsideStructure:
                 a2, b2 = normalize_pair(a, out[i])
                 if a2 == a:
                     break
+                if a2 == delta:
+                    power += 1
+                    out = [tau[f] for f in out[: i - 1]] + [b2] + out[i + 1 :]
+                    break
                 out[i - 1], out[i] = a2, b2
                 i -= 1
             if out[-1] == identity:
                 out.pop()
-        lo = 0
-        while lo < len(out) and out[lo] == self.delta:
-            lo += 1
-        return NormalForm(lo, tuple(out[lo:]))
+        return NormalForm(power, tuple(out))
 
     def normal_form(self, word) -> NormalForm:
         """Normal form of a signed word (string or (Generator, sign) list).
@@ -232,8 +272,8 @@ class GarsideStructure:
         the simple s right-divides a.
 
         No case is special: for s = 1 the pushed factor is Delta, which
-        normalize_factors moves to the front pair by pair, (f, Delta) ->
-        (Delta, tau(f)); for s = Delta it is the identity, which it drops.
+        `_push` sends to the front in one tau pass, with no pair call; for
+        s = Delta it is the identity, which it drops.
         """
         return self.nf_product(a, NormalForm(-1, (self.comp_right[s],)))
 

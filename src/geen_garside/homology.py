@@ -38,8 +38,8 @@ formula, `homology_of`: the cokernel of d_{r+1} with the rank of d_r taken
 off its free part, so no kernel basis is ever formed.  Above the interval,
 cells and their faces are only ordinals: the cofactors that the boundary
 maps need are left quotients of complements, which the Garside layer's
-`normalize_pair` computes by the same atom-by-atom walk that makes normal
-forms left-weighted.
+`normalize_pair` computes by the same pair step that makes normal forms
+left-weighted.
 """
 
 from __future__ import annotations

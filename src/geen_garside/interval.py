@@ -34,7 +34,8 @@ so that no list of |G| elements is held.  `divisor_table` holds,
 for the divisor b and the permutation of a, the `words.divisor_rows`: one
 row table per row, indexed by a's exponent there, and a target.  Tables are
 kept for the last two divisors only; the scan needs one, as lambda^k is its
-own transpose.
+own transpose, and `left_divides` finds it again by identity, without
+hashing lambda^k on each of its 2 |G| calls.
 
 Meets are bitset intersections followed by an extremality check,
 `_meet_violation`, the one check behind `Interval.meet` and the lattice
@@ -55,6 +56,7 @@ cheap, high-coverage oracles for the implementation.
 from __future__ import annotations
 
 import math
+import weakref
 from functools import lru_cache
 from itertools import accumulate, compress, permutations, product, repeat
 from operator import eq, getitem, itemgetter, mul
@@ -141,8 +143,14 @@ def in_interval(w: GroupElement, k: int) -> bool:
     return all(bullet or a in (0, k) for bullet, a in zip(_bullets(w.perm), w.exps))
 
 
+class _RowTables(dict):
+    """A divisor table: a dict that a weak reference can point to."""
+
+    __slots__ = ("__weakref__",)
+
+
 @lru_cache(maxsize=2)
-def divisor_table(b: GroupElement) -> dict:
+def divisor_table(b: GroupElement) -> _RowTables:
     """The `divisor_rows` of b, keyed by the permutation of a and filled by
     `left_divides` on first use: at most n! entries.
 
@@ -151,7 +159,13 @@ def divisor_table(b: GroupElement) -> dict:
     lambda^k is its own transpose, and for `is_balanced`, which alternates
     w and w^T.
     """
-    return {}
+    return _RowTables()
+
+
+# The divisor that `left_divides` tested last, and a weak reference to its
+# table: a repeated divisor is found by identity without rehashing it, and
+# only the cache above holds tables.
+_last_divisor: list = [None, None]
 
 
 def left_divides(a: GroupElement, b: GroupElement) -> bool:
@@ -163,25 +177,39 @@ def left_divides(a: GroupElement, b: GroupElement) -> bool:
     a target and one row table per row, whose entry at a's exponent x is
     what that row adds to len(a) + len(a^(-1) b), so the test is one sum
     of n table entries.  Tables are kept for the last two divisors only,
-    at most 2 n! entries.  It never consults the staircase criterion of
-    `in_interval`, so it can serve as its oracle.  The operands are read
-    by unpacking, so a plain (e, perm, exps) tuple as a gets the answer of
-    its GroupElement.  Operands from different groups raise
-    ParameterMismatchError.
+    at most 2 n! entries; the last divisor's table is reached by an
+    identity check on b, before the cache.  It never consults the
+    staircase criterion of `in_interval`, so it can serve as its oracle.
+    The operands are read by unpacking, so a plain (e, perm, exps) tuple
+    as a gets the answer of its GroupElement.  Operands from different
+    groups raise ParameterMismatchError: e is compared on every call, n
+    only when a's permutation is missing from the table, whose keys all
+    have b's n.
     """
     ae, aperm, aexps = a
     be, bperm, _ = b
-    if ae != be or len(aperm) != len(bperm):
-        raise ParameterMismatchError(
-            f"cannot divide elements of G({ae},{ae},{len(aperm)}) "
-            f"and G({be},{be},{len(bperm)})"
-        )
-    table = divisor_table(b)
+    if ae != be:
+        raise _mismatch_error(a, b)
+    last, ref = _last_divisor
+    table = ref() if b is last else None
+    if table is None:
+        table = divisor_table(b)
+        _last_divisor[:] = b, weakref.ref(table)
     try:
         rows, target = table[aperm]
     except KeyError:
+        if len(aperm) != len(bperm):
+            raise _mismatch_error(a, b) from None
         rows, target = table[aperm] = divisor_rows(aperm, b)
     return sum(map(getitem, rows, aexps)) == target
+
+
+def _mismatch_error(a: GroupElement, b: GroupElement) -> ParameterMismatchError:
+    (ae, aperm, _), (be, bperm, _) = a, b
+    return ParameterMismatchError(
+        f"cannot divide elements of G({ae},{ae},{len(aperm)}) "
+        f"and G({be},{be},{len(bperm)})"
+    )
 
 
 def right_divides(a: GroupElement, b: GroupElement) -> bool:

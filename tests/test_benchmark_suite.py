@@ -55,3 +55,40 @@ def test_tracer_patches_only_names_that_exist():
         if not hasattr(importlib.import_module(modules[module.id]), name.value):
             missing.append(f"{modules[module.id]}.{name.value}")
     assert not missing, f"perfbench/tracing.py patches missing names: {missing}"
+
+
+def test_pair_calls_reach_an_instance_spy(monkeypatch):
+    """perfbench/tracing.py counts normalize_pair calls through a wrapper
+    set on each GarsideStructure instance, so a fresh structure must hold
+    none of the wrapped methods as instance attributes, and the cascade
+    must reach normalize_pair through the instance.  A spy on the class
+    and one on the instance see the same calls, some of which change
+    their pair."""
+    from geen_garside import build_garside, cached_interval
+    from geen_garside.garside import GarsideStructure
+
+    g = build_garside(cached_interval(4, 4, 2))
+    traced = ("normalize_pair", "normalize_factors", "normal_form", "nf_product")
+    assert not set(traced) & set(vars(g))
+
+    honest = GarsideStructure.normalize_pair
+    on_class = []
+
+    def class_spy(self, a, b):
+        out = honest(self, a, b)
+        on_class.append(out[0] != a)
+        return out
+
+    monkeypatch.setattr(GarsideStructure, "normalize_pair", class_spy)
+    bound = g.normalize_pair
+    on_instance = []
+
+    def instance_spy(a, b):
+        on_instance.append((a, b))
+        return bound(a, b)
+
+    g.normalize_pair = instance_spy
+    nf = g.normal_form("t1 t0 s3 t2^-1 s4 t1 s3^-1 t3")
+    assert g.is_left_greedy(nf)
+    assert any(on_class)
+    assert len(on_instance) == len(on_class)

@@ -216,13 +216,17 @@ def test_nf_product_matches_concatenation():
         assert g.nf_product(g.normal_form(u), g.normal_form(v)) == g.normal_form(u + v)
 
 
-def test_nf_product_pushes_only_the_second_factors():
-    """The factors of a normal form a are left-greedy already, and stay so
-    under tau: a product with a Delta power makes no normalize_pair call at
-    all, and a product with one simple at most len(a.factors) calls."""
-    g = build_garside(cached_interval(4, 4, 2))
-    gens = atoms(g.params)
-    rng = random.Random(7)
+def _product(g, simples):
+    """The group element of a list of simples, by matrix products."""
+    w = g.interval.element(g.identity)
+    for s in simples:
+        w = multiply(w, g.interval.element(s))
+    return w
+
+
+def _pair_spy(g):
+    """Replace g.normalize_pair by a spy; the list it returns collects the
+    (a, b) of every call."""
     pair = g.normalize_pair
     calls = []
 
@@ -231,6 +235,17 @@ def test_nf_product_pushes_only_the_second_factors():
         return pair(a, b)
 
     g.normalize_pair = counted
+    return calls
+
+
+def test_nf_product_pushes_only_the_second_factors():
+    """The factors of a normal form a are left-greedy already, and stay so
+    under tau: a product with a Delta power makes no normalize_pair call at
+    all, and a product with one simple at most len(a.factors) calls."""
+    g = build_garside(cached_interval(4, 4, 2))
+    gens = atoms(g.params)
+    rng = random.Random(7)
+    calls = _pair_spy(g)
     for _ in range(50):
         a = g.normal_form(random_word(rng, gens, 12))
         for b in (NormalForm(-1, ()), NormalForm(3, ())):
@@ -244,6 +259,114 @@ def test_nf_product_pushes_only_the_second_factors():
         calls.clear()
         g.nf_product(a, simple)
         assert len(calls) <= len(a.factors)
+
+
+def test_delta_jumps_to_the_front_with_no_pair_call():
+    """A pushed Delta, and the Delta of a right quotient by the identity,
+    adds one to the Delta power and maps the factors before it by tau,
+    with no normalize_pair call: a left-greedy list with a Delta put
+    before it or after it makes the calls of the list alone."""
+    g = build_garside(cached_interval(4, 4, 2))
+    gens = atoms(g.params)
+    tau, delta = g.tau, g.delta
+    rng = random.Random(31)
+    calls = _pair_spy(g)
+    assert g.nf_of_simple(delta) == NormalForm(1, ())
+    assert calls == []
+    for _ in range(60):
+        word = random_word(rng, gens, 14)
+        nf = g.normal_form(word)
+        factors = list(nf.factors)
+        calls.clear()
+        assert g.nf_right_quotient(nf, g.identity) == nf
+        assert calls == []
+        shifted = NormalForm(1, tuple(tau[f] for f in factors))
+        for pushed, expected in [
+            ([delta] + factors, NormalForm(1, nf.factors)),
+            (factors + [delta], shifted),
+            ([delta] + factors + [delta], NormalForm(2, shifted.factors)),
+        ]:
+            calls.clear()
+            got = g.normalize_factors(pushed)
+            assert got == expected
+            assert len(calls) == max(len(factors) - 1, 0)
+            assert g.is_left_greedy(got)
+            assert g.evaluate_nf(got) == _product(g, pushed)
+        # a Delta in the middle: tau maps the factors before it, and the
+        # ones after it are pushed onto them
+        cut = rng.randrange(len(factors) + 1)
+        pushed = factors[:cut] + [delta] + factors[cut:]
+        got = g.normalize_factors(pushed)
+        assert got.delta_power >= 1
+        assert g.is_left_greedy(got)
+        assert g.evaluate_nf(got) == _product(g, pushed)
+
+
+def test_pair_calls_of_seeded_words_at_642():
+    """The normalize_pair calls of 300 seeded signed words at (6,4,2), of
+    0 to 13 letters and 40 of 64.  Before Delta went to the front in one
+    tau pass, each Delta walked back pair by pair and the same words made
+    20,948 calls; the count is pinned so that a change in the cascade shows."""
+    g = build_garside(cached_interval(6, 4, 2))
+    gens = atoms(g.params)
+    rng = random.Random(642)
+    words = [random_word(rng, gens, 14) for _ in range(260)]
+    words += [[(rng.choice(gens), rng.choice((1, -1))) for _ in range(64)] for _ in range(40)]
+    calls = _pair_spy(g)
+    for word in words:
+        nf = g.normal_form(word)
+        assert g.is_left_greedy(nf)
+    assert len(calls) == 11294
+    for word in words[::10]:
+        assert g.evaluate_nf(g.normal_form(word)) == group_value(g, word)
+
+
+class _CountedReads(list):
+    """A list that counts the reads of its items."""
+
+    reads = 0
+
+    def __getitem__(self, i):
+        self.reads += 1
+        return list.__getitem__(self, i)
+
+
+def test_normalize_pair_takes_both_walks_against_matrix_route(monkeypatch):
+    """normalize_pair at (6,4,2) and (2,5,1), past the size limit of the
+    all-pairs check, on every (atom, co-atom) pair and on seeded pairs,
+    against (a t, t^(-1) b) by group arithmetic.  The checked pairs take
+    both walks: l(Delta) - l(b) + l(a) < l(t) picks the complements.  Each
+    atom stripped reads head_left once, so the reads count the steps, which
+    must be the shorter walk's."""
+    for point in [(6, 4, 2), (2, 5, 1)]:
+        g = cached_garside(*point)
+        heads = _CountedReads(g._head_left)
+        monkeypatch.setattr(g, "_head_left", heads)
+        iv = g.interval
+        members, lengths = iv.members, iv.lengths
+        top = lengths[g.delta]
+        atoms_ = sorted(iv.atom_ordinal.values())
+        coatoms = range(iv.layer_start[top - 1], iv.layer_start[top])
+        assert len(coatoms) == len(atoms_)
+        rng = random.Random(sum(point))
+        pairs = [(a, b) for a in atoms_ for b in coatoms]
+        pairs += [(rng.randrange(len(iv)), rng.randrange(len(iv))) for _ in range(1500)]
+        walks = set()
+        for a, b in pairs:
+            t = iv.meet("left", g.comp_left[a], b)
+            steps = 0
+            if t != g.identity:
+                complements = top - lengths[b] + lengths[a]
+                walks.add(complements < lengths[t])
+                steps = min(complements, lengths[t])
+            expected = (
+                iv.index[multiply(members[a], members[t])],
+                iv.index[multiply(inverse(members[t]), members[b])],
+            )
+            heads.reads = 0
+            assert g.normalize_pair(a, b) == expected, (point, a, b)
+            assert heads.reads == steps, (point, a, b)
+        assert walks == {False, True}, point
 
 
 def _nf(pair):

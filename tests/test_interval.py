@@ -137,6 +137,31 @@ def test_divisor_tables_are_kept_for_two_divisors_at_most():
         assert len(divisor_table(b)) <= 6
 
 
+def test_last_divisor_table_is_held_only_by_the_cache():
+    """left_divides reaches the last divisor's table without the cache,
+    but holds it only weakly: after cache_clear no table stays alive, and
+    the answers do not change.  The group check still runs on a call
+    whose permutation the table already holds."""
+    import gc
+    import weakref
+    from geen_garside.interval import divisor_table
+
+    params = GroupParams(3, 3)
+    lam = lambda_power(params, 1)
+    group = enumerate_group(params)
+    answers = [left_divides(a, lam) for a in group]
+    assert answers == [_divides_by_definition(a, lam) for a in group]
+    table = weakref.ref(divisor_table(lam))
+    divisor_table.cache_clear()
+    gc.collect()
+    assert table() is None
+    assert [left_divides(a, lam) for a in group] == answers
+    assert divisor_table.cache_info().currsize == 1
+    stranger = (4,) + tuple(group[5])[1:]
+    with pytest.raises(ParameterMismatchError, match=r"G\(4,4,3\) and G\(3,3,3\)"):
+        left_divides(stranger, lam)
+
+
 def test_left_divides_basics():
     params = GroupParams(3, 3)
     lam = lambda_power(params, 1)
