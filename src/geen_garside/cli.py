@@ -41,8 +41,8 @@ from .garside import (
 )
 from .homology import (
     METHODS,
-    TOP_DEGREE,
     chain_condition_holds,
+    check_homology_degree,
     differentials,
     enumerate_cells,
     homology_group,
@@ -184,9 +184,11 @@ def _cmd_length(args) -> int:
 
 def _cmd_bfs_length(args) -> int:
     params = GroupParams(args.e, args.n)
+    # the element is parsed before the BFS, so a bad one costs no search
+    element = None if args.element is None else _element(args, params)
     table = cayley_length_table(params)
-    if args.element is not None:
-        print(table[_element(args, params)])
+    if element is not None:
+        print(table[element])
         return EXIT_OK
     lines = sorted(
         (w.to_json(), dist) for w, dist in table.items()
@@ -271,17 +273,14 @@ def _cmd_presentation(args) -> int:
 def _cmd_homology(args) -> int:
     g = cached_garside(args.e, args.n, args.k)
     r = args.order
+    check_homology_degree(g, r)
     # one differentials call, so one memo scope serves H_r and the dump
     degrees = sorted({r, r + 1} | ({2, 3} if args.dump_matrices else set()))
     d = dict(zip(degrees, differentials(g, degrees, args.method)))
     group = homology_of(r, d[r], d[r + 1])
     if args.dump_matrices:
-        dump = {
-            "d2": d[2],
-            "d3": d[3],
-            "cells1": [format_word(c) for c in enumerate_cells(g, 1)],
-            "cells2": [format_word(c) for c in enumerate_cells(g, 2)],
-            "cells3": [format_word(c) for c in enumerate_cells(g, 3)],
+        dump = {f"d{i}": d[i] for i in (2, 3)} | {
+            f"cells{i}": [format_word(c) for c in enumerate_cells(g, i)] for i in (1, 2, 3)
         }
         with open(args.dump_matrices, "w") as handle:
             handle.write(_canonical(dump))
@@ -475,7 +474,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("homology", help="integral homology H_r")
     _add_params(p, with_k=True)
-    p.add_argument("--order", type=int, choices=range(1, TOP_DEGREE), required=True)
+    p.add_argument("--order", type=int, required=True, help="the degree r, 1 <= r <= n")
     p.add_argument("--method", choices=METHODS, default="closed")
     p.add_argument("--dump-matrices", metavar="PATH")
     p.set_defaults(func=_cmd_homology)

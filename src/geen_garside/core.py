@@ -56,6 +56,7 @@ import itertools
 import json
 import math
 import os
+import sys
 from functools import lru_cache, partial
 from operator import itemgetter
 from typing import Callable, Iterator, NamedTuple
@@ -87,6 +88,17 @@ def group_cap() -> int:
     return cap
 
 
+def format_count(value: int) -> str:
+    """A nonnegative count for a message: its decimal digits, or, when it has
+    more than Python converts to a string (`sys.get_int_max_str_digits`),
+    its digit count, read from `bit_length`, so no string of it is made."""
+    digits = int(value.bit_length() * math.log10(2)) + 1  # exact or one over
+    limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else 0
+    if not limit or digits <= limit:
+        return str(value)
+    return f"<about {digits} digits>"
+
+
 def admit_group(params: GroupParams) -> None:
     """Refuse a group G(e,e,n) whose order exceeds `group_cap`; the error
     names the predicted order and GARSIDE_CAP."""
@@ -94,7 +106,7 @@ def admit_group(params: GroupParams) -> None:
     order = params.order()
     if order > cap:
         raise CapExceededError(
-            f"|G({params.e},{params.e},{params.n})| = {order} exceeds the "
+            f"|G({params.e},{params.e},{params.n})| = {format_count(order)} exceeds the "
             f"group-size cap {cap} (set by GARSIDE_CAP)"
         )
 

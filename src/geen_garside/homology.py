@@ -1,5 +1,5 @@
 """
-Low-degree integral homology of the interval Garside groups via their
+Integral homology of the interval Garside groups in every degree, via their
 finite free resolution.
 
 Cells in degree r are the increasing r-tuples of atoms, under the order
@@ -7,21 +7,24 @@ s_n < s_{n-1} < ... < s_3 < t_0 < t_1 < ... < t_{e-1}, that pass the head
 condition: each atom must be the least atom right-dividing the right lcm of
 the tail it starts.  So the tail of a cell is a cell, and the (r+1)-cells
 are the r-cells c extended by an atom p < c[0] that heads lcm(p, c).
-`TOP_DEGREE` is the one place the top degree is written: `CellComplex`
-generates the cells of degrees 0..TOP_DEGREE by that extension once, when
-it is built for a structure, together with the row of each cell in its
-degree, and `homology_group` takes 1 <= r < TOP_DEGREE.  The right lcm of a
-tail is one join of its first atom with the lcm of the shorter tail.
+`CellComplex` generates the cells degree by degree by that extension once,
+when it is built for a structure, together with the row of each cell in its
+degree, and stops at the first degree with no cells.  That empty degree is
+the one degree bound: it makes d_{top+1} the zero map with no columns, so
+`homology_group` takes 1 <= r <= top, the last degree with cells, and
+H_top = ker d_top.  The right lcm of a tail is one join of its first atom
+with the lcm of the shorter tail.
 
 Chains carry coefficients in the monoid ring and are flat dicts
 (cell, normal form) -> integer; the generic route implements the recursive
 contracting-homotopy definition of the boundary maps verbatim (it is the
-ground truth), while `differential_closed_form` writes the boundary maps in
-closed form: with trivial coefficients, d_2 of a 2-cell [x, y] is the
-relation of x and y abelianized, the letters of `core.lcm_word(x, y)` minus
-those of `lcm_word(y, x)` (Dehornoy-Lafont, Homology of Gaussian groups,
-Ann. Inst. Fourier 2003), and d_3 types out the worked-out row formulas.
-Both hand the (face, coefficient) pairs of each cell to one
+ground truth) in every degree, while `differential_closed_form` writes the
+boundary maps in closed form in degrees 1..3: with trivial coefficients,
+d_2 of a 2-cell [x, y] is the relation of x and y abelianized, the letters
+of `core.lcm_word(x, y)` minus those of `lcm_word(y, x)` (Dehornoy-Lafont,
+Homology of Gaussian groups, Ann. Inst. Fourier 2003), and d_3 types out
+the worked-out row formulas; a cell of more than three atoms has no closed
+form.  Both hand the (face, coefficient) pairs of each cell to one
 assembly, `_boundary_matrix`, which also holds the degree guard, and
 `differentials` is the one entry point that picks the route.  The homotopy
 maps u and s act on single monomials (degree, coefficient, cell).  One memo
@@ -31,7 +34,7 @@ call has one for all the degrees it is asked for, so d_{r+1} reuses the
 chains of d_r.  The memo is dropped when the call returns, and
 GENERIC_OP_CAP bounds the work actually computed in one scope.  With trivial
 coefficients every monoid coefficient collapses to its integer term count,
-giving the integer matrices d_1, ..., d_TOP_DEGREE.
+giving the integer matrices d_1, ..., d_{top+1}.
 
 Homology is ker(d_r)/im(d_{r+1}), read off integer Smith diagonals by one
 formula, `homology_of`: the cokernel of d_{r+1} with the rank of d_r taken
@@ -55,10 +58,6 @@ Cell = tuple[Generator, ...]
 
 GENERIC_OP_CAP = 10**6
 
-# the top degree of the resolution: cells are generated up to it, and H_r is
-# computed below it, where d_{r+1} exists
-TOP_DEGREE = 3
-
 # the routes to the differentials: the closed form, the recursive generic
 # one, or both, checked against each other
 METHODS = ("closed", "generic", "both")
@@ -74,12 +73,15 @@ def atom_order(params: GroupParams) -> list[Generator]:
 class CellComplex:
     """Cell bases and lcm/head machinery over a Garside structure.
 
-    `cells[r]` holds the r-cells for r = 0..TOP_DEGREE as position tuples in
-    lexicographic order, and `row_index[r]` maps each r-cell to its place in
-    `cells[r]`; their length is the number of degrees the resolution is
-    computed in.  The (r+1)-cells are the r-cells c extended by an atom
-    p < c[0] with head lcm(p, c) = p, since the tail of a cell is a cell, so
-    the lcm memo holds only the cells and their one-atom extensions.
+    `cells[r]` holds the r-cells as position tuples in lexicographic order,
+    and `row_index[r]` maps each r-cell to its place in `cells[r]`.  The
+    (r+1)-cells are the r-cells c extended by an atom p < c[0] with
+    head lcm(p, c) = p, since the tail of a cell is a cell, so the lcm memo
+    holds only the cells and their one-atom extensions.  Degrees are added
+    while the last one has cells, and the first empty degree is kept: the
+    resolution ends there, so `cells` runs from degree 0 to top + 1, where
+    top is the last degree with cells, and its length is the one degree
+    bound of this module.
     """
 
     def __init__(self, g: GarsideStructure):
@@ -90,7 +92,7 @@ class CellComplex:
         self._lcm_cache: dict[tuple[int, ...], int] = {(): self.interval.identity_ordinal}
         self.cells = [[()]]
         # each cell tuple is also its key in the lcm memo, so it is made once
-        for _ in range(TOP_DEGREE):
+        while self.cells[-1]:
             self.cells.append(sorted(
                 cell
                 for c in self.cells[-1]
@@ -150,22 +152,25 @@ def complex_of(g: GarsideStructure) -> CellComplex:
 
 
 def enumerate_cells(g: GarsideStructure, r: int) -> list[Cell]:
-    """All r-cells (0 <= r <= TOP_DEGREE) in lexicographic order of atom
-    positions."""
+    """All r-cells in lexicographic order of atom positions, for
+    0 <= r <= top + 1; degree top + 1, the first without cells, gives []."""
     cx = complex_of(g)
-    if not 0 <= r < len(cx.cells):
-        raise ValueError(f"only cells of dimension <= {len(cx.cells) - 1} are supported")
+    _check_degree(r, 0, len(cx.cells) - 1, "cells are listed")
     return [tuple(cx.order[p] for p in c) for c in cx.cells[r]]
+
+
+def _check_degree(r: int, low: int, high: int, what: str) -> None:
+    """Refuse a degree r outside low..high with ValueError, before anything
+    of degree r is read."""
+    if not low <= r <= high:
+        raise ValueError(f"{what} in degrees {low}..{high}, not {r}")
 
 
 def _boundary_matrix(cx: CellComplex, r: int, faces) -> list[list[int]]:
     """Matrix of d_r (rows: (r-1)-cells, columns: r-cells); the column of an
     r-cell sums the (face, coefficient) pairs that `faces(cell)` yields.  A
     face that is not an (r-1)-cell is a theorem violation."""
-    if not 1 <= r < len(cx.cells):
-        raise ValueError(
-            f"the resolution is computed in degrees 1..{len(cx.cells) - 1}, not {r}"
-        )
+    _check_degree(r, 1, len(cx.cells) - 1, "the resolution is computed")
     row_index = cx.row_index[r - 1]
     matrix = zero_matrix(len(row_index), len(cx.cells[r]))
     try:
@@ -186,7 +191,11 @@ def differential_closed_form(g: GarsideStructure, r: int) -> list[list[int]]:
     """Matrix of d_r from closed forms.  The column of a 2-cell [x, y] is
     its defining relation abelianized, the letters of lcm_word(x, y) minus
     those of lcm_word(y, x); that of a 3-cell is a row formula picked by the
-    braid_m of each pair of its atoms."""
+    braid_m of each pair of its atoms.
+
+    The closed form is written in degrees 1..3: a cell of more than three
+    atoms raises ValueError.  A degree without cells has the matrix with no
+    columns, so at n = 3 the closed form gives every degree."""
     cx = complex_of(g)
     e, k = g.params.e, g.params.k
     position = {x: p for p, x in enumerate(cx.order)}
@@ -204,6 +213,7 @@ def differential_closed_form(g: GarsideStructure, r: int) -> list[list[int]]:
             return [((z,), 1) for z in lcm_word(x, y, g.params)] + [
                 ((z,), -1) for z in lcm_word(y, x, g.params)
             ]
+        _check_degree(len(cell), 1, 3, "the closed form is written")
         x, y, z = cell
         if y.kind == "t":
             # the only cells with two t's are [s_j, t_0, t_i]
@@ -464,11 +474,17 @@ def homology_of(r: int, d_lo: list[list[int]], d_hi: list[list[int]]) -> Abelian
     return quotient_group(len(d_hi) - smith_normal_form(d_lo).rank, d_hi)
 
 
+def check_homology_degree(g: GarsideStructure, r: int) -> None:
+    """Refuse r outside 1 <= r <= top, the last degree with cells, before
+    any matrix is built: d_{r+1} exists up to the first empty degree."""
+    _check_degree(r, 1, len(complex_of(g).cells) - 2, "homology is computed")
+
+
 def homology_group(g: GarsideStructure, r: int, method: str = "closed") -> AbelianGroup:
-    """H_r over the integers for 1 <= r < TOP_DEGREE, from one `differentials`
-    call for d_r and d_{r+1}."""
-    if not 1 <= r < TOP_DEGREE:
-        raise ValueError(f"homology is computed in degrees 1..{TOP_DEGREE - 1}, not {r}")
+    """H_r over the integers for 1 <= r <= top, the last degree with cells,
+    from one `differentials` call for d_r and d_{r+1}.  At r = top, d_{r+1}
+    is the zero map with no columns, so H_top = ker d_top."""
+    check_homology_degree(g, r)
     return homology_of(r, *differentials(g, (r, r + 1), method))
 
 

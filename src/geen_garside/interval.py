@@ -73,6 +73,7 @@ from .core import (
     enumerate_group,
     evaluate_word,
     exponent_vectors,
+    format_count,
     generator_matrix,
     group_cap,
     inverse_order,
@@ -155,9 +156,12 @@ def divisor_table(b: GroupElement) -> _RowTables:
     `left_divides` on first use: at most n! entries.
 
     Only the tables of the last two divisors are kept, at most 2 n! entries
-    however many divisors are tested: enough for the divisor scan, whose
-    lambda^k is its own transpose, and for `is_balanced`, which alternates
-    w and w^T.
+    however many divisors are tested.  The divisor scan's lambda^k is its
+    own transpose, and so is every element `is_balanced` is called on (the
+    diagonal maximal-length elements), so one table serves each of them;
+    the second slot serves callers that alternate two divisors, such as
+    the meet/join spot check of perfbench's build-n5 workload, which tests
+    left_divides(c, x) and left_divides(c, y) for each member c.
     """
     return _RowTables()
 
@@ -239,7 +243,7 @@ def balanced_max_length(params: GroupParams) -> list[GroupElement]:
     scans, cap = params.order() * (params.e - 1) ** (params.n - 1), group_cap()
     if scans > cap:
         raise CapExceededError(
-            f"the balanced census scans |G| (e-1)^(n-1) = {scans} elements, "
+            f"the balanced census scans |G| (e-1)^(n-1) = {format_count(scans)} elements, "
             f"above the group-size cap {cap} (set by GARSIDE_CAP)"
         )
     found = [w for w in maximal_length_elements(params) if is_balanced(w)]
@@ -515,8 +519,8 @@ def build_interval(params: GroupParams) -> Interval:
     if table_bytes > INTERVAL_TABLE_CAP_BYTES:
         raise CapExceededError(
             f"[1, lambda^{k}] in G({params.e},{params.e},{params.n}) has "
-            f"|D| = {predicted} members; its divisibility table would take "
-            f"{table_bytes} bytes, above INTERVAL_TABLE_CAP_BYTES = "
+            f"|D| = {format_count(predicted)} members; its divisibility table would take "
+            f"{format_count(table_bytes)} bytes, above INTERVAL_TABLE_CAP_BYTES = "
             f"{INTERVAL_TABLE_CAP_BYTES}"
         )
     admit_group(params)

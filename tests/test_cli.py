@@ -17,7 +17,6 @@ from geen_garside.cli import (
     regression_records,
     run,
 )
-from geen_garside.homology import TOP_DEGREE
 from geen_garside.interval import TheoremViolationError, cached_interval
 from conftest import right_rows
 
@@ -58,6 +57,20 @@ def test_bfs_length_hidden_oracle(capsys):
     assert run(["bfs-length", "--e", "3", "--n", "2", "--element",
                 '{"e":3,"n":2,"perm":[1,2],"exps":[1,2]}']) == EXIT_OK
     assert capsys.readouterr().out.strip() == "2"
+
+
+@pytest.mark.parametrize("element", ["[]", '{"e":4,"n":2,"perm":[1,2],"exps":[1,3]}'])
+def test_bfs_length_parses_the_element_before_the_search(capsys, monkeypatch, element):
+    """A malformed element, or one of another group, is a usage error before
+    the breadth-first search starts."""
+    from geen_garside import cli
+
+    def forbidden(params):
+        raise AssertionError("cayley_length_table was called")
+
+    monkeypatch.setattr(cli, "cayley_length_table", forbidden)
+    assert run(["bfs-length", "--e", "3000", "--n", "2", "--element", element]) == EXIT_USAGE
+    assert capsys.readouterr().err.startswith("error: ")
 
 
 def test_interval_summary_and_exports(tmp_path, capsys):
@@ -362,18 +375,39 @@ def test_malformed_element_is_a_usage_error(command, element, capsys):
     assert captured.err.startswith("error: ")
 
 
-@pytest.mark.parametrize("order", ["0", str(TOP_DEGREE)])
+@pytest.mark.parametrize("order", ["0", "3"])
 def test_homology_order_outside_the_resolution_is_a_usage_error(capsys, monkeypatch, order):
-    """argparse refuses the order before any structure is built."""
+    """At n = 2 the cells end in degree 2, so orders 0 and n + 1 are refused
+    from the built complex, before any differential, naming the order."""
     from geen_garside import cli
 
-    def build(*args):
-        raise AssertionError("a structure was built")
+    def forbidden(*args):
+        raise AssertionError("a differential was computed")
 
-    monkeypatch.setattr(cli, "cached_garside", build)
-    args = ["homology", "--e", "3", "--n", "3", "--k", "1", "--order", order]
+    monkeypatch.setattr(cli, "differentials", forbidden)
+    args = ["homology", "--e", "3", "--n", "2", "--k", "1", "--order", order]
     assert run(args) == EXIT_USAGE
-    assert "invalid choice" in capsys.readouterr().err
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.endswith(f"not {order}\n")
+
+
+def test_homology_reaches_every_degree(capsys):
+    """--order runs up to n, the last degree with cells: H_4 at (4,4,2) is
+    Z^3 by the generic route; orders 0 and 5 are usage errors; the closed
+    form covers degrees 1..3, so it refuses the 4-cells that H_3 at (4,4,2)
+    needs, but gives H_3 at (3,3,1), whose complex ends in degree 3."""
+    point = ["--e", "4", "--n", "4", "--k", "2"]
+    assert run(["homology", *point, "--order", "4", "--method", "generic"]) == EXIT_OK
+    assert capsys.readouterr().out == '{"free_rank":3,"torsion":[]}\n'
+    for order in ("0", "5"):
+        assert run(["homology", *point, "--order", order]) == EXIT_USAGE
+        assert f"degrees 1..4, not {order}" in capsys.readouterr().err
+    assert run(["homology", *point, "--method", "closed", "--order", "3"]) == EXIT_USAGE
+    assert "the closed form is written in degrees 1..3, not 4" in capsys.readouterr().err
+    assert run(["homology", "--e", "3", "--n", "3", "--k", "1", "--method", "closed",
+                "--order", "3"]) == EXIT_OK
+    assert capsys.readouterr().out == '{"free_rank":0,"torsion":[]}\n'
 
 
 def test_cap_exceeded(capsys, monkeypatch):
@@ -437,6 +471,31 @@ def test_balanced_census_is_bounded_before_any_scan(capsys, monkeypatch):
     assert run(["verify", "--e", "3", "--n", "3", "--k", "1", "--suite", "balanced"]) == EXIT_CAP
     err = capsys.readouterr().err
     assert "= 216 elements" in err and "GARSIDE_CAP" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["nf", "--e", "3", "--n", "1000", "--k", "1", "--word", "t0"],
+    ["interval", "--e", "3", "--n", "1000", "--k", "1"],
+    ["homology", "--e", "3", "--n", "1000", "--k", "1", "--order", "2"],
+    ["bfs-length", "--e", "3", "--n", "2000"],
+    ["verify", "--e", "3", "--n", "2000", "--k", "1", "--suite", "balanced"],
+])
+def test_cap_message_of_a_huge_count_is_printed_by_its_digits(capsys, argv):
+    """|D|^2/8 at n = 1000 and |G| at n = 2000 have more digits than Python
+    converts to a string; the caps still exit 3, giving the digit count."""
+    assert run(argv) == EXIT_CAP
+    err = capsys.readouterr().err
+    assert err.startswith("cap exceeded: ") and re.search(r"<about \d+ digits>", err)
+
+
+def test_balanced_census_of_a_huge_count_is_printed_by_its_digits(capsys, monkeypatch):
+    """|G(1000,1000,600)|, about 10^3206, passes a cap of 10^3300, but the
+    census product has over 5,000 digits."""
+    monkeypatch.setenv("GARSIDE_CAP", "1" + "0" * 3300)
+    assert run(["verify", "--e", "1000", "--n", "600", "--k", "1",
+                "--suite", "balanced"]) == EXIT_CAP
+    err = capsys.readouterr().err
+    assert re.search(r"\(n-1\) = <about 50\d\d digits> elements, above", err)
 
 
 def test_interval_cap_refuses_before_enumerating(capsys, monkeypatch):

@@ -258,6 +258,20 @@ def test_enumerate_cap(monkeypatch):
             build(GroupParams(6, 4))
 
 
+def test_format_count_never_makes_a_string_past_the_limit():
+    """Counts Python can print come out in decimal; past its limit for
+    int-to-str conversion, the count of digits read from bit_length, which
+    is exact or one over."""
+    from geen_garside.core import format_count
+
+    assert format_count(54) == "54"
+    assert format_count(13005619200) == "13005619200"
+    assert format_count(10**4299) == "1" + "0" * 4299
+    for m in (4300, 5000, 20000):
+        text = format_count(10**m)
+        assert text in (f"<about {m + 1} digits>", f"<about {m + 2} digits>")
+
+
 def test_lambda_power_values():
     params = GroupParams(3, 3)
     lam = lambda_power(params, 1)

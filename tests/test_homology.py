@@ -100,13 +100,18 @@ def test_three_cells_with_two_ts():
 
 
 def test_no_cells_above_dimension():
+    """Cells are listed up to the first empty degree, which the complex keeps;
+    the degree past it and negative degrees are refused."""
+    g = cached_garside(3, 3, 1)
+    cells = homology.complex_of(g).cells
+    assert enumerate_cells(g, len(cells) - 1) == []
     with pytest.raises(ValueError):
-        enumerate_cells(cached_garside(3, 3, 1), 4)
+        enumerate_cells(g, len(cells))
     with pytest.raises(ValueError):
-        enumerate_cells(cached_garside(3, 3, 1), -1)
+        enumerate_cells(g, -1)
 
 
-@pytest.mark.parametrize("r", [0, homology.TOP_DEGREE + 1])
+@pytest.mark.parametrize("r", [0, 4])
 @pytest.mark.parametrize(
     "route",
     [differential_closed_form, differential_generic]
@@ -116,35 +121,72 @@ def test_no_cells_above_dimension():
     ],
 )
 def test_differentials_only_in_degrees_1_to_3(route, r):
+    """d_r exists for 1 <= r < len(cells): at n = 2 the 2-cells are the last
+    ones, the complex ends with an empty degree 3, and degree 4 = len(cells)
+    is refused."""
+    g = cached_garside(3, 2, 1)
+    assert [len(c) for c in homology.complex_of(g).cells] == [1, 3, 2, 0]
     with pytest.raises(ValueError):
-        route(cached_garside(3, 3, 1), r)
+        route(g, r)
 
 
-@pytest.mark.parametrize("r", [0, homology.TOP_DEGREE])
+@pytest.mark.parametrize("r", [0, 3])
 def test_homology_degree_is_refused_before_any_matrix(monkeypatch, r):
+    """At n = 2 the top degree is 2, so H_0 and H_3 = H_{top+1} are refused
+    from the cells alone."""
+    g = cached_garside(3, 2, 1)
+    assert len(homology.complex_of(g).cells) - 2 == 2
+
     def entered(*args):
         raise AssertionError("_boundary_matrix was entered")
 
     monkeypatch.setattr(homology, "_boundary_matrix", entered)
     with pytest.raises(ValueError, match=f"not {r}$"):
-        homology_group(cached_garside(3, 3, 1), r)
+        homology_group(g, r)
 
 
-def test_top_degree_is_the_one_bound(monkeypatch):
-    """Raising TOP_DEGREE alone extends both routes one degree.  (2,3,1) is
-    the braid group on 4 strands, whose homology Z, Z/2, 0 is Arnold's (On
-    some topological invariants of algebraic functions, 1970); with three
-    atoms it has no 4-cell."""
-    monkeypatch.setattr(homology, "TOP_DEGREE", 4)
-    g = build_garside(build_interval(GroupParams(2, 3, 1)))
-    cells = homology.complex_of(g).cells
-    assert len(cells) == 5 and cells[4] == []
-    for method in ("closed", "generic"):
-        assert [homology_group(g, r, method) for r in (1, 2, 3)] == [
-            AbelianGroup.from_cyclic([0]),
-            AbelianGroup.from_cyclic([2]),
-            AbelianGroup.from_cyclic([]),
-        ], method
+# |C_0|, |C_1|, ... and H_1, ..., H_n by the generic route; (2,3,1) is the
+# braid group on 4 strands, whose homology Z, Z/2, 0 is Arnold's (On some
+# topological invariants of algebraic functions, 1970), and (4,4,2), (6,4,3)
+# are the points where H_2 disagrees with criterion 13's formula
+EVERY_DEGREE = {
+    (2, 3, 1): ([1, 3, 3, 1], [[0], [2], []]),
+    (3, 3, 1): ([1, 4, 5, 2], [[0], [3], []]),
+    (4, 4, 2): ([1, 6, 12, 10, 3], [[0], [0, 2, 2, 2, 2], [0] * 4, [0] * 3]),
+    (6, 4, 3): ([1, 8, 18, 16, 5], [[0], [0, 0] + [2] * 5, [0] * 7, [0] * 5]),
+    (3, 5, 1): ([1, 6, 14, 16, 9, 2], [[0], [6], [3], [3], []]),
+    (4, 5, 2): ([1, 7, 18, 22, 13, 3], [[0], [0, 2, 2], [0, 0, 2], [0, 0, 2], [0]]),
+}
+
+
+def test_top_degree_is_the_one_bound():
+    """The complex ends at its first empty degree, and its top degree, n, is
+    the one bound: H_1, ..., H_n come from the cells alone, checked three
+    ways.  d_r d_{r+1} = 0 in every degree; the census
+    |C_r| = (e-1) C(n-2, r-2) + e C(n-2, r-1) + C(n-2, r) holds; and the
+    Euler characteristics of the cells and of the homology (H_0 = Z) are
+    both 0.  The closed form agrees with the generic route wherever it is
+    written: every degree at n = 3, d_1..d_3 elsewhere."""
+
+    def binom(m, j):
+        return math.comb(m, j) if j >= 0 else 0
+
+    for (e, n, k), (census, groups) in EVERY_DEGREE.items():
+        g = cached_garside(e, n, k)
+        cells = homology.complex_of(g).cells
+        assert [len(c) for c in cells] == census + [0], (e, n, k)
+        assert [len(c) for c in cells] == [
+            (e - 1) * binom(n - 2, r - 2) + e * binom(n - 2, r - 1) + binom(n - 2, r)
+            for r in range(n + 2)
+        ]
+        assert sum((-1) ** r * size for r, size in enumerate(census)) == 0
+        d = differentials(g, range(1, n + 2), "generic")
+        assert all(chain_condition_holds(lo, hi) for lo, hi in zip(d, d[1:]))
+        closed = range(1, n + 2) if n == 3 else (1, 2, 3)
+        assert differentials(g, closed, "closed") == [d[r - 1] for r in closed]
+        h = [homology_group(g, r, "generic") for r in range(1, n + 1)]
+        assert h == [AbelianGroup.from_cyclic(parts) for parts in groups], (e, n, k)
+        assert 1 + sum((-1) ** r * x.free_rank for r, x in enumerate(h, 1)) == 0
 
 
 @pytest.mark.parametrize("e,n,k", [(3, 3, 1), (4, 4, 2), (2, 5, 1)])
@@ -233,15 +275,16 @@ def test_cells_against_brute_force(e, n, k):
 
 def test_cells_by_extension_join_only_cells_and_their_extensions():
     """The complex forms the lcm of each cell and of each one-atom extension
-    p < c[0] of a cell below the top degree, and nothing else: at (40,3,1)
-    the memo holds at most 1 + A (|C_0| + |C_1| + |C_2|) entries, against
-    the 11,522 suffixes of a scan over every atom tuple."""
+    p < c[0] of a cell, and nothing else: at (40,3,1) the 3-cells are the
+    last, the extensions of C_3 give the empty degree 4, and the memo holds
+    at most 1 + A (|C_0| + |C_1| + |C_2| + |C_3|) entries, against the
+    11,522 suffixes of a scan over every atom tuple."""
     from geen_garside.homology import CellComplex
 
     cx = CellComplex(cached_garside(40, 3, 1))
     atoms = len(cx.order)
-    assert [len(c) for c in cx.cells] == [1, 41, 79, 39]
-    assert len(cx._lcm_cache) <= 1 + atoms * sum(len(c) for c in cx.cells[:3])
+    assert [len(c) for c in cx.cells] == [1, 41, 79, 39, 0]
+    assert len(cx._lcm_cache) <= 1 + atoms * sum(len(c) for c in cx.cells[:4])
     assert all(
         cx.row_index[r] == {c: i for i, c in enumerate(cx.cells[r])}
         for r in range(len(cx.cells))
@@ -484,8 +527,9 @@ def test_homology_kernel_route_agrees_with_rank_route():
 
 
 def test_h2_out_of_scope_order():
+    """(3,3,1) has cells up to degree 3, so H_3 is its last group."""
     with pytest.raises(ValueError):
-        homology_group(cached_garside(3, 3, 1), 3)
+        homology_group(cached_garside(3, 3, 1), 4)
 
 
 @pytest.mark.parametrize(
