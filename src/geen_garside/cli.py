@@ -271,8 +271,10 @@ def _cmd_presentation(args) -> int:
 
 
 def _cmd_homology(args) -> int:
-    g = cached_garside(args.e, args.n, args.k)
     r = args.order
+    if r < 1:  # needs no structure; the top degree is read from its cells
+        raise ValueError(f"homology is computed in degrees from 1, not {r}")
+    g = cached_garside(args.e, args.n, args.k)
     check_homology_degree(g, r)
     # one differentials call, so one memo scope serves H_r and the dump
     degrees = sorted({r, r + 1} | ({2, 3} if args.dump_matrices else set()))

@@ -56,12 +56,16 @@ import itertools
 import json
 import math
 import os
-import sys
 from functools import lru_cache, partial
 from operator import itemgetter
 from typing import Callable, Iterator, NamedTuple
 
 DEFAULT_GROUP_CAP = 10**6
+
+# Digits up to which `format_count` prints a count in full; a longer count
+# is given by its number of digits, which keeps a cap message to one short
+# line, far below Python's int-to-str limit (640 digits at the least).
+COUNT_DIGITS = 30
 
 
 class CapExceededError(RuntimeError):
@@ -89,13 +93,12 @@ def group_cap() -> int:
 
 
 def format_count(value: int) -> str:
-    """A nonnegative count for a message: its decimal digits, or, when it has
-    more than Python converts to a string (`sys.get_int_max_str_digits`),
-    its digit count, read from `bit_length`, so no string of it is made."""
-    digits = int(value.bit_length() * math.log10(2)) + 1  # exact or one over
-    limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else 0
-    if not limit or digits <= limit:
+    """A nonnegative count for a message: its decimal digits up to
+    COUNT_DIGITS of them, else "<about N digits>" with N read from
+    `bit_length`, so that no long string of it is made."""
+    if value < 10**COUNT_DIGITS:
         return str(value)
+    digits = int(value.bit_length() * math.log10(2)) + 1  # exact or one over
     return f"<about {digits} digits>"
 
 
@@ -107,7 +110,7 @@ def admit_group(params: GroupParams) -> None:
     if order > cap:
         raise CapExceededError(
             f"|G({params.e},{params.e},{params.n})| = {format_count(order)} exceeds the "
-            f"group-size cap {cap} (set by GARSIDE_CAP)"
+            f"group-size cap {format_count(cap)} (set by GARSIDE_CAP)"
         )
 
 

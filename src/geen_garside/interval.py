@@ -30,12 +30,12 @@ checked against a divisor test on the whole group that never looks at the
 staircase: length additivity len(a) + len(a^(-1) b) = len(b), read as one
 sum of table entries without forming a^(-1) b.  The scan goes through G
 one permutation at a time, on plain (e, perm, exps) tuples built in C,
-so that no list of |G| elements is held.  `divisor_table` holds,
-for the divisor b and the permutation of a, the `words.divisor_rows`: one
-row table per row, indexed by a's exponent there, and a target.  Tables are
-kept for the last two divisors only; the scan needs one, as lambda^k is its
-own transpose, and `left_divides` finds it again by identity, without
-hashing lambda^k on each of its 2 |G| calls.
+so that no list of |G| elements is held.  `words.divisor_rows` gives,
+for the permutation of a and the divisor b, one row table per row, indexed
+by a's exponent there, and a target, from one small bounded cache: the
+scan alternates between the permutations sigma and sigma^(-1) against the
+one divisor lambda^k, its own transpose, so it misses at most twice per
+permutation.
 
 Meets are bitset intersections followed by an extremality check,
 `_meet_violation`, the one check behind `Interval.meet` and the lattice
@@ -56,7 +56,6 @@ cheap, high-coverage oracles for the implementation.
 from __future__ import annotations
 
 import math
-import weakref
 from functools import lru_cache
 from itertools import accumulate, compress, permutations, product, repeat
 from operator import eq, getitem, itemgetter, mul
@@ -144,76 +143,30 @@ def in_interval(w: GroupElement, k: int) -> bool:
     return all(bullet or a in (0, k) for bullet, a in zip(_bullets(w.perm), w.exps))
 
 
-class _RowTables(dict):
-    """A divisor table: a dict that a weak reference can point to."""
-
-    __slots__ = ("__weakref__",)
-
-
-@lru_cache(maxsize=2)
-def divisor_table(b: GroupElement) -> _RowTables:
-    """The `divisor_rows` of b, keyed by the permutation of a and filled by
-    `left_divides` on first use: at most n! entries.
-
-    Only the tables of the last two divisors are kept, at most 2 n! entries
-    however many divisors are tested.  The divisor scan's lambda^k is its
-    own transpose, and so is every element `is_balanced` is called on (the
-    diagonal maximal-length elements), so one table serves each of them;
-    the second slot serves callers that alternate two divisors, such as
-    the meet/join spot check of perfbench's build-n5 workload, which tests
-    left_divides(c, x) and left_divides(c, y) for each member c.
-    """
-    return _RowTables()
-
-
-# The divisor that `left_divides` tested last, and a weak reference to its
-# table: a repeated divisor is found by identity without rehashing it, and
-# only the cache above holds tables.
-_last_divisor: list = [None, None]
-
-
 def left_divides(a: GroupElement, b: GroupElement) -> bool:
     """a <= b in left divisibility: len(a) + len(a^(-1) b) = len(b).
 
     This is the definition of the order, b = a * (a^(-1) b) with additive
     lengths, evaluated from closed-form lengths without forming the
-    quotient: the `divisor_table` of b holds, per permutation of a,
-    a target and one row table per row, whose entry at a's exponent x is
-    what that row adds to len(a) + len(a^(-1) b), so the test is one sum
-    of n table entries.  Tables are kept for the last two divisors only,
-    at most 2 n! entries; the last divisor's table is reached by an
-    identity check on b, before the cache.  It never consults the
-    staircase criterion of `in_interval`, so it can serve as its oracle.
-    The operands are read by unpacking, so a plain (e, perm, exps) tuple
-    as a gets the answer of its GroupElement.  Operands from different
-    groups raise ParameterMismatchError: e is compared on every call, n
-    only when a's permutation is missing from the table, whose keys all
-    have b's n.
+    quotient: `divisor_rows(aperm, b)`, a bounded cache keyed by the
+    permutation of a and the divisor, gives a target and one row table per
+    row, whose entry at a's exponent x is what that row adds to len(a) +
+    len(a^(-1) b), so the test is one sum of n table entries.  It never
+    consults the staircase criterion of `in_interval`, so it can serve as
+    its oracle.  The operands are read by unpacking, so a plain
+    (e, perm, exps) tuple gets the answer of its GroupElement.  Operands
+    from different groups raise ParameterMismatchError: e is compared here
+    on every call, n by `divisor_rows` on a miss, as no key of another n
+    than b's is ever cached.
     """
     ae, aperm, aexps = a
-    be, bperm, _ = b
-    if ae != be:
-        raise _mismatch_error(a, b)
-    last, ref = _last_divisor
-    table = ref() if b is last else None
-    if table is None:
-        table = divisor_table(b)
-        _last_divisor[:] = b, weakref.ref(table)
-    try:
-        rows, target = table[aperm]
-    except KeyError:
-        if len(aperm) != len(bperm):
-            raise _mismatch_error(a, b) from None
-        rows, target = table[aperm] = divisor_rows(aperm, b)
+    if ae != b[0]:
+        raise ParameterMismatchError(
+            f"cannot divide elements of G({ae},{ae},{len(aperm)}) "
+            f"and G({b[0]},{b[0]},{len(b[1])})"
+        )
+    rows, target = divisor_rows(aperm, b)
     return sum(map(getitem, rows, aexps)) == target
-
-
-def _mismatch_error(a: GroupElement, b: GroupElement) -> ParameterMismatchError:
-    (ae, aperm, _), (be, bperm, _) = a, b
-    return ParameterMismatchError(
-        f"cannot divide elements of G({ae},{ae},{len(aperm)}) "
-        f"and G({be},{be},{len(bperm)})"
-    )
 
 
 def right_divides(a: GroupElement, b: GroupElement) -> bool:
@@ -244,7 +197,7 @@ def balanced_max_length(params: GroupParams) -> list[GroupElement]:
     if scans > cap:
         raise CapExceededError(
             f"the balanced census scans |G| (e-1)^(n-1) = {format_count(scans)} elements, "
-            f"above the group-size cap {cap} (set by GARSIDE_CAP)"
+            f"above the group-size cap {format_count(cap)} (set by GARSIDE_CAP)"
         )
     found = [w for w in maximal_length_elements(params) if is_balanced(w)]
     expected = {lambda_power(params, k) for k in range(1, params.e)}

@@ -22,9 +22,10 @@ the independent BFS oracle; the part of that count fixed by the permutation
 is tabulated once per permutation by `_row_shape`.  `divisor_rows` turns
 the test len(a) + len(a^(-1) b) = len(b) into one sum of n entries: for a
 divisor b and a permutation of a, one row table per row, indexed by a's
-exponent there, and a target.  `length_decreases` answers whether a single
-left multiplication by a generator shortens an element, straight from the
-matrix entries, without recomputing any words.
+exponent there, and a target, kept in one bounded cache keyed by the two
+(its rows are interned per (e, n) by `_divisor_row`).  `length_decreases`
+answers whether a single left multiplication by a generator shortens an
+element, straight from the matrix entries, without recomputing any words.
 """
 
 from __future__ import annotations
@@ -37,11 +38,15 @@ from .core import (
     Generator,
     GroupElement,
     GroupParams,
+    ParameterMismatchError,
     admit_group,
     atoms,
     exponent_vectors,
+    format_count,
     generator_matrix,
+    group_cap,
     identity,
+    inverse_order,
     multiply,
 )
 
@@ -160,6 +165,16 @@ def _divisor_row(aweight: int, qweight: int, bexp: int, e: int) -> tuple[int, ..
     return tuple(aweight * (x != 0) + qweight * (x != bexp) for x in range(e))
 
 
+# Entries kept by the `divisor_rows` cache.  The divisor scan and
+# `is_balanced` test one permutation at a time and alternate between two
+# keys, (sigma, b) and (sigma^(-1), b^T), so a few entries serve them; a
+# larger bound only holds more tables (on perfbench's grid sweep, CPython
+# 3.11 on a 2-vCPU VM, 4096 entries raised peak RSS by 0.13 MB, where 64
+# left it unchanged).
+DIVISOR_ROWS_CACHE = 64
+
+
+@lru_cache(maxsize=DIVISOR_ROWS_CACHE)
 def divisor_rows(
     aperm: tuple[int, ...], b: GroupElement
 ) -> tuple[tuple[tuple[int, ...], ...], int]:
@@ -170,18 +185,24 @@ def divisor_rows(
     eps_b(j) - eps_a(j), so it counts a's weight 2 c_j (of `_row_shape`)
     when eps_a(j) != 0 and the quotient's weight of that row when
     eps_a(j) != eps_b(j); rows[j] is that sum for each value of eps_a(j).
-    target is len(b) minus the `_row_shape` bases of a and of a^(-1) b, so
-    that len(a) + len(a^(-1) b) = len(b) exactly when
-    sum(map(getitem, rows, a.exps)) == target.  No quotient is formed.
+    The quotient's permutation is read through the row getter of
+    `inverse_order`, as `left_quotient` reads it.  target is len(b) minus
+    the `_row_shape` bases of a and of a^(-1) b, so that len(a) +
+    len(a^(-1) b) = len(b) exactly when sum(map(getitem, rows, a.exps)) ==
+    target.  No quotient is formed.  b is read by unpacking, so a plain
+    (e, perm, exps) tuple will do; an aperm of another n than b's raises
+    ParameterMismatchError, and is never cached.
     """
-    qperm = [0] * len(aperm)
-    for c, d in zip(aperm, b.perm):
-        qperm[c - 1] = d
+    e, bperm, bexps = b
+    if len(aperm) != len(bperm):
+        raise ParameterMismatchError(
+            f"cannot divide elements of G({e},{e},{len(aperm)}) and G({e},{e},{len(bperm)})"
+        )
     abase, aweights = _row_shape(aperm)
-    qbase, qweights = _row_shape(tuple(qperm))
+    qbase, qweights = _row_shape(inverse_order(aperm)[1](bperm))
     rows = tuple([
-        _divisor_row(w, qweights[c - 1], x, b.e)
-        for w, c, x in zip(aweights, aperm, b.exps)
+        _divisor_row(w, qweights[c - 1], x, e)
+        for w, c, x in zip(aweights, aperm, bexps)
     ])
     return rows, length(b) - abase - qbase
 
@@ -195,10 +216,12 @@ def length(w: GroupElement) -> int:
     will do: a carried exponent only reaches rows with c_i = 0, which add
     i - 1 either way.  So the length is the permutation's sum of i - 1 - c_i,
     looked up in `_row_shape`, plus 2 c_i for each row with a non-zero
-    exponent.
+    exponent.  w is read by unpacking, so a plain (e, perm, exps) tuple will
+    do.
     """
-    base, doubled = _row_shape(w.perm)
-    return base + sum(compress(doubled, w.exps))
+    _, perm, exps = w
+    base, doubled = _row_shape(perm)
+    return base + sum(compress(doubled, exps))
 
 
 def length_decreases(x: Generator, w: GroupElement) -> bool:
@@ -269,9 +292,17 @@ def cayley_length_table(params: GroupParams) -> dict[GroupElement, int]:
     """Graph distance from the identity in the Cayley graph of (G, X).
 
     Plain BFS using only `multiply`; deliberately independent of the
-    row-reduction algorithm so it can serve as its oracle.
+    row-reduction algorithm so it can serve as its oracle.  It forms one
+    product per element and atom, so after the group is admitted, that
+    work, |G| (e + n - 2), must not exceed the same cap.
     """
     admit_group(params)
+    cap, work = group_cap(), params.order() * (params.e + params.n - 2)
+    if work > cap:
+        raise CapExceededError(
+            f"the breadth-first search forms |G| |A| = {format_count(work)} products, "
+            f"above the group-size cap {format_count(cap)} (set by GARSIDE_CAP)"
+        )
     gens = [generator_matrix(x, params) for x in atoms(params)]
     start = identity(params)
     dist = {start: 0}

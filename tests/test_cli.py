@@ -2,6 +2,7 @@ import json
 import os
 import re
 import shlex
+import time
 
 import pytest
 
@@ -71,6 +72,17 @@ def test_bfs_length_parses_the_element_before_the_search(capsys, monkeypatch, el
     monkeypatch.setattr(cli, "cayley_length_table", forbidden)
     assert run(["bfs-length", "--e", "3000", "--n", "2", "--element", element]) == EXIT_USAGE
     assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_bfs_length_is_bounded_by_its_products(capsys):
+    """|G(100000,100000,2)| = 200,000 passes the default cap, but the search
+    would form |G| |A| = 2 * 10^10 products: exit 3, naming GARSIDE_CAP,
+    before any product is formed."""
+    start = time.perf_counter()
+    assert run(["bfs-length", "--e", "100000", "--n", "2"]) == EXIT_CAP
+    assert time.perf_counter() - start < 1
+    err = capsys.readouterr().err
+    assert "|G| |A| = 20000000000 products" in err and "GARSIDE_CAP" in err
 
 
 def test_interval_summary_and_exports(tmp_path, capsys):
@@ -392,22 +404,31 @@ def test_homology_order_outside_the_resolution_is_a_usage_error(capsys, monkeypa
     assert captured.err.startswith("error: ") and captured.err.endswith(f"not {order}\n")
 
 
-def test_homology_reaches_every_degree(capsys):
+def test_homology_reaches_every_degree(capsys, monkeypatch):
     """--order runs up to n, the last degree with cells: H_4 at (4,4,2) is
-    Z^3 by the generic route; orders 0 and 5 are usage errors; the closed
-    form covers degrees 1..3, so it refuses the 4-cells that H_3 at (4,4,2)
-    needs, but gives H_3 at (3,3,1), whose complex ends in degree 3."""
+    Z^3 by the generic route; orders 0 and 5 are usage errors, 0 before
+    any structure is built; the closed form covers degrees 1..3, so it
+    refuses the 4-cells that H_3 at (4,4,2) needs, but gives H_3 at (3,3,1),
+    whose complex ends in degree 3."""
     point = ["--e", "4", "--n", "4", "--k", "2"]
     assert run(["homology", *point, "--order", "4", "--method", "generic"]) == EXIT_OK
     assert capsys.readouterr().out == '{"free_rank":3,"torsion":[]}\n'
-    for order in ("0", "5"):
+    for order, degrees in (("0", "from 1"), ("5", "1..4")):
         assert run(["homology", *point, "--order", order]) == EXIT_USAGE
-        assert f"degrees 1..4, not {order}" in capsys.readouterr().err
+        assert f"degrees {degrees}, not {order}" in capsys.readouterr().err
     assert run(["homology", *point, "--method", "closed", "--order", "3"]) == EXIT_USAGE
     assert "the closed form is written in degrees 1..3, not 4" in capsys.readouterr().err
     assert run(["homology", "--e", "3", "--n", "3", "--k", "1", "--method", "closed",
                 "--order", "3"]) == EXIT_OK
     assert capsys.readouterr().out == '{"free_rank":0,"torsion":[]}\n'
+    from geen_garside import cli
+
+    def forbidden(*point):
+        raise AssertionError("a structure was built")
+
+    monkeypatch.setattr(cli, "cached_garside", forbidden)
+    assert run(["homology", "--e", "6", "--n", "5", "--k", "1", "--order", "0"]) == EXIT_USAGE
+    assert capsys.readouterr().err == "error: homology is computed in degrees from 1, not 0\n"
 
 
 def test_cap_exceeded(capsys, monkeypatch):
@@ -481,11 +502,12 @@ def test_balanced_census_is_bounded_before_any_scan(capsys, monkeypatch):
     ["verify", "--e", "3", "--n", "2000", "--k", "1", "--suite", "balanced"],
 ])
 def test_cap_message_of_a_huge_count_is_printed_by_its_digits(capsys, argv):
-    """|D|^2/8 at n = 1000 and |G| at n = 2000 have more digits than Python
-    converts to a string; the caps still exit 3, giving the digit count."""
+    """|D|^2/8 at n = 1000 and |G| at n = 2000 have thousands of digits; the
+    caps exit 3, giving the digit count in one short line."""
     assert run(argv) == EXIT_CAP
     err = capsys.readouterr().err
     assert err.startswith("cap exceeded: ") and re.search(r"<about \d+ digits>", err)
+    assert len(err) < 300
 
 
 def test_balanced_census_of_a_huge_count_is_printed_by_its_digits(capsys, monkeypatch):

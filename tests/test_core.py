@@ -259,15 +259,16 @@ def test_enumerate_cap(monkeypatch):
 
 
 def test_format_count_never_makes_a_string_past_the_limit():
-    """Counts Python can print come out in decimal; past its limit for
-    int-to-str conversion, the count of digits read from bit_length, which
-    is exact or one over."""
-    from geen_garside.core import format_count
+    """Counts of up to COUNT_DIGITS = 30 digits come out in decimal; longer
+    ones, far below Python's limit for int-to-str conversion, as the count
+    of digits read from bit_length, which is exact or one over."""
+    from geen_garside.core import COUNT_DIGITS, format_count
 
+    assert COUNT_DIGITS == 30
     assert format_count(54) == "54"
     assert format_count(13005619200) == "13005619200"
-    assert format_count(10**4299) == "1" + "0" * 4299
-    for m in (4300, 5000, 20000):
+    assert format_count(10**30 - 1) == "9" * 30
+    for m in (30, 4299, 4300, 5000, 20000):
         text = format_count(10**m)
         assert text in (f"<about {m + 1} digits>", f"<about {m + 2} digits>")
 

@@ -89,19 +89,18 @@ def test_in_interval_matches_the_definition_exhaustive(e, n):
 
 def test_permutation_tables_hold_one_entry_per_permutation():
     """A (3,5,1) build leaves exactly 5! = 120 entries in each table keyed by
-    a permutation, however many elements (3^4 * 120 = 9,720) it touched, and
-    at most 5! in the divisor table of lambda, keyed by the permutation of
-    the candidate divisor."""
+    a permutation, however many elements (3^4 * 120 = 9,720) it touched.
+    Its divisor scan makes 2 |G| tests through the bounded divisor_rows
+    cache, which misses at most twice per permutation, at sigma and
+    sigma^(-1) against lambda, and keeps at most its bound."""
     code = (
-        "from geen_garside import GroupParams, build_interval, lambda_power\n"
+        "from geen_garside import GroupParams, build_interval\n"
         "from geen_garside.core import inverse_order\n"
-        "from geen_garside.interval import divisor_table\n"
-        "from geen_garside.words import _row_shape\n"
-        "params = GroupParams(3, 5, 1)\n"
-        "build_interval(params)\n"
+        "from geen_garside.words import DIVISOR_ROWS_CACHE, _row_shape, divisor_rows\n"
+        "build_interval(GroupParams(3, 5, 1))\n"
+        "rows = divisor_rows.cache_info()\n"
         "print(inverse_order.cache_info().currsize, _row_shape.cache_info().currsize,\n"
-        "      divisor_table.cache_info().currsize,\n"
-        "      len(divisor_table(lambda_power(params, 1))))\n"
+        "      rows.hits, rows.misses, rows.currsize, DIVISOR_ROWS_CACHE)\n"
     )
     root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
     env = dict(os.environ, PYTHONPATH=os.path.join(root, "src"))
@@ -109,57 +108,48 @@ def test_permutation_tables_hold_one_entry_per_permutation():
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=300,
     )
     assert result.returncode == 0, result.stderr
-    inverse_orders, row_shapes, divisors, entries = map(int, result.stdout.split())
+    inverse_orders, row_shapes, hits, misses, kept, bound = map(int, result.stdout.split())
     assert (inverse_orders, row_shapes) == (120, 120)
-    # the build only divides into the diagonal lambda^k, its own transpose,
-    # so one divisor holds at most one entry per permutation
-    assert divisors == 1
-    assert entries <= 120
+    assert hits + misses == 2 * GroupParams(3, 5).order()
+    assert misses <= 2 * 120
+    assert kept <= bound
 
 
-def test_divisor_tables_are_kept_for_two_divisors_at_most():
-    """Builds at three points in one process leave divisor tables for at
-    most the last two divisors, and a test against a third divisor evicts
-    the oldest table without changing any answer."""
-    from geen_garside.interval import divisor_table
+def test_divisor_rows_cache_stays_within_its_bound():
+    """Builds at three points in one process, then three divisors tested
+    over all of G(4,4,3), keep the divisor_rows cache within its bound, and
+    every answer is the definition's.  An operand of another e or another
+    n raises ParameterMismatchError whether or not the rows of its
+    permutation against the divisor are cached, and caches nothing."""
+    from geen_garside.words import DIVISOR_ROWS_CACHE, divisor_rows
 
-    divisor_table.cache_clear()
+    divisor_rows.cache_clear()
     for point in ((3, 3, 1), (3, 3, 2), (4, 3, 1)):
         build_interval(GroupParams(*point))
-        assert divisor_table.cache_info().currsize <= 2
+        assert divisor_rows.cache_info().currsize <= DIVISOR_ROWS_CACHE
     params = GroupParams(4, 3)
     group = enumerate_group(params)
     divisors = [lambda_power(params, 1), group[40], group[80]]
     for b in divisors:
         for a in group:
             assert left_divides(a, b) == _divides_by_definition(a, b), (a, b)
-        assert divisor_table.cache_info().currsize <= 2
-        assert len(divisor_table(b)) <= 6
-
-
-def test_last_divisor_table_is_held_only_by_the_cache():
-    """left_divides reaches the last divisor's table without the cache,
-    but holds it only weakly: after cache_clear no table stays alive, and
-    the answers do not change.  The group check still runs on a call
-    whose permutation the table already holds."""
-    import gc
-    import weakref
-    from geen_garside.interval import divisor_table
-
-    params = GroupParams(3, 3)
-    lam = lambda_power(params, 1)
-    group = enumerate_group(params)
-    answers = [left_divides(a, lam) for a in group]
-    assert answers == [_divides_by_definition(a, lam) for a in group]
-    table = weakref.ref(divisor_table(lam))
-    divisor_table.cache_clear()
-    gc.collect()
-    assert table() is None
-    assert [left_divides(a, lam) for a in group] == answers
-    assert divisor_table.cache_info().currsize == 1
-    stranger = (4,) + tuple(group[5])[1:]
-    with pytest.raises(ParameterMismatchError, match=r"G\(4,4,3\) and G\(3,3,3\)"):
-        left_divides(stranger, lam)
+        assert divisor_rows.cache_info().currsize <= DIVISOR_ROWS_CACHE
+    b, a = divisors[-1], group[5]
+    other_e = (5,) + tuple(a)[1:]
+    other_n = (4, (2, 1), (3, 1))
+    for cached in (True, False):
+        if cached:
+            left_divides(a, b)
+        else:
+            divisor_rows.cache_clear()
+        before = divisor_rows.cache_info().currsize
+        for stranger, group_name in ((other_e, r"G\(5,5,3\)"), (other_n, r"G\(4,4,2\)")):
+            with pytest.raises(
+                ParameterMismatchError,
+                match=rf"cannot divide elements of {group_name} and G\(4,4,3\)",
+            ):
+                left_divides(stranger, b)
+        assert divisor_rows.cache_info().currsize == before
 
 
 def test_left_divides_basics():
