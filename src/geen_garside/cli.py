@@ -21,6 +21,7 @@ from .core import (
     CapExceededError,
     GroupElement,
     GroupParams,
+    admit,
     atoms,
     braid_m,
     format_word,
@@ -166,12 +167,8 @@ def _presentation_dot(params: GroupParams) -> str:
 def _cmd_reduce(args) -> int:
     params = GroupParams(args.e, args.n)
     w = _element(args, params)
-    letters = args.n * (args.n - 1)
-    if letters > garside.MATSUMOTO_CAP:
-        raise CapExceededError(
-            f"a reduced word in G({args.e},{args.e},{args.n}) has up to {letters} "
-            f"letters, above MATSUMOTO_CAP = {garside.MATSUMOTO_CAP}"
-        )
+    cap = garside.MATSUMOTO_CAP
+    admit("a longest word's n(n-1) letters", (args.n, args.n - 1), cap, "garside.MATSUMOTO_CAP")
     print(format_word(reduced_expression(w)))
     return EXIT_OK
 

@@ -48,6 +48,15 @@ permutation and a row getter, read by `inverse`, `transpose`,
 `left_quotient` and the interval's divisor scan) and the row counts of
 `words.length`.  Each table is keyed by the permutation tuple, so it
 holds at most n! entries per n, and it has no size option.
+
+Every size cap of the package that is known before the work starts goes
+through `admit`: the size's closed-form factors (e, n-1 times, and 2..n
+for |G(e,e,n)|; e + 2i for the interval below lambda^k) are multiplied in
+order until the product passes max(cap, 10^COUNT_DIGITS), so a refused
+size is never formed in full.  Each refusal is a CapExceededError of one
+shape, naming the size (exact, or "more than" that bound), the cap and
+the knob that sets it.  `admit_group` admits G(e,e,n) against
+`group_cap`, the GARSIDE_CAP setting, and returns |G|.
 """
 
 from __future__ import annotations
@@ -58,13 +67,14 @@ import math
 import os
 from functools import lru_cache, partial
 from operator import itemgetter
-from typing import Callable, Iterator, NamedTuple
+from typing import Callable, Iterable, Iterator, NamedTuple
 
 DEFAULT_GROUP_CAP = 10**6
 
 # Digits up to which `format_count` prints a count in full; a longer count
 # is given by its number of digits, which keeps a cap message to one short
 # line, far below Python's int-to-str limit (640 digits at the least).
+# `admit` stops multiplying past 10^COUNT_DIGITS, or past a larger cap.
 COUNT_DIGITS = 30
 
 
@@ -78,18 +88,17 @@ class ParameterMismatchError(ValueError):
 
 def group_cap() -> int:
     """The group-size cap: DEFAULT_GROUP_CAP unless the GARSIDE_CAP
-    environment variable sets it.  A GARSIDE_CAP that is not a positive
-    integer raises ValueError naming it."""
+    environment variable sets it, as ASCII digits of any length.  Any other
+    value, or 0, raises ValueError naming GARSIDE_CAP with at most 40
+    characters of the value."""
     value = os.environ.get("GARSIDE_CAP")
     if not value:
         return DEFAULT_GROUP_CAP
-    try:
-        cap = int(value)
-    except ValueError:
-        cap = 0
-    if cap < 1:
-        raise ValueError(f"GARSIDE_CAP={value!r} is not a positive integer")
-    return cap
+    if value.isascii() and value.isdigit() and value.strip("0"):
+        from decimal import Decimal  # int() refuses a string of over 4300 digits
+        return int(Decimal(value))
+    shown = repr(value) if len(value) <= 40 else f"{value[:40]!r}... ({len(value)} characters)"
+    raise ValueError(f"GARSIDE_CAP={shown} is not a positive integer")
 
 
 def format_count(value: int) -> str:
@@ -102,16 +111,31 @@ def format_count(value: int) -> str:
     return f"<about {digits} digits>"
 
 
-def admit_group(params: GroupParams) -> None:
-    """Refuse a group G(e,e,n) whose order exceeds `group_cap`; the error
-    names the predicted order and GARSIDE_CAP."""
-    cap = group_cap()
-    order = params.order()
-    if order > cap:
-        raise CapExceededError(
-            f"|G({params.e},{params.e},{params.n})| = {format_count(order)} exceeds the "
-            f"group-size cap {format_count(cap)} (set by GARSIDE_CAP)"
-        )
+def admit(what: str, factors: Iterable[int], cap: int, knob: str) -> int:
+    """The product of `factors`, the size of `what`, if it is at most `cap`.
+
+    The factors are multiplied in order, and the product is given up as
+    soon as it passes max(cap, 10^COUNT_DIGITS), so a refused size is never
+    formed in full.  Above the cap, CapExceededError names `what`, its size
+    (exact, or "more than" that bound), the cap and the knob that sets it.
+    """
+    bound, product = max(cap, 10**COUNT_DIGITS), 1
+    for factor in factors:
+        product *= factor
+        if product > bound:
+            break
+    if product <= cap:
+        return product
+    size = format_count(product) if product <= bound else "more than " + format_count(bound)
+    raise CapExceededError(f"{what} = {size} exceeds the cap {format_count(cap)} (set by {knob})")
+
+
+def admit_group(params: GroupParams) -> int:
+    """|G(e,e,n)| = e^(n-1) n!, admitted against `group_cap` (GARSIDE_CAP)."""
+    e, n = params.e, params.n
+    name = f"|G({format_count(e)},{format_count(e)},{format_count(n)})|"
+    factors = itertools.chain(itertools.repeat(e, n - 1), range(2, n + 1))
+    return admit(name, factors, group_cap(), "GARSIDE_CAP")
 
 
 class _GroupParams(NamedTuple):
@@ -265,7 +289,10 @@ class GroupElement(NamedTuple):
     @staticmethod
     def from_json(text: str) -> "GroupElement":
         """Parse the form written by `to_json`; any malformed payload raises ValueError."""
-        data = json.loads(text)
+        try:
+            data = json.loads(text)
+        except RecursionError:  # the parser recurses once per nested bracket
+            raise ValueError("element is nested too deeply") from None
         if not isinstance(data, dict):
             raise ValueError(f"element must be a JSON object, got {text!r}")
         missing = {"e", "n", "perm", "exps"} - data.keys()

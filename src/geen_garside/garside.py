@@ -50,6 +50,7 @@ from .core import (
     Generator,
     GroupElement,
     GroupParams,
+    admit,
     alternating,
     atoms,
     evaluate_word,
@@ -327,18 +328,14 @@ def emit_presentation(params: GroupParams) -> Presentation:
 
     Dual relations are emitted with the fixed right side i = 0, giving e-1
     independent instances instead of a quadratic list.  The relation count,
-    e(n-1) - 1 + (n-2)(n-3)/2, is checked against MATSUMOTO_CAP before any
-    relation is built.
+    e(n-1) - 1 + (n-2)(n-3)/2, is admitted against MATSUMOTO_CAP by `admit`
+    before any relation is built.
     """
     if params.k is None:
         raise ValueError("presentation needs params.k")
     e, n, k = params.e, params.n, params.k
     count = e * (n - 1) - 1 + (n - 2) * (n - 3) // 2
-    if count > MATSUMOTO_CAP:
-        raise CapExceededError(
-            f"presentation of (e,n) = ({e},{n}) has {count} relations, "
-            f"above MATSUMOTO_CAP = {MATSUMOTO_CAP}"
-        )
+    admit("the presentation's relation count", (count,), MATSUMOTO_CAP, "garside.MATSUMOTO_CAP")
     t = lambda i: Generator("t", i % e)
     s = lambda j: Generator("s", j)
     gens = tuple(atoms(params))

@@ -62,17 +62,16 @@ from operator import eq, getitem, itemgetter, mul
 from typing import Iterator, NamedTuple
 
 from .core import (
-    CapExceededError,
     Generator,
     GroupElement,
     GroupParams,
     ParameterMismatchError,
+    admit,
     admit_group,
     atoms,
     enumerate_group,
     evaluate_word,
     exponent_vectors,
-    format_count,
     generator_matrix,
     group_cap,
     inverse_order,
@@ -87,7 +86,7 @@ from .words import divisor_rows, length, length_decreases, maximal_length_elemen
 
 # Largest predicted size, in bytes, of the divisibility bitset table
 # (|D|^2 / 8) that `build_interval` accepts; it refuses larger intervals
-# before enumerating the group.
+# before enumerating the group, through `core.admit` on |D|.
 INTERVAL_TABLE_CAP_BYTES = 2**30
 
 
@@ -188,17 +187,13 @@ def balanced_max_length(params: GroupParams) -> list[GroupElement]:
     """The balanced elements among those of maximal length: the lambda^k.
 
     The equality with {lambda^k : 1 <= k <= e-1} is a theorem; its failure
-    is raised as a violation.  The group is admitted before the (e-1)^(n-1)
-    candidates are listed, and then the census itself, which scans G once
-    per candidate: |G| (e-1)^(n-1) must not exceed the same cap.
+    is raised as a violation.  Before the (e-1)^(n-1) candidates are
+    listed, `admit_group` admits G, and `admit` then admits the census,
+    which scans G once per candidate: |G| (e-1)^(n-1) against the same cap,
+    a factor at a time.
     """
-    admit_group(params)
-    scans, cap = params.order() * (params.e - 1) ** (params.n - 1), group_cap()
-    if scans > cap:
-        raise CapExceededError(
-            f"the balanced census scans |G| (e-1)^(n-1) = {format_count(scans)} elements, "
-            f"above the group-size cap {format_count(cap)} (set by GARSIDE_CAP)"
-        )
+    scans = (admit_group(params), *repeat(params.e - 1, params.n - 1))
+    admit("the balanced census's scans |G| (e-1)^(n-1)", scans, group_cap(), "GARSIDE_CAP")
     found = [w for w in maximal_length_elements(params) if is_balanced(w)]
     expected = {lambda_power(params, k) for k in range(1, params.e)}
     if set(found) != expected:
@@ -458,25 +453,21 @@ def build_interval(params: GroupParams) -> Interval:
     `divisor_theorem_oracle` checks the member set against divisor tests of
     lambda^k over the whole group, one permutation at a time.
 
-    Before anything is enumerated, |D| is predicted by `interval_size` and
-    the interval is refused with CapExceededError when its bitset table
-    would exceed INTERVAL_TABLE_CAP_BYTES, and the group is admitted by
-    `admit_group`; a built size that differs from the prediction is a
-    theorem violation.
+    Before anything is enumerated, `admit` multiplies the factors e + 2i of
+    |D| until they pass the largest |D| whose bitset table of |D|^2/8 bytes
+    fits INTERVAL_TABLE_CAP_BYTES, and refuses the interval there with
+    CapExceededError; then `admit_group` admits the group.  A built size
+    that differs from `interval_size` is a theorem violation.
     """
     if params.k is None:
         raise ValueError("interval construction needs params.k")
-    k = params.k
-    predicted = interval_size(params.e, params.n)
-    table_bytes = predicted * predicted // 8
-    if table_bytes > INTERVAL_TABLE_CAP_BYTES:
-        raise CapExceededError(
-            f"[1, lambda^{k}] in G({params.e},{params.e},{params.n}) has "
-            f"|D| = {format_count(predicted)} members; its divisibility table would take "
-            f"{format_count(table_bytes)} bytes, above INTERVAL_TABLE_CAP_BYTES = "
-            f"{INTERVAL_TABLE_CAP_BYTES}"
-        )
+    e, n, k = params
+    # |D|^2 // 8 <= INTERVAL_TABLE_CAP_BYTES exactly when |D| <= most
+    most = math.isqrt(8 * INTERVAL_TABLE_CAP_BYTES + 7)
+    knob = "INTERVAL_TABLE_CAP_BYTES, through the |D|^2/8 bytes of its table"
+    admit("|D| of [1, lambda^k]", (e + 2 * i for i in range(1, n)), most, knob)
     admit_group(params)
+    predicted = interval_size(e, n)
     members = list(_staircase(params))
     if len(members) != predicted:
         raise TheoremViolationError(
@@ -493,7 +484,6 @@ def build_interval(params: GroupParams) -> Interval:
     if None in flip:
         raise TheoremViolationError("the transpose of a member left the interval")
 
-    e, n = params.e, params.n
     gens = atoms(params)
     size = len(members)
     head_left = [-1] * size

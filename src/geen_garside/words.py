@@ -39,10 +39,10 @@ from .core import (
     GroupElement,
     GroupParams,
     ParameterMismatchError,
+    admit,
     admit_group,
     atoms,
     exponent_vectors,
-    format_count,
     generator_matrix,
     group_cap,
     identity,
@@ -293,16 +293,11 @@ def cayley_length_table(params: GroupParams) -> dict[GroupElement, int]:
 
     Plain BFS using only `multiply`; deliberately independent of the
     row-reduction algorithm so it can serve as its oracle.  It forms one
-    product per element and atom, so after the group is admitted, that
-    work, |G| (e + n - 2), must not exceed the same cap.
+    product per element and atom, so after `admit_group` admits the group,
+    `admit` admits that work, |G| (e + n - 2), against the same cap.
     """
-    admit_group(params)
-    cap, work = group_cap(), params.order() * (params.e + params.n - 2)
-    if work > cap:
-        raise CapExceededError(
-            f"the breadth-first search forms |G| |A| = {format_count(work)} products, "
-            f"above the group-size cap {format_count(cap)} (set by GARSIDE_CAP)"
-        )
+    products = (admit_group(params), params.e + params.n - 2)
+    admit("the breadth-first search's products |G| |A|", products, group_cap(), "GARSIDE_CAP")
     gens = [generator_matrix(x, params) for x in atoms(params)]
     start = identity(params)
     dist = {start: 0}

@@ -46,7 +46,8 @@ def test_reduce_cap_refuses_before_reducing(capsys, monkeypatch):
     assert run(["reduce", "--e", "3", "--n", "4", "--element", WORKED]) == EXIT_CAP
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert "12 letters" in captured.err and "MATSUMOTO_CAP = 11" in captured.err
+    assert "n(n-1) letters = 12 exceeds the cap 11" in captured.err
+    assert "MATSUMOTO_CAP" in captured.err
 
 
 def test_length_worked_example(capsys):
@@ -82,7 +83,7 @@ def test_bfs_length_is_bounded_by_its_products(capsys):
     assert run(["bfs-length", "--e", "100000", "--n", "2"]) == EXIT_CAP
     assert time.perf_counter() - start < 1
     err = capsys.readouterr().err
-    assert "|G| |A| = 20000000000 products" in err and "GARSIDE_CAP" in err
+    assert "|G| |A| = 20000000000 exceeds" in err and "GARSIDE_CAP" in err
 
 
 def test_interval_summary_and_exports(tmp_path, capsys):
@@ -211,14 +212,14 @@ def test_presentation_cap(capsys, monkeypatch):
         m.setattr(garside, "atoms", forbidden)
         assert run(["presentation", "--e", "200000", "--n", "3", "--k", "1"]) == EXIT_CAP
         err = capsys.readouterr().err
-        assert "399999 relations" in err and "MATSUMOTO_CAP = 100000" in err
+        assert "count = 399999 exceeds the cap 100000" in err and "MATSUMOTO_CAP" in err
     monkeypatch.setattr(garside, "MATSUMOTO_CAP", 20)
     assert run(["presentation", "--e", "10", "--n", "3", "--k", "1"]) == EXIT_OK
     assert len(json.loads(capsys.readouterr().out)["relations"]) == 19
     assert run(["presentation", "--e", "11", "--n", "3", "--k", "1"]) == EXIT_CAP
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert "21 relations" in captured.err and "MATSUMOTO_CAP = 20" in captured.err
+    assert "count = 21 exceeds the cap 20" in captured.err and "MATSUMOTO_CAP" in captured.err
 
 
 def test_homology_output(capsys):
@@ -461,6 +462,32 @@ def test_unparsable_cap_names_the_setting(capsys, monkeypatch, value):
     assert err.startswith("error: ") and f"GARSIDE_CAP={value!r}" in err
 
 
+def test_cap_of_5001_digits_is_read(capsys, monkeypatch):
+    """GARSIDE_CAP is read as ASCII digits at any length, past the 4,300
+    digits that int() takes from a string."""
+    monkeypatch.setenv("GARSIDE_CAP", "1" + "0" * 5000)
+    assert run(["bfs-length", "--e", "3", "--n", "2", "--element",
+                '{"e":3,"n":2,"perm":[1,2],"exps":[1,2]}']) == EXIT_OK
+    assert capsys.readouterr().out.strip() == "2"
+
+
+@pytest.mark.parametrize(
+    "value",
+    ["1_000", " 7 ", "+5", "\u0663", "x" * 10**5],
+    ids=["underscore", "spaces", "sign", "arabic-indic-digit", "100000-chars"],
+)
+def test_cap_that_is_not_ascii_digits_is_refused_in_one_short_line(capsys, monkeypatch, value):
+    """int() would take the first four; a long value is shown by its first
+    40 characters and its length."""
+    monkeypatch.setenv("GARSIDE_CAP", value)
+    assert run(["bfs-length", "--e", "3", "--n", "2"]) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith("error: GARSIDE_CAP=") and "is not a positive integer" in err
+    assert len(err) < 120 and err.count("\n") == 1
+    shown = repr(value) if len(value) <= 40 else f"({len(value)} characters)"
+    assert shown in err
+
+
 def test_balanced_suite_admits_the_group_before_listing(capsys, monkeypatch):
     """|G(3,3,3)| = 54 is refused before any maximal-length element is listed."""
     from geen_garside import interval
@@ -487,11 +514,11 @@ def test_balanced_census_is_bounded_before_any_scan(capsys, monkeypatch):
 
     monkeypatch.setenv("GARSIDE_CAP", "100")
     monkeypatch.setattr(interval, "is_balanced", forbidden)
-    with pytest.raises(CapExceededError, match=r"= 216 elements, above .*GARSIDE_CAP"):
+    with pytest.raises(CapExceededError, match=r"= 216 exceeds the cap 100 .*GARSIDE_CAP"):
         interval.balanced_max_length(GroupParams(3, 3))
     assert run(["verify", "--e", "3", "--n", "3", "--k", "1", "--suite", "balanced"]) == EXIT_CAP
     err = capsys.readouterr().err
-    assert "= 216 elements" in err and "GARSIDE_CAP" in err
+    assert "= 216 exceeds" in err and "GARSIDE_CAP" in err
 
 
 @pytest.mark.parametrize("argv", [
@@ -500,29 +527,49 @@ def test_balanced_census_is_bounded_before_any_scan(capsys, monkeypatch):
     ["homology", "--e", "3", "--n", "1000", "--k", "1", "--order", "2"],
     ["bfs-length", "--e", "3", "--n", "2000"],
     ["verify", "--e", "3", "--n", "2000", "--k", "1", "--suite", "balanced"],
+] + [
+    [*command, "--e", "3", "--n", str(n), *rest]
+    for n in (10**6, 10**7)
+    for command, rest in [
+        (["nf"], ["--k", "1", "--word", "t0"]),
+        (["interval"], ["--k", "1"]),
+        (["homology"], ["--k", "1", "--order", "2"]),
+        (["bfs-length"], []),
+        (["verify"], ["--k", "1", "--suite", "balanced"]),
+    ]
+] + [
+    ["presentation", "--e", "3", "--n", "1" + "0" * 3999, "--k", "1"],
 ])
 def test_cap_message_of_a_huge_count_is_printed_by_its_digits(capsys, argv):
-    """|D|^2/8 at n = 1000 and |G| at n = 2000 have thousands of digits; the
-    caps exit 3, giving the digit count in one short line."""
+    """|D| and |G| at n = 1000 and beyond, and the relation count at
+    n = 10^3999, have thousands of digits or more.  Each cap gives up
+    multiplying once the size passes 10^30, and exits 3 within a second
+    with one short line naming its knob and the size as more than that."""
+    knob = {"bfs-length": "GARSIDE_CAP", "verify": "GARSIDE_CAP", "presentation": "MATSUMOTO_CAP"}
+    start = time.perf_counter()
     assert run(argv) == EXIT_CAP
+    assert time.perf_counter() - start < 1
     err = capsys.readouterr().err
     assert err.startswith("cap exceeded: ") and re.search(r"<about \d+ digits>", err)
-    assert len(err) < 300
+    assert len(err) < 300 and err.count("\n") == 1
+    assert knob.get(argv[0], "INTERVAL_TABLE_CAP_BYTES") in err
 
 
 def test_balanced_census_of_a_huge_count_is_printed_by_its_digits(capsys, monkeypatch):
     """|G(1000,1000,600)|, about 10^3206, passes a cap of 10^3300, but the
-    census product has over 5,000 digits."""
+    census product, of over 5,000 digits, is refused as more than the cap
+    once its factors pass it, before it is formed."""
     monkeypatch.setenv("GARSIDE_CAP", "1" + "0" * 3300)
     assert run(["verify", "--e", "1000", "--n", "600", "--k", "1",
                 "--suite", "balanced"]) == EXIT_CAP
     err = capsys.readouterr().err
-    assert re.search(r"\(n-1\) = <about 50\d\d digits> elements, above", err)
+    assert re.search(r"\(n-1\) = more than <about 330[12] digits> exceeds the cap <", err)
 
 
 def test_interval_cap_refuses_before_enumerating(capsys, monkeypatch):
     """(2,7,1): |G| = 322,560 passes GARSIDE_CAP, but the bitset table
-    of its 322,560 simples would take about 13 GB."""
+    of its 322,560 simples would take about 13 GB: |D| passes 92,681, the
+    largest |D| whose table of |D|^2/8 bytes fits the cap."""
     from geen_garside import interval
 
     def forbidden(params):
@@ -531,8 +578,8 @@ def test_interval_cap_refuses_before_enumerating(capsys, monkeypatch):
     monkeypatch.setattr(interval, "admit_group", forbidden)
     assert run(["interval", "--e", "2", "--n", "7", "--k", "1"]) == EXIT_CAP
     err = capsys.readouterr().err
-    assert "|D| = 322560" in err
-    assert "13005619200 bytes" in err and "INTERVAL_TABLE_CAP_BYTES" in err
+    assert "|D| of [1, lambda^k] = 322560 exceeds the cap 92681" in err
+    assert "INTERVAL_TABLE_CAP_BYTES" in err
 
 
 def test_determinism(capsys):

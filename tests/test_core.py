@@ -273,6 +273,30 @@ def test_format_count_never_makes_a_string_past_the_limit():
         assert text in (f"<about {m + 1} digits>", f"<about {m + 2} digits>")
 
 
+def test_admit_draws_no_factor_past_the_one_that_crosses_the_bound():
+    """`admit` returns the exact product up to the cap; above it, the error
+    gives the exact size below max(cap, 10^COUNT_DIGITS) and "more than"
+    that bound past it, and no factor after the crossing one is drawn."""
+    from geen_garside.core import admit, admit_group
+
+    def factors(*values):
+        yield from values
+        raise AssertionError("a factor past the bound was drawn")
+
+    assert admit("x", iter([2, 3, 9]), 54, "K") == 54
+    with pytest.raises(CapExceededError, match=r"^x = 54 exceeds the cap 53 \(set by K\)$"):
+        admit("x", [2, 3, 9], 53, "K")
+    with pytest.raises(CapExceededError, match=r"^x = more than <about 31 digits> exceeds"):
+        admit("x", factors(10**29, 11), 53, "K")
+    with pytest.raises(CapExceededError, match=r"^x = more than <about 31 digits> exceeds"):
+        admit("x", itertools.repeat(2), 53, "K")
+    # a cap above 10^30 is its own bound
+    with pytest.raises(CapExceededError, match=r"more than <about 4[12] digits> exceeds the cap <"):
+        admit("x", factors(10**20, 10**21, 10), 10**40, "K")
+    assert admit("x", [10**20, 10**20], 10**40, "K") == 10**40
+    assert admit_group(GroupParams(3, 3)) == 54 == GroupParams(3, 3).order()
+
+
 def test_lambda_power_values():
     params = GroupParams(3, 3)
     lam = lambda_power(params, 1)
@@ -380,6 +404,13 @@ def test_from_json_refuses_n_below_2(text):
     """Like GroupParams, from_json supports no group G(e,e,n) with n < 2."""
     with pytest.raises(ValueError, match="n must be >= 2"):
         GroupElement.from_json(text)
+
+
+def test_from_json_refuses_deep_nesting_as_a_value_error():
+    """The JSON parser recurses once per bracket; nesting past the
+    interpreter's recursion limit is a malformed element, not a crash."""
+    with pytest.raises(ValueError, match="nested too deeply"):
+        GroupElement.from_json("[" * 100000 + "]" * 100000)
 
 
 def test_left_quotient_matches_inverse_product_exhaustive_g333():

@@ -507,7 +507,7 @@ def test_presentation_cap_predicts_the_relation_count(monkeypatch):
             monkeypatch.setattr(garside, "MATSUMOTO_CAP", count)
             assert len(emit_presentation(params).relations) == count
             monkeypatch.setattr(garside, "MATSUMOTO_CAP", count - 1)
-            with pytest.raises(CapExceededError, match=f"has {count} relations"):
+            with pytest.raises(CapExceededError, match=f"count = {count} exceeds"):
                 emit_presentation(params)
 
 

@@ -565,7 +565,9 @@ def test_interval_admission_by_predicted_table_size(monkeypatch):
 
     # the build admits G before it enumerates anything
     monkeypatch.setattr(interval_module, "admit_group", enumerated)
-    with pytest.raises(CapExceededError, match=r"\|D\| = 322560 .* 13005619200 bytes"):
+    with pytest.raises(
+        CapExceededError, match=r"\|D\| .*= 322560 exceeds the cap 92681 .*INTERVAL_TABLE_CAP_BYTES"
+    ):
         build_interval(GroupParams(2, 7, 1))
     # (3,6,1): |D| = 45,045, about 0.25 GB of table, is admitted (not built here)
     assert interval_module.interval_size(3, 6) == 45045
