@@ -25,6 +25,8 @@ from .core import (
     atoms,
     braid_m,
     format_word,
+    read_count,
+    shown,
 )
 from .interval import (
     TheoremViolationError,
@@ -86,10 +88,10 @@ def _element(args, params: GroupParams) -> GroupElement:
 
 
 def _add_params(parser, with_k: bool):
-    parser.add_argument("--e", type=int, required=True)
-    parser.add_argument("--n", type=int, required=True)
+    parser.add_argument("--e", required=True)
+    parser.add_argument("--n", required=True)
     if with_k:
-        parser.add_argument("--k", type=int, required=True)
+        parser.add_argument("--k", required=True)
 
 
 def _interval_dot(interval, out) -> None:
@@ -187,18 +189,16 @@ def _cmd_bfs_length(args) -> int:
     if element is not None:
         print(table[element])
         return EXIT_OK
-    lines = sorted(
-        (w.to_json(), dist) for w, dist in table.items()
-    )
-    for text, dist in lines:
-        print(_canonical({"element": json.loads(text), "length": dist}))
+    # "element" sorts before "length", so each line is its element's JSON
+    for text, dist in sorted((w.to_json(), dist) for w, dist in table.items()):
+        print(f'{{"element":{text},"length":{dist}}}')
     return EXIT_OK
 
 
 def _cmd_interval(args) -> int:
     if args.export and args.export[0] not in EXPORTS:
         raise ValueError(
-            f"unknown export format {args.export[0]!r}; use {' or '.join(EXPORTS)}"
+            f"unknown export format {shown(args.export[0])}; use {' or '.join(EXPORTS)}"
         )
     interval = cached_interval(args.e, args.n, args.k)
     summary = {
@@ -232,13 +232,9 @@ def _cmd_interval(args) -> int:
 def _cmd_nf(args) -> int:
     g = cached_garside(args.e, args.n, args.k)
     nf = g.normal_form(args.word)
-    data = {
-        "delta_power": nf.delta_power,
-        "factors": [
-            json.loads(g.interval.element(f).to_json()) for f in nf.factors
-        ],
-    }
-    print(_canonical(data))
+    # the canonical JSON of the form, with each factor's JSON as written
+    factors = ",".join(g.interval.element(f).to_json() for f in nf.factors)
+    print(f'{{"delta_power":{nf.delta_power},"factors":[{factors}]}}')
     return EXIT_OK
 
 
@@ -405,11 +401,7 @@ def freeze_regressions(grid: list[GroupParams], path: str) -> list[RegressionRec
 
 
 def _cmd_freeze(args) -> int:
-    grid = default_grid()
-    if args.e is not None:
-        grid = [c for c in grid if c.e == args.e]
-    if args.n is not None:
-        grid = [c for c in grid if c.n == args.n]
+    grid = [c for c in default_grid() if args.e in (None, c.e) and args.n in (None, c.n)]
     if not grid:
         raise ValueError("--e/--n match no point of the default grid")
     records = freeze_regressions(grid, args.out)
@@ -473,7 +465,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("homology", help="integral homology H_r")
     _add_params(p, with_k=True)
-    p.add_argument("--order", type=int, required=True, help="the degree r, 1 <= r <= n")
+    p.add_argument("--order", required=True, help="the degree r, 1 <= r <= n")
     p.add_argument("--method", choices=METHODS, default="closed")
     p.add_argument("--dump-matrices", metavar="PATH")
     p.set_defaults(func=_cmd_homology)
@@ -485,8 +477,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("freeze", help="freeze or check regression values")
     p.add_argument("--out", required=True)
-    p.add_argument("--e", type=int)
-    p.add_argument("--n", type=int)
+    p.add_argument("--e")
+    p.add_argument("--n")
     p.set_defaults(func=_cmd_freeze)
     return parser
 
@@ -498,6 +490,9 @@ def run(argv: list[str]) -> int:
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     try:
+        for name in ("e", "n", "k", "order"):  # integers are read here, once
+            if getattr(args, name, None) is not None:
+                setattr(args, name, read_count(getattr(args, name), f"--{name}"))
         return args.func(args)
     except CapExceededError as exc:
         print(f"cap exceeded: {exc}", file=sys.stderr)

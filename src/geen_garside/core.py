@@ -49,6 +49,12 @@ permutation and a row getter, read by `inverse`, `transpose`,
 `words.length`.  Each table is keyed by the permutation tuple, so it
 holds at most n! entries per n, and it has no size option.
 
+Every value from outside is read here.  `read_count` reads an integer
+(an option, GARSIDE_CAP, a generator's index) from ASCII digits of any
+length and from nothing else, and every message that echoes outside text
+shows it through `shown`, cut to 40 characters and its length; an integer
+in a message goes through `format_count`.
+
 Every size cap of the package that is known before the work starts goes
 through `admit`: the size's closed-form factors (e, n-1 times, and 2..n
 for |G(e,e,n)|; e + 2i for the interval below lambda^k) are multiplied in
@@ -86,29 +92,50 @@ class ParameterMismatchError(ValueError):
     """Operands live in different groups G(e,e,n)."""
 
 
+def read_count(text: str, name: str) -> int:
+    """The integer that `text` writes in ASCII digits, of any length.
+
+    Any other text (a sign, spaces, "_", a non-ASCII digit, nothing) raises
+    ValueError naming `name` and `shown(text)`.  `int` reads up to 640
+    digits, the lowest digit limit `sys.set_int_max_str_digits` accepts;
+    past that `decimal` does, so no setting of the limit refuses a count.
+    """
+    if not (text.isascii() and text.isdigit()):
+        raise ValueError(f"{name}={shown(text)} is not a positive integer")
+    if len(text) <= 640:
+        return int(text)
+    from decimal import Decimal
+    return int(Decimal(text))
+
+
+def shown(value) -> str:
+    """A value from outside, for a message: its repr, or past 40 characters
+    the repr of its first 40 characters (of a text, else of its repr) and
+    its length, so that a message stays one short line."""
+    text = value if isinstance(value, str) else repr(value)
+    return repr(value) if len(text) <= 40 else f"{text[:40]!r}... ({len(text)} characters)"
+
+
 def group_cap() -> int:
     """The group-size cap: DEFAULT_GROUP_CAP unless the GARSIDE_CAP
-    environment variable sets it, as ASCII digits of any length.  Any other
-    value, or 0, raises ValueError naming GARSIDE_CAP with at most 40
-    characters of the value."""
+    environment variable sets it, read by `read_count`.  Any other value,
+    or 0, raises ValueError naming GARSIDE_CAP."""
     value = os.environ.get("GARSIDE_CAP")
     if not value:
         return DEFAULT_GROUP_CAP
-    if value.isascii() and value.isdigit() and value.strip("0"):
-        from decimal import Decimal  # int() refuses a string of over 4300 digits
-        return int(Decimal(value))
-    shown = repr(value) if len(value) <= 40 else f"{value[:40]!r}... ({len(value)} characters)"
-    raise ValueError(f"GARSIDE_CAP={shown} is not a positive integer")
+    if value.strip("0"):
+        return read_count(value, "GARSIDE_CAP")
+    raise ValueError(f"GARSIDE_CAP={shown(value)} is not a positive integer")
 
 
 def format_count(value: int) -> str:
-    """A nonnegative count for a message: its decimal digits up to
-    COUNT_DIGITS of them, else "<about N digits>" with N read from
+    """An integer for a message: its decimal digits up to COUNT_DIGITS of
+    them, else its sign and "<about N digits>" with N read from
     `bit_length`, so that no long string of it is made."""
-    if value < 10**COUNT_DIGITS:
+    if abs(value) < 10**COUNT_DIGITS:
         return str(value)
     digits = int(value.bit_length() * math.log10(2)) + 1  # exact or one over
-    return f"<about {digits} digits>"
+    return f"{'-' * (value < 0)}<about {digits} digits>"
 
 
 def admit(what: str, factors: Iterable[int], cap: int, knob: str) -> int:
@@ -134,7 +161,8 @@ def admit_group(params: GroupParams) -> int:
     """|G(e,e,n)| = e^(n-1) n!, admitted against `group_cap` (GARSIDE_CAP)."""
     e, n = params.e, params.n
     name = f"|G({format_count(e)},{format_count(e)},{format_count(n)})|"
-    factors = itertools.chain(itertools.repeat(e, n - 1), range(2, n + 1))
+    # a range, not `repeat`, counts the e's: n - 1 may pass a C ssize_t
+    factors = itertools.chain((e for _ in range(n - 1)), range(2, n + 1))
     return admit(name, factors, group_cap(), "GARSIDE_CAP")
 
 
@@ -156,13 +184,13 @@ class GroupParams(_GroupParams):
     def __new__(cls, e: int, n: int, k: int | None = None) -> "GroupParams":
         for name, value in (("e", e), ("n", n), ("k", k)):
             if not (_is_int(value) or (name == "k" and value is None)):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
+                raise ValueError(f"{name} must be an integer, got {shown(value)}")
         if e < 2:
-            raise ValueError(f"e must be >= 2, got {e}")
+            raise ValueError(f"e must be >= 2, got {format_count(e)}")
         if n < 2:
-            raise ValueError(f"n must be >= 2, got {n}")
+            raise ValueError(f"n must be >= 2, got {format_count(n)}")
         if k is not None and not 1 <= k <= e - 1:
-            raise ValueError(f"k must satisfy 1 <= k <= e-1, got k={k}")
+            raise ValueError(f"k must satisfy 1 <= k <= e-1, got k={format_count(k)}")
         return super().__new__(cls, e, n, k)
 
     def order(self) -> int:
@@ -226,12 +254,9 @@ def parse_word(text: str, params: GroupParams) -> list[tuple[Generator, int]]:
         if token.endswith("^-1"):
             sign = -1
             token = token[:-3]
-        digits = token[1:]
-        # ASCII digits only: int() would also take a sign, "_" and any
-        # Unicode decimal digit
-        if token[:1] not in ("t", "s") or not (digits.isascii() and digits.isdigit()):
-            raise ValueError(f"bad generator token {token!r}")
-        gen = Generator(token[0], int(digits))
+        if token[:1] not in ("t", "s"):
+            raise ValueError(f"bad generator token {shown(token)}")
+        gen = Generator(token[0], read_count(token[1:], f"{token[0]}-index"))
         _check_generator(gen, params)
         letters.append((gen, sign))
     return letters
@@ -252,11 +277,10 @@ def is_atom(g: Generator, params: GroupParams) -> bool:
 def _check_generator(g: Generator, params: GroupParams) -> None:
     if is_atom(g, params):
         return
-    if g.kind == "t":
-        raise ValueError(f"t-index {g.index} out of range for e={params.e}")
-    if g.kind == "s":
-        raise ValueError(f"s-index {g.index} out of range for n={params.n}")
-    raise ValueError(f"unknown generator kind {g.kind!r}")
+    if g.kind not in ("t", "s"):
+        raise ValueError(f"unknown generator kind {g.kind!r}")
+    bound = f"e={format_count(params.e)}" if g.kind == "t" else f"n={format_count(params.n)}"
+    raise ValueError(f"{g.kind}-index {format_count(g.index)} out of range for {bound}")
 
 
 class GroupElement(NamedTuple):
@@ -294,17 +318,15 @@ class GroupElement(NamedTuple):
         except RecursionError:  # the parser recurses once per nested bracket
             raise ValueError("element is nested too deeply") from None
         if not isinstance(data, dict):
-            raise ValueError(f"element must be a JSON object, got {text!r}")
+            raise ValueError(f"element must be a JSON object, got {shown(text)}")
         missing = {"e", "n", "perm", "exps"} - data.keys()
         if missing:
             raise ValueError(f"element is missing {sorted(missing)}")
         e, n, perm, exps = data["e"], data["n"], data["perm"], data["exps"]
-        if not (_is_int(e) and _is_int(n)):
-            raise ValueError(f"e and n must be integers, got e={e!r}, n={n!r}")
+        GroupParams(e, n)  # refuses a non-integer, e < 2 and n < 2
         for name, entries in (("perm", perm), ("exps", exps)):
             if not (isinstance(entries, list) and all(map(_is_int, entries))):
-                raise ValueError(f"{name} must be a list of integers, got {entries!r}")
-        GroupParams(e, n)  # refuses e < 2 and n < 2
+                raise ValueError(f"{name} must be a list of integers, got {shown(entries)}")
         w = GroupElement(e, tuple(perm), tuple(exps))
         _validate_element(w, n)
         return w
@@ -322,15 +344,15 @@ def _is_int(value) -> bool:
 
 def _validate_element(w: GroupElement, n: int) -> None:
     if len(w.perm) != n:
-        raise ValueError(f"perm has length {len(w.perm)}, expected n={n}")
+        raise ValueError(f"perm has length {len(w.perm)}, expected n={format_count(n)}")
     if sorted(w.perm) != list(range(1, len(w.perm) + 1)):
-        raise ValueError(f"perm {w.perm} is not a permutation of 1..{len(w.perm)}")
+        raise ValueError(f"perm {shown(w.perm)} is not a permutation of 1..{len(w.perm)}")
     if len(w.exps) != len(w.perm):
         raise ValueError("exps and perm have different lengths")
     if any(not 0 <= a < w.e for a in w.exps):
-        raise ValueError(f"exponents {w.exps} out of range mod {w.e}")
+        raise ValueError(f"exponents {shown(w.exps)} out of range mod {format_count(w.e)}")
     if sum(w.exps) % w.e != 0:
-        raise ValueError(f"exponent sum of {w.exps} is not 0 mod {w.e}")
+        raise ValueError(f"exponent sum of {shown(w.exps)} is not 0 mod {format_count(w.e)}")
 
 
 def identity(params: GroupParams) -> GroupElement:

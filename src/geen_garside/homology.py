@@ -49,7 +49,7 @@ from __future__ import annotations
 
 import math
 
-from .core import CapExceededError, Generator, GroupParams, braid_m, lcm_word
+from .core import CapExceededError, Generator, GroupParams, braid_m, format_count, lcm_word
 from .garside import GarsideStructure, NormalForm
 from .interval import TheoremViolationError
 from .snf import AbelianGroup, mat_mul, quotient_group, smith_normal_form, zero_matrix
@@ -163,7 +163,7 @@ def _check_degree(r: int, low: int, high: int, what: str) -> None:
     """Refuse a degree r outside low..high with ValueError, before anything
     of degree r is read."""
     if not low <= r <= high:
-        raise ValueError(f"{what} in degrees {low}..{high}, not {r}")
+        raise ValueError(f"{what} in degrees {low}..{high}, not {format_count(r)}")
 
 
 def _boundary_matrix(cx: CellComplex, r: int, faces) -> list[list[int]]:

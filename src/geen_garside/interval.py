@@ -173,11 +173,11 @@ def right_divides(a: GroupElement, b: GroupElement) -> bool:
     return left_divides(transpose(a), transpose(b))
 
 
-def is_balanced(w: GroupElement) -> bool:
-    """Whether the left and right divisor sets of w coincide, by full scan."""
-    params = GroupParams(w.e, w.n)
+def is_balanced(w: GroupElement, group: list[GroupElement] | None = None) -> bool:
+    """Whether the left and right divisor sets of w coincide, by full scan
+    of G, or of `group`, the list of G, when the caller has made it."""
     wt = transpose(w)
-    for a in enumerate_group(params):
+    for a in group or enumerate_group(GroupParams(w.e, w.n)):
         if left_divides(a, w) != left_divides(transpose(a), wt):
             return False
     return True
@@ -190,11 +190,12 @@ def balanced_max_length(params: GroupParams) -> list[GroupElement]:
     is raised as a violation.  Before the (e-1)^(n-1) candidates are
     listed, `admit_group` admits G, and `admit` then admits the census,
     which scans G once per candidate: |G| (e-1)^(n-1) against the same cap,
-    a factor at a time.
+    a factor at a time.  G is listed once, and every scan reads that list.
     """
     scans = (admit_group(params), *repeat(params.e - 1, params.n - 1))
     admit("the balanced census's scans |G| (e-1)^(n-1)", scans, group_cap(), "GARSIDE_CAP")
-    found = [w for w in maximal_length_elements(params) if is_balanced(w)]
+    group = enumerate_group(params)
+    found = [w for w in maximal_length_elements(params) if is_balanced(w, group)]
     expected = {lambda_power(params, k) for k in range(1, params.e)}
     if set(found) != expected:
         raise TheoremViolationError(

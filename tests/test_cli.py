@@ -488,6 +488,68 @@ def test_cap_that_is_not_ascii_digits_is_refused_in_one_short_line(capsys, monke
     assert shown in err
 
 
+LONG = "x" * 100_000
+
+
+def _one_short_usage_line(capsys, argv) -> str:
+    """Run argv, which must exit 2 with nothing on stdout and one stderr
+    line of under 300 bytes; return that line."""
+    assert run(argv) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1 and len(captured.err.encode()) < 300
+    return captured.err
+
+
+@pytest.mark.parametrize("argv", [
+    ["nf", "--e", "\u0663", "--n", " 3 ", "--k", "+1", "--word", "t0"],
+    ["nf", "--e", "11", "--n", "3", "--k", "1_0", "--word", "t0"],
+    ["presentation", "--e", "3", "--n", "3.0", "--k", "1"],
+    ["homology", "--e", "3", "--n", "3", "--k", "1", "--order", "+2"],
+    ["freeze", "--out", os.devnull, "--e", "\u0663"],
+    ["freeze", "--out", os.devnull, "--n", "-3"],
+])
+def test_integer_options_are_read_as_ascii_digits_only(capsys, argv):
+    """--e, --n, --k and --order are read by `core.read_count`, as
+    GARSIDE_CAP is: int() would take an Arabic-Indic digit, spaces, a sign
+    and "_", so that `--k 1_0` ran as k = 10."""
+    err = _one_short_usage_line(capsys, argv)
+    assert re.match(r"error: --(e|n|k|order)=.* is not a positive integer\n", err)
+
+
+@pytest.mark.parametrize("argv, shown", [
+    (["nf", "--e", LONG, "--n", "3", "--k", "1", "--word", "t0"], "--e='xxx"),
+    (["length", "--e", "3", "--n", "2", "--element", f'"{LONG}"'], "JSON object"),
+    (["length", "--e", "3", "--n", "2", "--element",
+      f'{{"e":"{LONG}","n":2,"perm":[1,2],"exps":[0,0]}}'], "e must be an integer"),
+    (["length", "--e", "3", "--n", "2", "--element",
+      f'{{"e":3,"n":2,"perm":["{LONG}"],"exps":[0,0]}}'], "perm must be a list"),
+    (["nf", "--e", "3", "--n", "3", "--k", "1", "--word", LONG], "bad generator token"),
+    (["nf", "--e", "3", "--n", "3", "--k", "1", "--word", "t0 s" + LONG], "s-index="),
+    (["interval", "--e", "3", "--n", "3", "--k", "1", "--export", LONG, os.devnull],
+     "unknown export format"),
+])
+def test_outside_text_is_echoed_by_at_most_40_characters(capsys, argv, shown):
+    """A 100,000-character value, wherever it is refused, is shown by its
+    first 40 characters and its length, in one short line."""
+    err = _one_short_usage_line(capsys, argv)
+    assert shown in err and re.search(r"['\"]\.\.\. \(100\d\d\d characters\)", err)
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["nf", "--e", "3", "--n", "3", "--k", "1" + "0" * 4000, "--word", "t0"],
+     "got k=<about 4001 digits>"),
+    (["homology", "--e", "3", "--n", "3", "--k", "1", "--order", "1" + "2" * 4999],
+     "degrees 1..3, not <about 5000 digits>"),
+    (["nf", "--e", "3", "--n", "3", "--k", "1", "--word", "t1" + "2" * 4999],
+     "t-index <about 5000 digits> out of range for e=3"),
+])
+def test_an_integer_in_a_message_is_given_by_its_digit_count(capsys, argv, message):
+    """A count of thousands of digits is read in full, past int()'s limit of
+    4,300 digits, and a message names it by `format_count`."""
+    assert message in _one_short_usage_line(capsys, argv)
+
+
 def test_balanced_suite_admits_the_group_before_listing(capsys, monkeypatch):
     """|G(3,3,3)| = 54 is refused before any maximal-length element is listed."""
     from geen_garside import interval
@@ -529,7 +591,7 @@ def test_balanced_census_is_bounded_before_any_scan(capsys, monkeypatch):
     ["verify", "--e", "3", "--n", "2000", "--k", "1", "--suite", "balanced"],
 ] + [
     [*command, "--e", "3", "--n", str(n), *rest]
-    for n in (10**6, 10**7)
+    for n in (10**6, 10**7, 10**20)
     for command, rest in [
         (["nf"], ["--k", "1", "--word", "t0"]),
         (["interval"], ["--k", "1"]),
@@ -539,12 +601,14 @@ def test_balanced_census_is_bounded_before_any_scan(capsys, monkeypatch):
     ]
 ] + [
     ["presentation", "--e", "3", "--n", "1" + "0" * 3999, "--k", "1"],
+    ["verify", "--e", "3", "--n", "1" + "0" * 4000, "--k", "1", "--suite", "balanced"],
 ])
 def test_cap_message_of_a_huge_count_is_printed_by_its_digits(capsys, argv):
     """|D| and |G| at n = 1000 and beyond, and the relation count at
     n = 10^3999, have thousands of digits or more.  Each cap gives up
     multiplying once the size passes 10^30, and exits 3 within a second
-    with one short line naming its knob and the size as more than that."""
+    with one short line naming its knob and the size as more than that.
+    An n - 1 past 2^63, the count of the e's in |G|, is counted too."""
     knob = {"bfs-length": "GARSIDE_CAP", "verify": "GARSIDE_CAP", "presentation": "MATSUMOTO_CAP"}
     start = time.perf_counter()
     assert run(argv) == EXIT_CAP

@@ -1,10 +1,12 @@
 """A seeded grammar of command lines run through `cli.run` in process.
 
 Every subcommand is drawn with small valid points (e, n <= 4), extreme
-integers (n = 10^7, 10^20 and a 4,000-digit n, e = 10^20), malformed JSON
-elements and malformed words.  Whatever the arguments, `run` must return an
-exit code of the CLI (1 only from `equal`), raise nothing, and finish each
-case within CASE_SECONDS, enforced by an interval timer.
+integers (n = 10^7, 10^20 and a 4,000-digit n, e = 10^20), integers that
+are not ASCII digits, malformed JSON elements and malformed words, with a
+100,000-character value of each kind.  Whatever the arguments, `run` must
+return an exit code of the CLI (1 only from `equal`), raise nothing, finish
+each case within CASE_SECONDS, enforced by an interval timer, and write at
+most one stderr line of under 300 bytes, unless it reports a violation.
 """
 
 import random
@@ -18,7 +20,8 @@ CASE_SECONDS = 1.0
 
 HUGE_N = ["10000000", "100000000000000000000", "1" + "0" * 3999]
 HUGE_E = ["100000000000000000000"]
-BAD_INTEGERS = ["0", "-1", "1.5", "x", ""]
+LONG = "x" * 100_000
+BAD_INTEGERS = ["0", "-1", "1.5", "x", "", "+1", " 3 ", "1_0", "\u0663", LONG, "1" + "0" * 4000]
 BAD_ELEMENTS = [
     "", "[]", "{", "null", '"t0"', "[" * 5000 + "]" * 5000, '{"e":3}',
     '{"e":3,"n":2,"perm":[1,1],"exps":[0,0]}',
@@ -26,8 +29,9 @@ BAD_ELEMENTS = [
     '{"e":true,"n":2,"perm":[1,2],"exps":[0,0]}',
     '{"e":3,"n":2,"perm":[1,2],"exps":[1e400,2]}',
     '{"e":3,"n":2,"perm":[1,2],"exps":[' + "9" * 5000 + ",0]}",
+    '"' + LONG + '"',
 ]
-BAD_WORDS = ["t", "x1", "t-1", "t0^2", "s99", "t\u0663", "t" + "9" * 5000, "t_1", "t0 ^-1"]
+BAD_WORDS = ["t", "x1", "t-1", "t0^2", "s99", "t\u0663", "t" + "9" * 5000, "t_1", "t0 ^-1", LONG]
 
 
 class CaseTimeout(Exception):
@@ -85,8 +89,8 @@ def _case(rng, path):
         if rng.random() < 0.3:
             argv.append("--verify-lattice")
         if rng.random() < 0.3:
-            kind = rng.choice(["dot", "json", "svg"])
-            argv += ["--export", kind, str(rng.choice([path / f"iv.{kind}", path]))]
+            kind = rng.choice(["dot", "json", "svg", LONG])
+            argv += ["--export", kind, str(rng.choice([path / f"iv.{kind[:4]}", path]))]
     elif command == "nf":
         argv = [command, *point, "--k", k, "--word", _word(rng, e, n)]
     elif command == "equal":
@@ -130,7 +134,12 @@ def test_cli_fuzz_exits_with_a_code_and_in_time(tmp_path, capsys):
                 raise AssertionError(f"{shown} raised {exc!r:.200}") from exc
             finally:
                 signal.setitimer(signal.ITIMER_REAL, 0)
-            capsys.readouterr()
+            err = capsys.readouterr().err
+            # a violation report (a drifted freeze file) quotes what differs,
+            # and argparse's own usage errors (a missing or unknown argument)
+            # print the usage line first
+            if code != EXIT_VIOLATION and not err.startswith("usage:"):
+                assert err.count("\n") <= 1 and len(err.encode()) < 300, (shown, err[:300])
             allowed = {EXIT_OK, EXIT_USAGE, EXIT_CAP, EXIT_VIOLATION}
             assert code in allowed | ({EXIT_FALSE} if argv[0] == "equal" else set()), shown
             codes[code] = codes.get(code, 0) + 1

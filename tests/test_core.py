@@ -271,6 +271,45 @@ def test_format_count_never_makes_a_string_past_the_limit():
     for m in (30, 4299, 4300, 5000, 20000):
         text = format_count(10**m)
         assert text in (f"<about {m + 1} digits>", f"<about {m + 2} digits>")
+    # a negative, as a JSON element's e can be, keeps its sign
+    assert format_count(-54) == "-54"
+    assert format_count(-(10**4000)) in ("-<about 4001 digits>", "-<about 4002 digits>")
+
+
+def test_read_count_reads_ascii_digits_of_any_length():
+    """`int()` reads up to 640 digits and `decimal` past that, so the value
+    is exact on both sides of 640 and past int()'s 4,300; a sign, spaces,
+    "_", a non-ASCII digit or nothing is refused, naming the value."""
+    from geen_garside.core import read_count
+
+    assert read_count("0", "--k") == 0 and read_count("007", "--k") == 7
+    for digits in (640, 641, 5000):
+        assert read_count("7" * digits, "--n") == (10**digits - 1) // 9 * 7
+    for text in ("+1", "-1", " 3 ", "1_0", "\u0663", "1.5", "", "x" * 100):
+        with pytest.raises(ValueError, match=r"^--e=.* is not a positive integer$"):
+            read_count(text, "--e")
+
+
+def test_shown_cuts_a_long_value_to_40_characters_and_its_length():
+    from geen_garside.core import shown
+
+    assert shown("t0") == "'t0'" and shown("x" * 40) == repr("x" * 40)
+    assert shown("x" * 41) == f"{'x' * 40!r}... (41 characters)"
+    assert shown(3.0) == "3.0" and shown([1, 2]) == "[1, 2]"
+    long_list = list(range(100))
+    assert shown(long_list) == f"{repr(long_list)[:40]!r}... ({len(repr(long_list))} characters)"
+
+
+@pytest.mark.parametrize("text, message", [
+    ('{"e":"3","n":2,"perm":"x","exps":[0,0]}', "^e must be an integer, got '3'$"),
+    ('{"e":3,"n":true,"perm":[1,2],"exps":"x"}', "^n must be an integer, got True$"),
+    ('{"e":3,"n":2,"perm":[1,2],"exps":[0,0.0]}', r"^exps must be a list of integers"),
+])
+def test_from_json_reads_e_and_n_through_group_params(text, message):
+    """e and n are checked by GroupParams, naming the field, before the
+    lists are read."""
+    with pytest.raises(ValueError, match=message):
+        GroupElement.from_json(text)
 
 
 def test_admit_draws_no_factor_past_the_one_that_crosses_the_bound():

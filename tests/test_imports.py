@@ -150,12 +150,17 @@ def test_no_dead_definitions():
 
 def test_import_footprint_and_version_exit():
     """Importing the package and its CLI module loads none of dataclasses,
-    inspect or argparse; argparse comes in only when a parser is built."""
+    inspect or argparse; argparse comes in only when a parser is built.  A
+    command on small integers does not load `decimal`, which reads only a
+    count of over 640 digits."""
     script = (
         "import json, sys\n"
         "import geen_garside, geen_garside.cli\n"
         "loaded = [m for m in ('dataclasses', 'inspect', 'argparse') if m in sys.modules]\n"
         "code = geen_garside.cli.run(['--version'])\n"
+        "element = '{\"e\":3,\"n\":2,\"perm\":[2,1],\"exps\":[1,2]}'\n"
+        "code += geen_garside.cli.run(['length', '--e', '3', '--n', '2', '--element', element])\n"
+        "loaded += [m for m in ('decimal',) if m in sys.modules]\n"
         "print(json.dumps({'loaded': loaded, 'code': code}))\n"
     )
     proc = subprocess.run(

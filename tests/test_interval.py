@@ -729,6 +729,21 @@ def test_balanced_max_length_census():
     assert len(found) == 3
 
 
+def test_balanced_census_lists_the_group_once(monkeypatch):
+    """Every candidate's scan reads one list of G, made by the census; a
+    candidate tested alone lists G itself."""
+    from geen_garside import interval as interval_module
+
+    calls = []
+    listing = interval_module.enumerate_group
+    monkeypatch.setattr(
+        interval_module, "enumerate_group", lambda params: calls.append(params) or listing(params)
+    )
+    params = GroupParams(4, 3)
+    assert len(balanced_max_length(params)) == 3 and calls == [params]
+    assert is_balanced(lambda_power(params, 2)) and len(calls) == 2
+
+
 def test_divisor_theorem_oracle_reports_a_disagreement(monkeypatch):
     """The scan raises as soon as a divisor search contradicts membership."""
     from geen_garside import interval as interval_module
