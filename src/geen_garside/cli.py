@@ -14,6 +14,7 @@ import json
 import os
 import stat
 import sys
+from itertools import zip_longest
 from typing import NamedTuple
 
 from . import __version__, garside
@@ -383,20 +384,10 @@ def freeze_regressions(grid: list[GroupParams], path: str) -> list[RegressionRec
         return records
     with open(path) as handle:
         frozen = handle.read(len(text) + 1)
-    existing = frozen.splitlines()
-    if existing != lines:
-        for old, new in zip(existing, lines):
-            if old != new:
-                raise TheoremViolationError(
-                    f"regression drift:\n  frozen: {old}\n  now:    {new}"
-                )
-        if len(frozen) > len(text):
-            raise TheoremViolationError(
-                f"regression drift: frozen file longer than the {len(lines)} lines now"
-            )
-        raise TheoremViolationError(
-            f"regression drift: {len(existing)} frozen lines vs {len(lines)} now"
-        )
+    for old, new in zip_longest(frozen.splitlines(), lines):
+        if old != new:  # the first line that differs; a side that ended is missing
+            old, new = ("(missing)" if line is None else line for line in (old, new))
+            raise TheoremViolationError(f"regression drift:\n  frozen: {old}\n  now:    {new}")
     return records
 
 
@@ -413,7 +404,14 @@ def build_parser() -> argparse.ArgumentParser:
     # imported here, so that library users of this module never load argparse
     import argparse
 
-    parser = argparse.ArgumentParser(
+    class Parser(argparse.ArgumentParser):  # the subparsers inherit the class
+        def error(self, message):
+            # a refusal leaves through `run`'s one line; a long or unprintable
+            # message, which may echo a value from outside, is cut by `shown`
+            fits = len(message.encode()) <= 200 and message.isprintable()
+            raise ValueError(message if fits else shown(message))
+
+    parser = Parser(
         prog="geen-garside",
         description="Interval Garside structures on the reflection groups G(e,e,n)",
     )
@@ -484,12 +482,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def run(argv: list[str]) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
-    try:
+        args = build_parser().parse_args(argv)
         for name in ("e", "n", "k", "order"):  # integers are read here, once
             if getattr(args, name, None) is not None:
                 setattr(args, name, read_count(getattr(args, name), f"--{name}"))
@@ -500,9 +494,15 @@ def run(argv: list[str]) -> int:
     except TheoremViolationError as exc:
         print(f"theorem violation: {exc}", file=sys.stderr)
         return EXIT_VIOLATION
-    except (ValueError, OSError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except OSError as exc:  # the path came from outside, so it is shown bounded
+        where = "" if exc.filename is None else f": {shown(exc.filename)}"
+        print(f"error: {exc.strerror}{where}", file=sys.stderr)
+        return EXIT_USAGE
+    except SystemExit:  # the parser exits only for --help and --version
+        return EXIT_OK
 
 
 def main() -> None:

@@ -46,7 +46,6 @@ from functools import lru_cache
 from typing import NamedTuple
 
 from .core import (
-    CapExceededError,
     Generator,
     GroupElement,
     GroupParams,
@@ -458,9 +457,8 @@ def matsumoto_check(g: GarsideStructure, w: GroupElement) -> bool:
                     new = word[:pos] + rhs + word[pos + width :]
                     if new not in seen:
                         if len(seen) >= MATSUMOTO_CAP:
-                            raise CapExceededError(
-                                f"rewriting closure exceeded {MATSUMOTO_CAP} words"
-                            )
+                            what = "rewriting closure words"
+                            admit(what, (len(seen) + 1,), MATSUMOTO_CAP, "garside.MATSUMOTO_CAP")
                         seen.add(new)
                         frontier.append(new)
     return seen == target

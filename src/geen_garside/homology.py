@@ -49,7 +49,7 @@ from __future__ import annotations
 
 import math
 
-from .core import CapExceededError, Generator, GroupParams, braid_m, format_count, lcm_word
+from .core import Generator, GroupParams, admit, braid_m, format_count, lcm_word
 from .garside import GarsideStructure, NormalForm
 from .interval import TheoremViolationError
 from .snf import AbelianGroup, mat_mul, quotient_group, smith_normal_form, zero_matrix
@@ -307,11 +307,8 @@ class _GenericDifferential:
     def _tick(self) -> None:
         self.ops += 1
         if self.ops > GENERIC_OP_CAP:
-            raise CapExceededError(
-                "generic differential exceeded homology.GENERIC_OP_CAP = "
-                f"{GENERIC_OP_CAP} homotopy monomials and chain products "
-                "actually computed"
-            )
+            what = "generic homotopy monomials and chain products actually computed"
+            admit(what, (self.ops,), GENERIC_OP_CAP, "homology.GENERIC_OP_CAP")
 
     def product(self, a: NormalForm, b: NormalForm) -> NormalForm:
         """a * b, computed once per pair."""

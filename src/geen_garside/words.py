@@ -22,10 +22,10 @@ the independent BFS oracle; the part of that count fixed by the permutation
 is tabulated once per permutation by `_row_shape`.  `divisor_rows` turns
 the test len(a) + len(a^(-1) b) = len(b) into one sum of n entries: for a
 divisor b and a permutation of a, one row table per row, indexed by a's
-exponent there, and a target, kept in one bounded cache keyed by the two
-(its rows are interned per (e, n) by `_divisor_row`).  `length_decreases`
-answers whether a single left multiplication by a generator shortens an
-element, straight from the matrix entries, without recomputing any words.
+exponent there, and a target, kept in one bounded cache keyed by the two.
+`length_decreases` answers whether a single left multiplication by a
+generator shortens an element, straight from the matrix entries, without
+recomputing any words.
 """
 
 from __future__ import annotations
@@ -154,17 +154,6 @@ def _row_shape(perm: tuple[int, ...]) -> tuple[int, tuple[int, ...]]:
     return n * (n - 1) // 2 - sum(doubled) // 2, doubled
 
 
-@lru_cache(maxsize=None)
-def _divisor_row(aweight: int, qweight: int, bexp: int, e: int) -> tuple[int, ...]:
-    """What one row adds to the length sum of `divisor_rows`, per exponent x
-    of a there: a's weight when x != 0, plus the quotient's when x != bexp.
-
-    Rows are interned by their four arguments, so each (e, n) holds at most
-    n^2 e of them, whatever the divisors.
-    """
-    return tuple(aweight * (x != 0) + qweight * (x != bexp) for x in range(e))
-
-
 # Entries kept by the `divisor_rows` cache.  The divisor scan and
 # `is_balanced` test one permutation at a time and alternate between two
 # keys, (sigma, b) and (sigma^(-1), b^T), so a few entries serve them; a
@@ -201,8 +190,8 @@ def divisor_rows(
     abase, aweights = _row_shape(aperm)
     qbase, qweights = _row_shape(inverse_order(aperm)[1](bperm))
     rows = tuple([
-        _divisor_row(w, qweights[c - 1], x, e)
-        for w, c, x in zip(aweights, aperm, bexps)
+        tuple([w * (x != 0) + qweights[c - 1] * (x != bexp) for x in range(e)])
+        for w, c, bexp in zip(aweights, aperm, bexps)
     ])
     return rows, length(b) - abase - qbase
 

@@ -75,6 +75,21 @@ def test_bfs_length_parses_the_element_before_the_search(capsys, monkeypatch, el
     assert capsys.readouterr().err.startswith("error: ")
 
 
+def test_bfs_length_lists_every_element_sorted_by_its_json(capsys):
+    """Without --element, one JSON line per element of G(3,3,3), 54 in all,
+    in the order of the element's JSON, each with its length."""
+    from geen_garside import GroupElement, length
+
+    assert run(["bfs-length", "--e", "3", "--n", "3"]) == EXIT_OK
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 54
+    records = [json.loads(line) for line in lines]
+    texts = [json.dumps(r["element"], separators=(",", ":")) for r in records]
+    assert texts == sorted(texts) and len(set(texts)) == 54
+    for text, record in zip(texts, records):
+        assert record["length"] == length(GroupElement.from_json(text))
+
+
 def test_bfs_length_is_bounded_by_its_products(capsys):
     """|G(100000,100000,2)| = 200,000 passes the default cap, but the search
     would form |G| |A| = 2 * 10^10 products: exit 3, naming GARSIDE_CAP,
@@ -449,7 +464,7 @@ def test_generic_op_cap_names_the_setting(capsys, monkeypatch):
     assert run(args) == EXIT_CAP
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert "homology.GENERIC_OP_CAP = 5" in captured.err
+    assert "exceeds the cap 5 (set by homology.GENERIC_OP_CAP)" in captured.err
     assert "actually computed" in captured.err
 
 
@@ -534,6 +549,58 @@ def test_outside_text_is_echoed_by_at_most_40_characters(capsys, argv, shown):
     first 40 characters and its length, in one short line."""
     err = _one_short_usage_line(capsys, argv)
     assert shown in err and re.search(r"['\"]\.\.\. \(100\d\d\d characters\)", err)
+
+
+@pytest.mark.parametrize("argv, shown", [
+    (["homology", "--e", "3", "--n", "3", "--k", "1", "--order", "2", "--method", LONG],
+     "argument --method: invalid choice"),
+    (["verify", "--e", "3", "--n", "3", "--k", "1", "--suite", LONG],
+     "argument --suite: invalid choice"),
+    ([LONG], "argument command: invalid choice"),
+    (["nf", "--e", "3", "--n", "3", "--k", "1", "--word", "t0", LONG],
+     "unrecognized arguments: xxx"),
+    (["nf", "--e", "3", "--n", "3", "--k", "1", "--word", "t0", "--" + LONG],
+     "unrecognized arguments: --xxx"),
+])
+def test_parser_errors_leave_through_run_in_one_short_line(capsys, argv, shown):
+    """argparse's own refusals are run's "error:" lines, with no usage line;
+    past 200 bytes the text is cut as `core.shown` cuts a value.  They used
+    to print the usage line and echo the value in full: 4 lines and 100,290
+    bytes for the --method case."""
+    err = _one_short_usage_line(capsys, argv)
+    assert err.startswith("error: ") and shown in err
+    assert re.search(r"\.\.\. \(100\d\d\d characters\)\n$", err)
+
+
+def test_a_missing_option_is_named_without_the_usage_line(capsys):
+    argv = ["nf", "--e", "3", "--n", "3", "--k", "1"]
+    err = _one_short_usage_line(capsys, argv)
+    assert err == "error: the following arguments are required: --word\n"
+
+
+def test_a_parser_message_with_a_newline_stays_one_line(capsys):
+    argv = ["nf", "--e", "3", "--n", "3", "--k", "1", "--word", "t0", "x\ny"]
+    err = _one_short_usage_line(capsys, argv)
+    assert err == "error: 'unrecognized arguments: x\\ny'\n"
+
+
+def test_help_and_version_exit_0(capsys):
+    assert run(["--version"]) == EXIT_OK
+    assert run(["nf", "--help"]) == EXIT_OK
+    assert "--word" in capsys.readouterr().out
+
+
+def test_an_os_error_shows_its_path_bounded(tmp_path, capsys):
+    """An OSError gives its reason and its path as `core.shown` gives a
+    value: a 5,000-character path used to make a 5,041-byte line."""
+    long_path = str(tmp_path / ("y" * 5000))
+    argv = ["interval", "--e", "3", "--n", "3", "--k", "1", "--export", "json", long_path]
+    err = _one_short_usage_line(capsys, argv)
+    assert err.startswith("error: File name too long: ")
+    assert err.endswith(f"... ({len(long_path)} characters)\n")
+    argv = ["presentation", "--e", "3", "--n", "3", "--k", "1", "--dot", "/nonexistent/dir/x.dot"]
+    err = _one_short_usage_line(capsys, argv)
+    assert err == "error: No such file or directory: '/nonexistent/dir/x.dot'\n"
 
 
 @pytest.mark.parametrize("argv, message", [
@@ -669,6 +736,29 @@ def test_freeze_and_drift(tmp_path):
     path.write_text("\n".join(lines) + "\n")
     with pytest.raises(TheoremViolationError):
         freeze_regressions(grid, str(path))
+
+
+def test_freeze_drift_quotes_the_first_pair_that_differs(tmp_path, capsys):
+    """A drifted file exits 4 quoting the first frozen line and line now
+    that differ; a side that has ended is named as missing.  The file is
+    read one character past the expected text, so an extra line shows its
+    first character only."""
+    path = tmp_path / "reg.jsonl"
+    argv = ["freeze", "--out", str(path), "--e", "3", "--n", "2"]
+    assert run(argv) == EXIT_OK
+    capsys.readouterr()
+    lines = path.read_text().splitlines()
+    changed = lines[1].replace("census", "count")
+    for frozen, old, new in [
+        (lines[:1] + [changed] + lines[2:], changed, lines[1]),
+        (lines[:-1], "(missing)", lines[-1]),
+        (lines + ["xyz"], "x", "(missing)"),
+    ]:
+        path.write_text("\n".join(frozen) + "\n")
+        assert run(argv) == EXIT_VIOLATION
+        assert capsys.readouterr().err == (
+            f"theorem violation: regression drift:\n  frozen: {old}\n  now:    {new}\n"
+        )
 
 
 def test_freeze_reads_a_padded_file_with_bounded_memory(tmp_path, capsys):

@@ -3,10 +3,12 @@
 Every subcommand is drawn with small valid points (e, n <= 4), extreme
 integers (n = 10^7, 10^20 and a 4,000-digit n, e = 10^20), integers that
 are not ASCII digits, malformed JSON elements and malformed words, with a
-100,000-character value of each kind.  Whatever the arguments, `run` must
-return an exit code of the CLI (1 only from `equal`), raise nothing, finish
-each case within CASE_SECONDS, enforced by an interval timer, and write at
-most one stderr line of under 300 bytes, unless it reports a violation.
+100,000-character value of each kind, and of the subcommand, of an unknown
+option and of each choice (--method, --suite, the export format), and
+5,000-character output paths.  Whatever the arguments, `run` must return an
+exit code of the CLI (1 only from `equal`), raise nothing, finish each case
+within CASE_SECONDS, enforced by an interval timer, and write at most one
+stderr line of under 300 bytes, unless it reports a violation.
 """
 
 import random
@@ -21,6 +23,7 @@ CASE_SECONDS = 1.0
 HUGE_N = ["10000000", "100000000000000000000", "1" + "0" * 3999]
 HUGE_E = ["100000000000000000000"]
 LONG = "x" * 100_000
+LONG_NAME = "y" * 5000
 BAD_INTEGERS = ["0", "-1", "1.5", "x", "", "+1", " 3 ", "1_0", "\u0663", LONG, "1" + "0" * 4000]
 BAD_ELEMENTS = [
     "", "[]", "{", "null", '"t0"', "[" * 5000 + "]" * 5000, '{"e":3}',
@@ -80,9 +83,11 @@ def _case(rng, path):
     point = ["--e", e, "--n", n]
     command = rng.choice(
         ["reduce", "length", "bfs-length", "interval", "nf", "equal",
-         "presentation", "homology", "verify", "freeze"]
+         "presentation", "homology", "verify", "freeze", LONG]
     )
-    if command in ("reduce", "length", "bfs-length"):
+    if command == LONG:
+        argv = [command, *point]
+    elif command in ("reduce", "length", "bfs-length"):
         argv = [command, *point, "--element", _element(rng, e, n)]
     elif command == "interval":
         argv = [command, *point, "--k", k]
@@ -90,7 +95,8 @@ def _case(rng, path):
             argv.append("--verify-lattice")
         if rng.random() < 0.3:
             kind = rng.choice(["dot", "json", "svg", LONG])
-            argv += ["--export", kind, str(rng.choice([path / f"iv.{kind[:4]}", path]))]
+            out = rng.choice([path / f"iv.{kind[:4]}", path, path / LONG_NAME])
+            argv += ["--export", kind, str(out)]
     elif command == "nf":
         argv = [command, *point, "--k", k, "--word", _word(rng, e, n)]
     elif command == "equal":
@@ -98,22 +104,25 @@ def _case(rng, path):
     elif command == "presentation":
         argv = [command, *point, "--k", k]
         if rng.random() < 0.3:
-            argv += ["--dot", str(path / "presentation.dot")]
+            argv += ["--dot", str(path / rng.choice(["presentation.dot", LONG_NAME]))]
     elif command == "homology":
         order = _integer(rng, range(0, 6), HUGE_E)
         argv = [command, *point, "--k", k, "--order", order,
-                "--method", rng.choice(["closed", "generic"])]
+                "--method", rng.choice(["closed", "generic", LONG])]
         if rng.random() < 0.2:
             argv += ["--dump-matrices", str(path / "matrices.json")]
     elif command == "verify":
-        suite = rng.choice(["lattice", "lcm", "balanced", "garside", "homology", "all"])
+        suite = rng.choice(["lattice", "lcm", "balanced", "garside", "homology", "all", LONG])
         argv = [command, *point, "--k", k, "--suite", suite]
     else:
         argv = [command, "--out", str(path / "freeze.jsonl"), "--e", e]
         if rng.random() < 0.5:
             argv += ["--n", n]
     if rng.random() < 0.05:  # a missing or unknown argument
-        argv = argv[:-1] if rng.random() < 0.5 else argv + ["--bogus"]
+        if rng.random() < 0.5:
+            argv = argv[:-1]
+        else:
+            argv.append(rng.choice(["--bogus", LONG, "--" + LONG]))
     return argv
 
 
@@ -135,10 +144,8 @@ def test_cli_fuzz_exits_with_a_code_and_in_time(tmp_path, capsys):
             finally:
                 signal.setitimer(signal.ITIMER_REAL, 0)
             err = capsys.readouterr().err
-            # a violation report (a drifted freeze file) quotes what differs,
-            # and argparse's own usage errors (a missing or unknown argument)
-            # print the usage line first
-            if code != EXIT_VIOLATION and not err.startswith("usage:"):
+            # a violation report (a drifted freeze file) quotes what differs
+            if code != EXIT_VIOLATION:
                 assert err.count("\n") <= 1 and len(err.encode()) < 300, (shown, err[:300])
             allowed = {EXIT_OK, EXIT_USAGE, EXIT_CAP, EXIT_VIOLATION}
             assert code in allowed | ({EXIT_FALSE} if argv[0] == "equal" else set()), shown

@@ -302,6 +302,16 @@ def test_delta_jumps_to_the_front_with_no_pair_call():
         assert g.evaluate_nf(got) == _product(g, pushed)
 
 
+def test_is_left_greedy_refuses_a_pair_whose_product_is_simple():
+    """t0 s3 is simple at (3,3,1), so the pair (t0, s3) is not left-weighted:
+    s3 left-divides the complement of t0."""
+    g = cached_garside(3, 3, 1)
+    (t0,), (s3,) = g.normal_form("t0").factors, g.normal_form("s3").factors
+    assert len(g.normal_form("t0 s3").factors) == 1
+    assert g.is_left_greedy(NormalForm(0, (t0,)))
+    assert not g.is_left_greedy(NormalForm(0, (t0, s3)))
+
+
 def test_pair_calls_of_seeded_words_at_642():
     """The normalize_pair calls of 300 seeded signed words at (6,4,2), of
     0 to 13 letters and 40 of 64.  Before Delta went to the front in one
@@ -638,6 +648,25 @@ def test_matsumoto_all_members_331():
     g = cached_garside(3, 3, 1)
     for w in g.interval.members:
         assert matsumoto_check(g, w)
+
+
+def test_matsumoto_closure_cap_names_the_setting(monkeypatch):
+    """Past MATSUMOTO_CAP words the rewriting closure is refused in
+    `core.admit`'s shape.  The closure holds only reduced expressions, so
+    it outgrows the cap only when fewer expressions are listed than exist:
+    here only the first of Delta's 33 at (3,3,1)."""
+    from geen_garside import garside
+
+    listed = garside.all_reduced_expressions
+    monkeypatch.setattr(garside, "all_reduced_expressions",
+                        lambda w, params, cap: listed(w, params)[:1])
+    monkeypatch.setattr(garside, "MATSUMOTO_CAP", 5)  # the 5 relations pass it
+    g = cached_garside(3, 3, 1)
+    with pytest.raises(CapExceededError) as info:
+        matsumoto_check(g, g.interval.element(g.delta))
+    assert str(info.value) == (
+        "rewriting closure words = 6 exceeds the cap 5 (set by garside.MATSUMOTO_CAP)"
+    )
 
 
 def test_embedding_images_and_lcms():

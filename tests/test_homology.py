@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 import os
@@ -22,6 +23,7 @@ from geen_garside import (
 )
 from geen_garside import garside, homology
 from geen_garside.cli import default_grid
+from geen_garside.core import braid_m
 from geen_garside.homology import atom_order
 from geen_garside.snf import quotient_group, smith_normal_form
 from conftest import all_k, right_rows
@@ -584,6 +586,26 @@ def test_h2_n5_matches_prediction_by_both_methods(e, n, k, expected):
     assert predicted_h2(e, n, k) == expected
     assert homology_group(g, 2, method="both") == expected
     assert homology_group(g, 1, method="both") == AbelianGroup(1, ())
+
+
+def test_n6_commuting_triples_and_h2_by_both_methods():
+    """(2,6,1) has the only 3-cells of the tests made of three commuting
+    atoms, [s6, s4, t0] and [s6, s4, t1], whose closed-form column is zero;
+    the generic route must agree there, and H_2 must be the n >= 5
+    formula's Z/2 x Z/2."""
+    g = cached_garside(2, 6, 1)
+    s6 = Generator("s", 6)
+    cells3 = enumerate_cells(g, 3)
+    commuting = [
+        c for c in cells3 if {braid_m(x, y) for x, y in itertools.combinations(c, 2)} == {2}
+    ]
+    assert commuting == [(s6, S4, t(0, 2)), (s6, S4, t(1, 2))]
+    d2, d3 = differentials(g, (2, 3), "both")
+    for cell in commuting:
+        assert not any(row[cells3.index(cell)] for row in d3)
+    assert chain_condition_holds(d2, d3)
+    assert predicted_h2(2, 6, 1) == AbelianGroup(0, (2, 2))
+    assert homology_group(g, 2, "both") == AbelianGroup(0, (2, 2))
 
 
 def test_homology_uses_the_structure_given(monkeypatch):
