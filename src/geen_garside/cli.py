@@ -67,6 +67,8 @@ EXIT_VIOLATION = 4
 
 # the suites of `verify`, in the order "all" runs them
 SUITES = ("lattice", "lcm", "balanced", "garside", "homology")
+# Characters read from a frozen regression file past the expected text.
+FROZEN_MARGIN = 200
 
 
 class RegressionRecord(NamedTuple):
@@ -363,9 +365,10 @@ def regression_records(params: GroupParams) -> list[RegressionRecord]:
 def freeze_regressions(grid: list[GroupParams], path: str) -> list[RegressionRecord]:
     """Write (or check against) a canonical JSONL regression file.
 
-    An existing path must be a regular file, and at most one character more
-    than the expected text is read from it, so no file or device is read
-    without a bound.
+    An existing path must be a regular file, and at most FROZEN_MARGIN
+    characters more than the expected text are read from it, so no file or
+    device is read without a bound, and an extra frozen line is quoted up
+    to that many characters.
     """
     try:
         mode = os.stat(path).st_mode
@@ -383,7 +386,7 @@ def freeze_regressions(grid: list[GroupParams], path: str) -> list[RegressionRec
             handle.write(text)
         return records
     with open(path) as handle:
-        frozen = handle.read(len(text) + 1)
+        frozen = handle.read(len(text) + FROZEN_MARGIN)
     for old, new in zip_longest(frozen.splitlines(), lines):
         if old != new:  # the first line that differs; a side that ended is missing
             old, new = ("(missing)" if line is None else line for line in (old, new))
@@ -410,6 +413,18 @@ def build_parser() -> argparse.ArgumentParser:
             # message, which may echo a value from outside, is cut by `shown`
             fits = len(message.encode()) <= 200 and message.isprintable()
             raise ValueError(message if fits else shown(message))
+
+    def choice(names: tuple[str, ...]):
+        """An option type that takes one of `names`: another value is refused
+        in argparse's words with the value alone cut by `shown`, so the
+        message keeps its list of choices however long the value is."""
+        choose = f"(choose from {', '.join(map(repr, names))})"
+
+        def check(value: str) -> str:
+            if value in names:
+                return value
+            raise argparse.ArgumentTypeError(f"invalid choice: {shown(value)} {choose}")
+        return check
 
     parser = Parser(
         prog="geen-garside",
@@ -464,13 +479,14 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("homology", help="integral homology H_r")
     _add_params(p, with_k=True)
     p.add_argument("--order", required=True, help="the degree r, 1 <= r <= n")
-    p.add_argument("--method", choices=METHODS, default="closed")
+    p.add_argument("--method", choices=METHODS, type=choice(METHODS), default="closed")
     p.add_argument("--dump-matrices", metavar="PATH")
     p.set_defaults(func=_cmd_homology)
 
     p = sub.add_parser("verify", help="run a verification suite")
     _add_params(p, with_k=True)
-    p.add_argument("--suite", choices=SUITES + ("all",), default="all")
+    suites = SUITES + ("all",)
+    p.add_argument("--suite", choices=suites, type=choice(suites), default="all")
     p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser("freeze", help="freeze or check regression values")

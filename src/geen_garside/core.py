@@ -37,7 +37,10 @@ Python function.  `new_element` builds a GroupElement from one
 (e, perm, exps) tuple with `tuple.__new__`, in C, and is the route of the
 hot paths: `multiply`, `inverse`, `transpose`, `left_quotient`,
 `group_elements` and the interval's staircase.  `left_quotient` forms
-a^(-1) b in one pass, without the intermediate inverse.  `group_elements`
+a^(-1) b in one pass, without the intermediate inverse.  The interval
+build forms neither transposes nor complements with them: it reads both
+per permutation, and `transpose` and `left_quotient` are the oracle its
+tests check those reads against.  `group_elements`
 streams the group, so that a scan over it holds no list of |G| elements;
 the elements share their exponent tuples, from the one table
 `exponent_vectors` per (e, n).
@@ -45,8 +48,8 @@ the elements share their exponent tuples, from the one table
 Data that depends on the permutation alone is tabulated once per
 permutation, not once per element: `inverse_order` here (the inverse
 permutation and a row getter, read by `inverse`, `transpose`,
-`left_quotient` and the interval's divisor scan) and the row counts of
-`words.length`.  Each table is keyed by the permutation tuple, so it
+`left_quotient` and the interval's build and divisor scan) and the row
+counts of `words.length`.  Each table is keyed by the permutation tuple, so it
 holds at most n! entries per n, and it has no size option.
 
 Every value from outside is read here.  `read_count` reads an integer

@@ -11,21 +11,31 @@ kept; `bullet_rows`, `in_interval` and the build all read it.
 `build_interval` does not test the group against the criterion: it lists
 the members per permutation straight from the staircase, row 1's exponent
 fixed by the exponent-sum rule, the other bullet rows free and the
-non-bullet rows 0 or k.  It forms the products x*s, for the atoms x
-that left-divide a member s, as moves of two rows of s: s_j swaps rows j-1
-and j, and t_m swaps rows 1 and 2 and adds -m and +m to their exponents.
-Each product is looked up in the member index as a plain tuple, and one
-`multiply` per atom, x*lambda^k, checks the moves against the group
-product.  Their ordinals give the atom tables the Garside layer walks a
-simple down with.
+non-bullet rows 0 or k.  It then reads the members once more in that
+order, where each permutation's members are contiguous, and reads what
+depends on the permutation alone once per permutation: sigma^(-1) and the
+row getter of `inverse_order`, each atom's swapped permutation, the
+s-descent rule `words.s_descent_row` and whether sigma(1) < sigma(2).
+Per member s it forms the products x*s, for the atoms x that left-divide
+s, as moves of two rows of s: s_j swaps rows j-1 and j, and t_m swaps rows
+1 and 2 and adds -m and +m to their exponents.  The t-atoms shorten s all
+together or one at a time: if sigma(1) < sigma(2), all of them exactly
+when one `length_decreases(t_0, s)` says so, and otherwise only t_m with
+m = -exps[0] mod e.  Each product is looked up in the member index as a
+plain tuple, and one `multiply` per atom, x*lambda^k, checks the moves
+against the group product.  Their ordinals give the atom tables the
+Garside layer walks a simple down with.
 
 One bitset table is kept, the left one.  The transpose is an
 anti-automorphism of G(e,e,n) that keeps the atom set (s_j^T = s_j,
 t_i^T = t_(-i)) and fixes the diagonal lambda^k, so a <= b on the right
 exactly when a^T <= b^T on the left: with flip[s] the ordinal of s^T, right
 divisibility is the left table read through flip, and the left table itself
-is built from the atom tables through flip.  lambda^k s^(-1) is the inverse
-permutation of s^(-1) lambda^k, by integer lookups.  The member set is
+is built from the atom tables through flip.  In the same pass, s^T is
+(sigma^(-1), rows(exps)) and s^(-1) lambda^k is (sigma^(-1), rows of
+lambda^k's exponents less those of s), each one index lookup with no
+group product; lambda^k s^(-1) is the inverse permutation of
+s^(-1) lambda^k, by integer lookups.  The member set is
 checked against a divisor test on the whole group that never looks at the
 staircase: length additivity len(a) + len(a^(-1) b) = len(b), read as one
 sum of table entries without forming a^(-1) b.  The scan goes through G
@@ -57,7 +67,7 @@ from __future__ import annotations
 
 import math
 from functools import lru_cache
-from itertools import accumulate, compress, permutations, product, repeat
+from itertools import accumulate, compress, groupby, permutations, product, repeat
 from operator import eq, getitem, itemgetter, mul
 from typing import Iterator, NamedTuple
 
@@ -77,12 +87,11 @@ from .core import (
     inverse_order,
     lambda_power,
     lcm_word,
-    left_quotient,
     multiply,
     new_element,
     transpose,
 )
-from .words import divisor_rows, length, length_decreases, maximal_length_elements
+from .words import divisor_rows, length, length_decreases, maximal_length_elements, s_descent_row
 
 # Largest predicted size, in bytes, of the divisibility bitset table
 # (|D|^2 / 8) that `build_interval` accepts; it refuses larger intervals
@@ -438,21 +447,31 @@ def build_interval(params: GroupParams) -> Interval:
 
     The members come per permutation from the staircase (`_staircase`),
     never by a test over the group, and are sorted by (length, perm, exps).
-    For b in ordinal order and the atoms x that shorten b, by
-    `length_decreases`, x*b is a move of two rows of b (s_j swaps rows j-1
-    and j; t_m swaps rows 1 and 2 and adds -m and +m to their exponents),
-    looked up in the index as a plain (e, perm, exps) tuple.  These give the
-    atom tables (x*b = x^(-1) b for a reflection x).  The one group product
-    per atom, `multiply(x, lambda^k)`, must agree with the row move on
-    lambda^k.  lambda^k is diagonal, so with flip[s] the ordinal of s^T, the
-    left covers of b are flip[down_left[p][flip[b]]], as (b x)^T = x^T b^T;
-    the left table is their closure, and the right order is read from it
-    through flip.  comp_left is one `left_quotient` per member and
-    comp_right its inverse permutation.  A row move that leaves the interval
-    or disagrees with its product, a transpose leaving the interval, or a
-    comp_left that is not a permutation, is a theorem violation.  Last,
-    `divisor_theorem_oracle` checks the member set against divisor tests of
-    lambda^k over the whole group, one permutation at a time.
+    Then one pass reads them in staircase order, where each permutation's
+    members are contiguous, so that sigma^(-1) and the row getter of
+    `inverse_order`, each atom's swapped permutation, the s-descent rules
+    of `s_descent_row` and whether sigma(1) < sigma(2) are read once per
+    permutation.  For each member w, of ordinal b, flip[b] is the ordinal
+    of w^T = (e, sigma^(-1), rows(exps)) and comp_left[b] that of
+    w^(-1) lambda^k = (e, sigma^(-1), rows(lambda^k's exponents less w's)),
+    and for the atoms x that shorten w, x*w is a move of two rows of w
+    (s_j swaps rows j-1 and j; t_m swaps rows 1 and 2 and adds -m and +m to
+    their exponents).  The t-atoms shorten w all together or one at a
+    time: if sigma(1) < sigma(2), every t_m does exactly when
+    `length_decreases(t_0, w)`, and otherwise only t_m with m = -exps[0]
+    mod e.  Each move is looked up in the index as a plain (e, perm, exps)
+    tuple.  These give the atom tables (x*b = x^(-1) b for a reflection x).
+    The one group product per atom, `multiply(x, lambda^k)`, must agree
+    with the row move on lambda^k.  lambda^k is diagonal, so the left
+    covers of b are flip[down_left[p][flip[b]]], as (b x)^T = x^T b^T; the
+    left table is their closure, and the right order is read from it
+    through flip.  comp_right is the inverse permutation of comp_left.
+    lambda^k not on top, a row move that leaves the interval or disagrees
+    with its product, a transpose leaving the interval, a comp_left that
+    is not a permutation, or a member missing from the divisors of
+    lambda^k is a theorem violation.  Last, `divisor_theorem_oracle` checks
+    the member set against divisor tests of lambda^k over the whole group,
+    one permutation at a time.
 
     Before anything is enumerated, `admit` multiplies the factors e + 2i of
     |D| until they pass the largest |D| whose bitset table of |D|^2/8 bytes
@@ -469,50 +488,73 @@ def build_interval(params: GroupParams) -> Interval:
     admit("|D| of [1, lambda^k]", (e + 2 * i for i in range(1, n)), most, knob)
     admit_group(params)
     predicted = interval_size(e, n)
-    members = list(_staircase(params))
-    if len(members) != predicted:
-        raise TheoremViolationError(
-            f"|D| = {len(members)} differs from the predicted {predicted}"
-        )
-    lengths, members = zip(*sorted(zip(map(length, members), members)))
+    staircase = list(_staircase(params))
+    size = len(staircase)
+    if size != predicted:
+        raise TheoremViolationError(f"|D| = {size} differs from the predicted {predicted}")
+    lengths, members = zip(*sorted(zip(map(length, staircase), staircase)))
     index = {w: i for i, w in enumerate(members)}
 
     delta = lambda_power(params, k)
-    if delta not in index or index[delta] != len(members) - 1:
+    if index.get(delta) != size - 1:
         raise TheoremViolationError("lambda^k is not the top member of its interval")
 
-    flip = [index.get(transpose(w)) for w in members]
-    if None in flip:
-        raise TheoremViolationError("the transpose of a member left the interval")
-
     gens = atoms(params)
-    size = len(members)
     head_left = [-1] * size
     down_left = [[-1] * size for _ in gens]
-    # per atom: the rows it swaps, and whether it shifts their exponents
-    moves = [
-        (p, x, _row_swap(n, x.index if x.kind == "s" else 2), x.kind == "t", row)
-        for p, (x, row) in enumerate(zip(gens, down_left))
-    ]
+    # per atom: its position in `atoms` (for t_m, m), the atom and its table;
+    # per s-atom also the rows it swaps
+    moves = list(zip(range(len(gens)), gens, down_left))
+    t_moves = moves[:e]
+    s_atoms = [(p, x, _row_swap(n, x.index), row) for p, x, row in moves[e:]]
+    # minus[j][x]: lambda^k's exponent in row j less x, so that s^(-1) lambda^k
+    # takes row j of s, of exponent x, to row sigma(j) with exponent minus[j][x]
+    minus = [tuple([(d - x) % e for x in range(e)]) for d in delta.exps]
+    flip = [None] * size
+    comp_left = [None] * size
+    comp_right = [-1] * size
     try:
-        for b, w in enumerate(members):
-            perm, exps = w.perm, w.exps
-            head = -1
-            for p, x, swap, shift, row in moves:
-                if length_decreases(x, w):
-                    moved = swap(exps)
-                    if shift:
-                        m = x.index
-                        moved = ((moved[0] - m) % e, (moved[1] + m) % e) + moved[2:]
-                    # a plain (e, perm, exps) tuple hashes and compares as the element
-                    row[b] = index[(e, swap(perm), moved)]
-                    if head < 0:
-                        head = p
-            head_left[b] = head
+        # staircase order keeps each permutation's members together, so what
+        # depends on the permutation alone is read once per permutation
+        for perm, group in groupby(staircase, itemgetter(1)):
+            inv, rows = inverse_order(perm)
+            tperm = (perm[1], perm[0]) + perm[2:]
+            ordered = perm[0] < perm[1]
+            s_moves = [(p, x, swap, swap(perm), row, *s_descent_row(perm, x.index))
+                       for p, x, swap, row in s_atoms]
+            for w in group:
+                exps = w.exps
+                b = index[w]
+                # a plain (e, perm, exps) tuple hashes and compares as the element;
+                # the complement's exponents go to the getter as a list, as a
+                # tuple of a map leaves the small-tuple free lists full
+                flip[b] = index.get((e, inv, rows(exps)))
+                c = comp_left[b] = index.get((e, inv, rows(list(map(getitem, minus, exps)))))
+                if c is not None:  # lambda^k (s^(-1) lambda^k)^(-1) = s
+                    comp_right[c] = b
+                # the t-atoms shorten w all together or one at a time; t_m swaps
+                # rows 1 and 2 and adds -m and +m to their exponents
+                a0, a1, rest = exps[0], exps[1], exps[2:]
+                if ordered:
+                    shortening = t_moves if length_decreases(gens[0], w) else ()
+                else:
+                    shortening = (t_moves[-a0 % e],)
+                head = shortening[0][0] if shortening else -1
+                for m, x, row in shortening:
+                    row[b] = index[(e, tperm, ((a1 - m) % e, (a0 + m) % e) + rest)]
+                for p, x, swap, sperm, row, r, nonzero in s_moves:
+                    if (exps[r] != 0) == nonzero:
+                        row[b] = index[(e, sperm, swap(exps))]
+                        if head < 0:
+                            head = p
+                head_left[b] = head
     except KeyError:
         raise TheoremViolationError(
             f"the row move of {x} on the member {w} left the interval"
         ) from None
+    del staircase
+    if None in flip:
+        raise TheoremViolationError("the transpose of a member left the interval")
     for x, row in zip(gens, down_left):
         if row[-1] != index.get(multiply(generator_matrix(x, params), delta)):
             raise TheoremViolationError(
@@ -527,15 +569,9 @@ def build_interval(params: GroupParams) -> Interval:
                 mask |= div_left[flip[row[bt]]]
         div_left[b] = mask
 
-    comp_left = [index.get(left_quotient(w, delta)) for w in members]
-    # lambda^k (s^(-1) lambda^k)^(-1) = s; a slot left at -1 means comp_left
-    # left the interval or hit some ordinal twice.  The ordinals are read
-    # from the index, so comp_right shares their int objects instead of
-    # holding a fresh one per member.
-    comp_right = [-1] * size
-    if None not in comp_left:
-        for s, c in zip(index.values(), comp_left):
-            comp_right[c] = s
+    # a slot of comp_right left at -1 means comp_left left the interval or
+    # hit some ordinal twice.  The ordinals are read from the index, so the
+    # tables share their int objects instead of holding a fresh one per member.
     if -1 in comp_right:
         raise TheoremViolationError("the complement is not a permutation of the simples")
 

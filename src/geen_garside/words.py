@@ -25,7 +25,8 @@ divisor b and a permutation of a, one row table per row, indexed by a's
 exponent there, and a target, kept in one bounded cache keyed by the two.
 `length_decreases` answers whether a single left multiplication by a
 generator shortens an element, straight from the matrix entries, without
-recomputing any words.
+recomputing any words; for the s-atoms it reads `s_descent_row`, the one
+copy of their rule, which depends on the permutation alone.
 """
 
 from __future__ import annotations
@@ -213,24 +214,38 @@ def length(w: GroupElement) -> int:
     return base + sum(compress(doubled, exps))
 
 
+def s_descent_row(perm: tuple[int, ...], i: int) -> tuple[int, bool]:
+    """The rule by which s_i shortens the elements with permutation perm:
+    (r, nonzero) such that len(s_i w) == len(w) - 1 exactly when w's
+    exponent at the 0-based row r is nonzero, if nonzero is True, or zero,
+    if it is False.
+
+    If the entries of rows i-1 and i lie in increasing columns, row i
+    decides, and its entry must be a root of unity other than 1; otherwise
+    the entry of row i-1 must be 1.  The rule depends on the permutation
+    alone, so the interval build reads it once per permutation.
+    """
+    if perm[i - 2] < perm[i - 1]:
+        return i - 1, True
+    return i - 2, False
+
+
 def length_decreases(x: Generator, w: GroupElement) -> bool:
     """Whether len(x*w) == len(w) - 1, read off the matrix entries of w.
 
-    For x = s_i the answer depends on the relative position of the nonzero
-    entries of rows i-1 and i and on whether the trailing entry is a root of
-    unity other than 1; for x = t_m it depends on rows 1 and 2, where in the
-    swapped case the exponent must cancel m exactly.
+    For x = s_i the answer is `s_descent_row`'s rule.  For x = t_m it
+    depends on rows 1 and 2, and the t-atoms shorten w all together or one
+    at a time: if sigma(1) < sigma(2), every t_m shortens w exactly when
+    the entry of row 2 is not 1; otherwise only t_m with m = -exps[0] mod e
+    does, whose exponent cancels that of row 1.
     """
-    perm = w.perm
-    exps = w.exps
+    e, perm, exps = w
     if x.kind == "s":
-        i = x.index
-        if perm[i - 2] < perm[i - 1]:
-            return exps[i - 1] != 0
-        return exps[i - 2] == 0
+        row, nonzero = s_descent_row(perm, x.index)
+        return (exps[row] != 0) == nonzero
     if perm[0] < perm[1]:
         return exps[1] != 0
-    return exps[0] == (-x.index) % w.e
+    return exps[0] == (-x.index) % e
 
 
 def maximal_length_elements(params: GroupParams) -> list[GroupElement]:

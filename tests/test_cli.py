@@ -324,10 +324,17 @@ def test_verify_theorem_violation_exits_4(capsys, monkeypatch):
 def test_row_move_leaving_the_interval_exits_4(capsys, monkeypatch):
     """A build whose row move lands outside the interval is a theorem
     violation naming the atom and the member, not a usage error.  The
-    build is fresh, so no cached interval hides the patch."""
+    s-descent rule is inverted, so s_j moves rows where it lengthens the
+    member.  The build is fresh, so no cached interval hides the patch."""
     from geen_garside import cli, interval
 
-    monkeypatch.setattr(interval, "length_decreases", lambda x, w: True)
+    honest = interval.s_descent_row
+
+    def inverted(perm, i):
+        row, nonzero = honest(perm, i)
+        return row, not nonzero
+
+    monkeypatch.setattr(interval, "s_descent_row", inverted)
     monkeypatch.setattr(
         cli, "cached_interval",
         lambda e, n, k: interval.build_interval(GroupParams(e, n, k)),
@@ -564,12 +571,28 @@ def test_outside_text_is_echoed_by_at_most_40_characters(capsys, argv, shown):
 ])
 def test_parser_errors_leave_through_run_in_one_short_line(capsys, argv, shown):
     """argparse's own refusals are run's "error:" lines, with no usage line;
-    past 200 bytes the text is cut as `core.shown` cuts a value.  They used
-    to print the usage line and echo the value in full: 4 lines and 100,290
-    bytes for the --method case."""
+    the value is cut as `core.shown` cuts it, alone for a bad --method or
+    --suite, else with the text past 200 bytes.  They used to print the usage
+    line and echo the value in full: 4 lines and 100,290 bytes for the
+    --method case."""
     err = _one_short_usage_line(capsys, argv)
     assert err.startswith("error: ") and shown in err
-    assert re.search(r"\.\.\. \(100\d\d\d characters\)\n$", err)
+    assert re.search(r"\.\.\. \(100\d\d\d characters\)", err)
+
+
+@pytest.mark.parametrize("argv, choices", [
+    (["homology", "--e", "3", "--n", "3", "--k", "1", "--order", "2", "--method", LONG],
+     ("closed", "generic", "both")),
+    (["verify", "--e", "3", "--n", "3", "--k", "1", "--suite", LONG],
+     ("lattice", "lcm", "balanced", "garside", "homology", "all")),
+])
+def test_a_long_bad_choice_keeps_the_list_of_choices(capsys, argv, choices):
+    """A bad --method or --suite value of 100,000 characters is cut alone,
+    by `core.shown`, and the line still names every choice."""
+    err = _one_short_usage_line(capsys, argv)
+    value = f"{'x' * 40!r}... (100000 characters)"
+    listed = ", ".join(map(repr, choices))
+    assert err == f"error: argument {argv[-2]}: invalid choice: {value} (choose from {listed})\n"
 
 
 def test_a_missing_option_is_named_without_the_usage_line(capsys):
@@ -741,8 +764,8 @@ def test_freeze_and_drift(tmp_path):
 def test_freeze_drift_quotes_the_first_pair_that_differs(tmp_path, capsys):
     """A drifted file exits 4 quoting the first frozen line and line now
     that differ; a side that has ended is named as missing.  The file is
-    read one character past the expected text, so an extra line shows its
-    first character only."""
+    read up to `cli.FROZEN_MARGIN` characters past the expected text, so an
+    extra line is quoted whole."""
     path = tmp_path / "reg.jsonl"
     argv = ["freeze", "--out", str(path), "--e", "3", "--n", "2"]
     assert run(argv) == EXIT_OK
@@ -752,7 +775,7 @@ def test_freeze_drift_quotes_the_first_pair_that_differs(tmp_path, capsys):
     for frozen, old, new in [
         (lines[:1] + [changed] + lines[2:], changed, lines[1]),
         (lines[:-1], "(missing)", lines[-1]),
-        (lines + ["xyz"], "x", "(missing)"),
+        (lines + ["xyz"], "xyz", "(missing)"),
     ]:
         path.write_text("\n".join(frozen) + "\n")
         assert run(argv) == EXIT_VIOLATION
@@ -763,8 +786,8 @@ def test_freeze_drift_quotes_the_first_pair_that_differs(tmp_path, capsys):
 
 def test_freeze_reads_a_padded_file_with_bounded_memory(tmp_path, capsys):
     """A frozen file holding the expected lines plus 8 MB more is drift, found
-    without reading the padding: the check reads one character past the
-    expected text."""
+    without reading the padding: the check reads at most `cli.FROZEN_MARGIN`
+    characters past the expected text."""
     import tracemalloc
 
     path = tmp_path / "reg.jsonl"

@@ -894,8 +894,10 @@ def test_divisibility_tables_against_the_definition_on_small_grid_points():
 
 
 def test_build_makes_one_product_per_right_cover(monkeypatch):
-    """Each right cover x*b of a build is one row move, made where
-    `length_decreases` says that x shortens b: 9,072 at (3,5,1).  The only
+    """Each right cover x*b of a build is one row move: 9,072 at (3,5,1).
+    The t-atoms shorten b all together or one at a time, so `length_decreases`
+    is called once per member whose sigma(1) < sigma(2), on t_0, and decides
+    for all e t-atoms; the other members have exactly one t-cover.  The only
     group products left are one x*lambda^k per atom, which check the row
     moves; the left table and comp_right come from lookups."""
     from geen_garside import core
@@ -911,7 +913,7 @@ def test_build_makes_one_product_per_right_cover(monkeypatch):
 
     def counted_decreases(x, w):
         out = honest_decreases(x, w)
-        shortening.append(out)
+        shortening.append((x, w, out))
         return out
 
     monkeypatch.setattr(interval_module, "multiply", counted_multiply)
@@ -919,11 +921,35 @@ def test_build_makes_one_product_per_right_cover(monkeypatch):
     params = GroupParams(3, 5, 1)
     interval = build_interval(params)
     covers = sum(1 for row in interval.down_left for v in row if v >= 0)
-    assert covers == sum(shortening) == 9072
+    assert covers == 9072
+    ordered = [w for w in interval.members if w.perm[0] < w.perm[1]]
+    assert len(shortening) == len(ordered) == 1386
+    assert {x for x, _, _ in shortening} == {Generator("t", 0)}
+    assert sorted(w for _, w, _ in shortening) == sorted(ordered)
+    t_covers = sum(1 for row in interval.down_left[:3] for v in row if v >= 0)
+    shortened = sum(out for _, _, out in shortening)
+    assert t_covers == 3 * shortened + len(interval) - len(ordered)
     delta = lambda_power(params, 1)
     assert products == [(generator_matrix(x, params), delta) for x in atoms(params)]
     assert not hasattr(interval_module, "inverse")
+    assert not hasattr(interval_module, "left_quotient")
     assert not hasattr(core, "transpose_generator")
+
+
+@pytest.mark.parametrize("point", [(2, 5, 1)] + [
+    tuple(c) for c in default_grid() if c.n >= 3
+], ids=str)
+def test_transposes_and_complements_against_core(point):
+    """Oracle for the per-permutation reads of the build: flip and comp_left
+    agree member by member with `core.transpose` and `core.left_quotient`,
+    the generic products that the build no longer forms."""
+    interval = cached_interval(*point)
+    index = interval.index
+    delta = interval.members[interval.delta_ordinal]
+    assert delta == lambda_power(interval.params, interval.k)
+    for s, w in enumerate(interval.members):
+        assert interval.flip[s] == index[transpose(w)], (point, s)
+        assert interval.comp_left[s] == index[left_quotient(w, delta)], (point, s)
 
 
 @pytest.mark.parametrize("e,n,k", [(2, 4, 1), (3, 5, 1), (6, 4, 2), (4, 3, 2)])
@@ -975,20 +1001,48 @@ def test_interval_tables_are_golden(e, n, k, digest):
 
 
 def test_build_checks_transposes_and_complements(monkeypatch):
+    """Each fault is injected where the build reads: a row getter that
+    keeps the rows in place sends transposes out of the interval, an
+    exponent table of lambda^k read as all 0 sends every member of a
+    permutation to one complement, and a wrong product of an atom with
+    lambda^k fails the check of the row moves."""
     from geen_garside import interval as interval_module
     from geen_garside.interval import TheoremViolationError
 
     params = GroupParams(3, 3, 1)
-    outsider = next(w for w in enumerate_group(params) if not in_interval(w, 1))
+    honest = interval_module.inverse_order
     with monkeypatch.context() as m:
-        m.setattr(interval_module, "transpose", lambda w: outsider)
+        m.setattr(interval_module, "inverse_order", lambda perm: (honest(perm)[0], tuple))
         with pytest.raises(TheoremViolationError, match="transpose of a member"):
             build_interval(params)
     with monkeypatch.context() as m:
-        m.setattr(interval_module, "left_quotient", lambda a, b: identity(params))
+        m.setattr(interval_module, "getitem", lambda table, x: 0)
         with pytest.raises(TheoremViolationError, match="not a permutation"):
             build_interval(params)
     with monkeypatch.context() as m:
         m.setattr(interval_module, "multiply", lambda u, v: identity(params))
         with pytest.raises(TheoremViolationError, match="row move of t0"):
             build_interval(params)
+
+
+def test_build_checks_the_top_and_the_divisors_of_lambda_k(monkeypatch):
+    """lambda^k must be the last ordinal, and the left table must give it
+    every member as a divisor."""
+    from geen_garside import interval as interval_module
+    from geen_garside.interval import TheoremViolationError
+
+    params = GroupParams(3, 3, 1)
+    for wrong in (identity(params), lambda_power(params, 2)):  # below the top, outside
+        with monkeypatch.context() as m:
+            m.setattr(interval_module, "lambda_power", lambda params, k: wrong)
+            with pytest.raises(TheoremViolationError, match="lambda\\^k is not the top member"):
+                build_interval(params)
+    # t-descents found on lambda^k alone: its row moves agree with their
+    # products, but the closure of the left table misses members
+    delta = lambda_power(params, 1)
+    honest = interval_module.length_decreases
+    monkeypatch.setattr(
+        interval_module, "length_decreases", lambda x, w: w == delta and honest(x, w)
+    )
+    with pytest.raises(TheoremViolationError, match="some member does not left-divide lambda\\^k"):
+        build_interval(params)
