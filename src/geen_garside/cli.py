@@ -409,9 +409,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     class Parser(argparse.ArgumentParser):  # the subparsers inherit the class
         def error(self, message):
-            # a refusal leaves through `run`'s one line; a long or unprintable
-            # message, which may echo a value from outside, is cut by `shown`
-            fits = len(message.encode()) <= 200 and message.isprintable()
+            # a refusal leaves through `run`'s one line; a message of over 200
+            # bytes or unprintable, which may echo a value from outside, is cut
+            # by `shown`, which counts bytes too, so a value it has cut fits.
+            # Printability is asked first: an argument that is not UTF-8 comes
+            # with lone surrogates, which are unprintable and do not encode.
+            fits = message.isprintable() and len(message.encode()) <= 200
             raise ValueError(message if fits else shown(message))
 
     def choice(names: tuple[str, ...]):

@@ -55,7 +55,7 @@ holds at most n! entries per n, and it has no size option.
 Every value from outside is read here.  `read_count` reads an integer
 (an option, GARSIDE_CAP, a generator's index) from ASCII digits of any
 length and from nothing else, and every message that echoes outside text
-shows it through `shown`, cut to 40 characters and its length; an integer
+shows it through `shown`, cut to 40 bytes and its length; an integer
 in a message goes through `format_count`.
 
 Every size cap of the package that is known before the work starts goes
@@ -112,11 +112,16 @@ def read_count(text: str, name: str) -> int:
 
 
 def shown(value) -> str:
-    """A value from outside, for a message: its repr, or past 40 characters
-    the repr of its first 40 characters (of a text, else of its repr) and
-    its length, so that a message stays one short line."""
+    """A value from outside, for a message: its repr, or, when that passes
+    40 bytes of UTF-8 between its quotes, the repr of the longest head of
+    it (of a text, else of its repr) that fits them and its length in
+    characters, so that a message stays one short line.  Bytes, not
+    characters, are counted, as the CLI's parser bounds a message, so that
+    a value of multi-byte characters cannot push a message past it."""
     text = value if isinstance(value, str) else repr(value)
-    return repr(value) if len(text) <= 40 else f"{text[:40]!r}... ({len(text)} characters)"
+    # the longest head of at most 40 characters whose repr takes 40 bytes and its quotes
+    head = next(text[:i] for i in range(40, -1, -1) if len(repr(text[:i]).encode()) <= 42)
+    return repr(value) if head == text else f"{head!r}... ({len(text)} characters)"
 
 
 def group_cap() -> int:

@@ -18,18 +18,20 @@ each new simple is pushed leftwards until a pair stays unchanged (the
 domino rule).  Matrices come back only in `evaluate_nf`, which serves as
 the oracle.
 
-Simples, products and right quotients all take this one path.  A Delta,
-pushed or made by a pair, goes to the front in one pass: every factor to
-its left is mapped by tau, which is what the pairwise moves (f, Delta) ->
-(Delta, tau(f)) would give, and a trivial factor vanishes, as in any
-Garside normal form (Dehornoy-Paris, Gaussian groups and Garside groups,
-Proc. LMS 1999).
-
-Inverse letters ride on the balanced structure: x^(-1) = Delta^(-1) (Delta
-x^(-1)), whose second factor is a simple because every generator
-right-divides Delta.  Delta powers migrate to the front through the
-conjugation permutation tau(s) = Delta^(-1) s Delta of the simples, whose
-powers are tabulated once per structure.
+Words, simples, products and right quotients all take this one path, and
+Delta moves in one way only.  Inverse letters ride on the balanced
+structure: x^(-1) = Delta^(-1) (Delta x^(-1)), whose second factor is a
+simple because every generator right-divides Delta.  Delta^(+-1) goes to
+the front by the moves (f, Delta) -> (Delta, tau(f)) and
+(f, Delta^(-1)) -> (Delta^(-1), tau^(-1)(f)), with tau(s) = Delta^(-1) s
+Delta the conjugation permutation of the simples, whose powers are
+tabulated once per structure.  These moves are never made one by one: the
+list under construction is kept in a tau-frame, holding tau^(-p) of the
+factors f_i of Delta^p f_1 ... f_m, so that a pushed Delta or Delta^(-1)
+only changes p, a Delta made by a pair also maps the few simples to its
+right by tau^(-1), and the list is mapped by tau^p once, at the end.  A
+trivial factor vanishes, as in any Garside normal form
+(Dehornoy-Paris, Gaussian groups and Garside groups, Proc. LMS 1999).
 
 The same file carries the presentation machinery: the defining relations of
 the monoid (dual relations t_i t_{i-k} = t_j t_{j-k} plus the braid and
@@ -181,33 +183,43 @@ class GarsideStructure:
         return self.comp_right[c], b
 
     def normalize_factors(self, factors: list[int]) -> NormalForm:
-        """Left-greedy form of a product of simples, built left to right."""
+        """Left-greedy form of a product of simples, built left to right; a
+        factor -1 stands for Delta^(-1)."""
         return self._push([], factors)
 
-    def _push(self, out: list[int], factors) -> NormalForm:
-        """The normal form of out followed by factors, where out is a
-        left-greedy list of simples without Delta or the identity.
+    def _push(self, out: list[int], factors, frame: int = 0) -> NormalForm:
+        """The normal form of the product out Delta^frame factors, where out
+        is a left-greedy list of simples without Delta or the identity, and
+        a factor -1 stands for Delta^(-1).
 
         Each simple is pushed onto the left-greedy form of the ones before it
         and normalized leftwards, pair by pair, through self.normalize_pair,
         so that a wrapper set on the instance sees every call.  By the domino
         rule the pass can stop at the first pair that normalize_pair leaves
-        unchanged.  A Delta, pushed or made as the left result of a pair,
-        never enters the list: it adds one to the Delta power, the factors to
-        its left are mapped by tau in one pass, as (f, Delta) ->
-        (Delta, tau(f)) pair by pair would give, and the pass stops, since
-        the pairs to its right are left-weighted already.  An identity factor
-        can only be the last, and is dropped.
+        unchanged.
+
+        Delta never enters the list, and no pass moves it: the list holds
+        tau^(-frame) of the factors f_i of Delta^frame f_1 ... f_m built so
+        far (out itself at the start, as out Delta^frame = Delta^frame
+        tau^frame(out)).  tau is a lattice automorphism, so normalize_pair
+        works on the stored simples as on the factors.  A pushed Delta adds
+        one to frame and a -1 subtracts one, with nothing mapped.  A Delta
+        made by the pair at position i adds one too; only the simples to its
+        right, b2 and the suffix this cascade has walked, had not passed it,
+        and they alone are mapped by tau_inv.  The pass then stops, since
+        the pairs to its right are left-weighted already.  An identity
+        factor can only be the last, and is dropped.  The list leaves the
+        frame once, at the end, and the Delta power is frame.
         """
-        normalize_pair = self.normalize_pair
-        identity, delta, tau = self.identity, self.delta, self.tau
-        power = 0
+        normalize_pair, powers, tau_inv = self.normalize_pair, self.tau_powers, self.tau_inv
+        identity, delta, order = self.identity, self.delta, len(powers)
+        into = powers[-frame % order]  # a factor, as the list stores it
         for s in factors:
-            if s == delta:
-                power += 1
-                out = [tau[f] for f in out]
+            if s == delta or s == -1:
+                frame += 1 if s == delta else -1
+                into = powers[-frame % order]
                 continue
-            out.append(s)
+            out.append(into[s])
             i = len(out) - 1
             while i:
                 a = out[i - 1]
@@ -215,54 +227,49 @@ class GarsideStructure:
                 if a2 == a:
                     break
                 if a2 == delta:
-                    power += 1
-                    out = [tau[f] for f in out[: i - 1]] + [b2] + out[i + 1 :]
+                    frame += 1
+                    into = powers[-frame % order]
+                    out[i - 1 :] = [tau_inv[f] for f in (b2, *out[i + 1 :])]
                     break
                 out[i - 1], out[i] = a2, b2
                 i -= 1
             if out[-1] == identity:
                 out.pop()
-        return NormalForm(power, tuple(out))
+        back = powers[frame % order]  # mapped as a list, so tuple() gets its exact size
+        return NormalForm(frame, tuple([back[f] for f in out] if frame % order else out))
 
     def normal_form(self, word) -> NormalForm:
         """Normal form of a signed word (string or (Generator, sign) list).
 
-        x^(-1) = Delta^(-1) (Delta x^(-1)), and Delta^(-1) moves to the front
-        by conjugating every simple before it by tau^(-1).  Instead of doing
-        that on each inverse letter, a simple read after j inverse letters is
-        stored as tau^j of itself; once the word is read, with d inverse
-        letters in all, the whole list is mapped back by tau^(-d).
+        Each letter becomes ordinals for one `normalize_factors` call: x is
+        its atom, and x^(-1) = Delta^(-1) (Delta x^(-1)) is -1, for
+        Delta^(-1), and comp_right[x], a simple because every generator
+        right-divides Delta.  `_push` moves each Delta^(-1) to the front
+        through its frame.
         """
         if isinstance(word, str):
             word = parse_word(word, self.params)
-        powers = self.tau_powers
-        d = 0
-        frame = powers[0]
+        atom, comp_right = self._atom, self.comp_right
         factors: list[int] = []
         for gen, sign in word:
-            x = self._atom[gen]
             if sign > 0:
-                factors.append(frame[x])
+                factors.append(atom[gen])
             else:
-                d += 1
-                frame = powers[d % len(powers)]
-                factors.append(frame[self.comp_right[x]])
-        back = powers[-d % len(powers)]
-        nf = self.normalize_factors([back[f] for f in factors])
-        return NormalForm(nf.delta_power - d, nf.factors)
+                factors += (-1, comp_right[atom[gen]])
+        return self.normalize_factors(factors)
 
     def nf_product(self, a: NormalForm, b: NormalForm) -> NormalForm:
         """Product of two normal forms; a must be a normal form, not just any
         (delta_power, factors) pair.
 
-        The Delta power q of b moves left past the simples of a, conjugating
-        them by tau^q.  tau is an automorphism of the lattice of simples, so
-        the conjugated factors of a stay left-greedy, with no identity or
-        Delta among them: only the factors of b are pushed onto them.
+        Delta^p a_1 ... a_m Delta^q b_1 ... b_r: `_push` takes a_1 ... a_m
+        Delta^q as its list at frame q, with nothing mapped.  tau is an
+        automorphism of the lattice of simples, so that list stays
+        left-greedy, with no identity or Delta in it: only the factors of b
+        are pushed onto it.
         """
-        shift = self.tau_powers[b.delta_power % len(self.tau_powers)]
-        nf = self._push([shift[f] for f in a.factors], b.factors)
-        return NormalForm(a.delta_power + b.delta_power + nf.delta_power, nf.factors)
+        nf = self._push(list(a.factors), b.factors, b.delta_power)
+        return NormalForm(a.delta_power + nf.delta_power, nf.factors)
 
     def nf_of_simple(self, s: int) -> NormalForm:
         return self.normalize_factors([s])
@@ -272,8 +279,8 @@ class GarsideStructure:
         the simple s right-divides a.
 
         No case is special: for s = 1 the pushed factor is Delta, which
-        `_push` sends to the front in one tau pass, with no pair call; for
-        s = Delta it is the identity, which it drops.
+        `_push` takes into its frame, with no pair call; for s = Delta it is
+        the identity, which it drops.
         """
         return self.nf_product(a, NormalForm(-1, (self.comp_right[s],)))
 

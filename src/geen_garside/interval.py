@@ -466,12 +466,13 @@ def build_interval(params: GroupParams) -> Interval:
     covers of b are flip[down_left[p][flip[b]]], as (b x)^T = x^T b^T; the
     left table is their closure, and the right order is read from it
     through flip.  comp_right is the inverse permutation of comp_left.
-    lambda^k not on top, a row move that leaves the interval or disagrees
-    with its product, a transpose leaving the interval, a comp_left that
-    is not a permutation, or a member missing from the divisors of
-    lambda^k is a theorem violation.  Last, `divisor_theorem_oracle` checks
-    the member set against divisor tests of lambda^k over the whole group,
-    one permutation at a time.
+    lambda^k not on top, a row move that leaves the interval, is not a
+    descent (one length layer down) or disagrees with its product, a
+    transpose leaving the interval, a comp_left that is not a permutation,
+    or a member missing from the divisors of lambda^k is a theorem
+    violation.  Last, `divisor_theorem_oracle` checks the member set against
+    divisor tests of lambda^k over the whole group, one permutation at a
+    time.
 
     Before anything is enumerated, `admit` multiplies the factors e + 2i of
     |D| until they pass the largest |D| whose bitset table of |D|^2/8 bytes
@@ -561,12 +562,18 @@ def build_interval(params: GroupParams) -> Interval:
                 f"the row move of {x} on lambda^{k} disagrees with the product"
             )
     # (b x)^T = x^T b^T: the left covers of b transpose the right ones of b^T.
+    # The closure is filled in ordinal order, so a move that is not a descent
+    # (one length layer down) would add nothing here and pass unseen.
     div_left = [0] * size
     for b, bt in enumerate(flip):
         mask = 1 << b
         for row in down_left:
-            if row[bt] >= 0:
-                mask |= div_left[flip[row[bt]]]
+            c = row[bt]
+            if c >= 0:
+                if lengths[c] != lengths[bt] - 1:  # no other row holds c at bt
+                    x, w = gens[down_left.index(row)], members[bt]
+                    raise TheoremViolationError(f"the row move of {x} on {w} is not a descent")
+                mask |= div_left[flip[c]]
         div_left[b] = mask
 
     # a slot of comp_right left at -1 means comp_left left the interval or

@@ -63,7 +63,8 @@ def test_pair_calls_reach_an_instance_spy(monkeypatch):
     none of the wrapped methods as instance attributes, and the cascade
     must reach normalize_pair through the instance.  A spy on the class
     and one on the instance see the same calls, some of which change
-    their pair."""
+    their pair, from every entry point: normal_form, nf_product and
+    nf_right_quotient."""
     from geen_garside import build_garside, cached_interval
     from geen_garside.garside import GarsideStructure
 
@@ -92,3 +93,11 @@ def test_pair_calls_reach_an_instance_spy(monkeypatch):
     assert g.is_left_greedy(nf)
     assert any(on_class)
     assert len(on_instance) == len(on_class)
+    other = g.normal_form("s4^-1 t3 t2 s3 t1^-1 t0 s4")
+    quotient = lambda: g.nf_right_quotient(nf, other.factors[0])
+    for entry in (lambda: g.nf_product(nf, other), quotient):
+        on_class.clear()
+        on_instance.clear()
+        assert g.is_left_greedy(entry())
+        assert any(on_class)
+        assert len(on_instance) == len(on_class)

@@ -595,6 +595,31 @@ def test_a_long_bad_choice_keeps_the_list_of_choices(capsys, argv, choices):
     assert err == f"error: argument {argv[-2]}: invalid choice: {value} (choose from {listed})\n"
 
 
+@pytest.mark.parametrize("argv, choices", [
+    (["homology", "--e", "3", "--n", "3", "--k", "1", "--order", "2", "--method"],
+     ("closed", "generic", "both")),
+    (["verify", "--e", "3", "--n", "3", "--k", "1", "--suite"],
+     ("lattice", "lcm", "balanced", "garside", "homology", "all")),
+])
+def test_a_long_bad_choice_of_multibyte_characters_keeps_the_list(capsys, argv, choices):
+    """`core.shown` and the parser both count bytes: 1,000 four-byte
+    characters are shown by the first ten, and the line still names every
+    choice.  Counted by characters, 40 of them passed the parser's 200
+    bytes, and the whole message was cut, list and all."""
+    smile = "\U0001F600"
+    err = _one_short_usage_line(capsys, argv + [smile * 1000])
+    value = repr(smile * 10) + "... (1000 characters)"
+    listed = ", ".join(map(repr, choices))
+    assert err == f"error: argument {argv[-1]}: invalid choice: {value} (choose from {listed})\n"
+
+
+def test_an_element_outside_the_group_is_refused_in_one_line(capsys):
+    argv = ["length", "--e", "3", "--n", "3", "--element",
+            '{"e":3,"n":3,"perm":[3,1,2],"exps":[1,1,0]}']
+    err = _one_short_usage_line(capsys, argv)
+    assert err == "error: exponent sum of (1, 1, 0) is not 0 mod 3\n"
+
+
 def test_a_missing_option_is_named_without_the_usage_line(capsys):
     argv = ["nf", "--e", "3", "--n", "3", "--k", "1"]
     err = _one_short_usage_line(capsys, argv)
@@ -605,6 +630,15 @@ def test_a_parser_message_with_a_newline_stays_one_line(capsys):
     argv = ["nf", "--e", "3", "--n", "3", "--k", "1", "--word", "t0", "x\ny"]
     err = _one_short_usage_line(capsys, argv)
     assert err == "error: 'unrecognized arguments: x\\ny'\n"
+
+
+def test_an_argument_that_is_not_utf8_is_refused_in_argparse_words(capsys):
+    """A byte that is not UTF-8 reaches argv as a lone surrogate.  The
+    parser's message used to be measured by encoding it first, which
+    raised, so the line gave the codec's complaint instead of the refusal."""
+    argv = ["nf", "--e", "3", "--n", "3", "--k", "1", "--word", "t0", "ab\udcff"]
+    err = _one_short_usage_line(capsys, argv)
+    assert err == "error: 'unrecognized arguments: ab\\udcff'\n"
 
 
 def test_help_and_version_exit_0(capsys):

@@ -1,4 +1,5 @@
 import itertools
+import json
 import random
 
 import pytest
@@ -298,6 +299,12 @@ def test_shown_cuts_a_long_value_to_40_characters_and_its_length():
     assert shown(3.0) == "3.0" and shown([1, 2]) == "[1, 2]"
     long_list = list(range(100))
     assert shown(long_list) == f"{repr(long_list)[:40]!r}... ({len(repr(long_list))} characters)"
+    # 40 bytes of UTF-8, not 40 characters: ten 4-byte characters, and a
+    # repr's escapes count as they are written
+    smile, nul, e_acute = "\U0001F600", "\x00", "\u00e9"
+    assert shown(smile * 1000) == repr(smile * 10) + "... (1000 characters)"
+    assert shown(nul * 30) == repr(nul * 10) + "... (30 characters)"
+    assert shown(e_acute * 20) == repr(e_acute * 20)
 
 
 @pytest.mark.parametrize("text, message", [
@@ -308,6 +315,21 @@ def test_shown_cuts_a_long_value_to_40_characters_and_its_length():
 def test_from_json_reads_e_and_n_through_group_params(text, message):
     """e and n are checked by GroupParams, naming the field, before the
     lists are read."""
+    with pytest.raises(ValueError, match=message):
+        GroupElement.from_json(text)
+
+
+@pytest.mark.parametrize("perm, exps, message", [
+    ([1, 2], [0, 0], "^perm has length 2, expected n=3$"),
+    ([1, 1, 2], [0, 0, 0], r"^perm \(1, 1, 2\) is not a permutation of 1..3$"),
+    ([3, 1, 2], [0, 0], "^exps and perm have different lengths$"),
+    ([3, 1, 2], [1, 3, 2], r"^exponents \(1, 3, 2\) out of range mod 3$"),
+    ([3, 1, 2], [-1, 1, 0], r"^exponents \(-1, 1, 0\) out of range mod 3$"),
+    ([3, 1, 2], [1, 1, 0], r"^exponent sum of \(1, 1, 0\) is not 0 mod 3$"),
+])
+def test_from_json_refuses_an_element_outside_the_group(perm, exps, message):
+    """Each of the element checks names what is wrong, for n = 3, e = 3."""
+    text = json.dumps({"e": 3, "n": 3, "perm": perm, "exps": exps})
     with pytest.raises(ValueError, match=message):
         GroupElement.from_json(text)
 

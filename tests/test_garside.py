@@ -302,6 +302,79 @@ def test_delta_jumps_to_the_front_with_no_pair_call():
         assert g.evaluate_nf(got) == _product(g, pushed)
 
 
+@pytest.mark.parametrize("point", [(4, 4, 2), (6, 4, 2)])
+def test_a_minus_one_factor_is_delta_inverse_anywhere(point):
+    """A factor -1 stands for Delta^(-1): put at the front, in the middle or
+    at the end of a left-greedy list, it gives the left-greedy form of the
+    product with Delta^(-1) in that place.  At (4,4,2) Delta has order 2
+    in G, so the matrices cannot tell Delta^(-1) from Delta there; a Delta
+    pushed right after the -1 must cancel it exactly."""
+    g = cached_garside(*point)
+    gens = atoms(g.params)
+    delta_inv = inverse(g.interval.element(g.delta))
+    rng = random.Random(sum(point))
+    for _ in range(40):
+        factors = list(g.normal_form(random_word(rng, gens, 24)).factors)
+        assert g.normalize_factors([-1] + factors) == NormalForm(-1, tuple(factors))
+        assert g.normalize_factors(factors + [-1]) == NormalForm(
+            -1, tuple(g.tau_inv[f] for f in factors)
+        )
+        for cut in (0, rng.randrange(len(factors) + 1), len(factors)):
+            got = g.normalize_factors(factors[:cut] + [-1] + factors[cut:])
+            assert g.is_left_greedy(got)
+            expected = multiply(multiply(_product(g, factors[:cut]), delta_inv),
+                                _product(g, factors[cut:]))
+            assert g.evaluate_nf(got) == expected
+            cancelled = g.normalize_factors(factors[:cut] + [-1, g.delta] + factors[cut:])
+            assert cancelled == NormalForm(0, tuple(factors))
+
+
+class _CountingList(list):
+    """A list that records the index of every item read from it."""
+
+    def __init__(self, items):
+        super().__init__(items)
+        self.reads = []
+
+    def __getitem__(self, i):
+        self.reads.append(i)
+        return super().__getitem__(i)
+
+
+def test_a_delta_made_by_a_pair_maps_only_what_the_cascade_walked(monkeypatch):
+    """The factors before a Delta made by a pair are left as they are stored;
+    only b2 and the suffix that the cascade has walked are read through
+    tau_inv: one read per normalize_pair call of the push.  A Delta made
+    by the last pair of a long list reads tau_inv once."""
+    g = build_garside(cached_interval(4, 4, 2))
+    gens = atoms(g.params)
+    rng = random.Random(42)
+    calls = _pair_spy(g)
+    tau_inv = _CountingList(g.tau_inv)
+    monkeypatch.setattr(g, "tau_inv", tau_inv)
+    a = g.normal_form(signed(rng.choice(gens) for _ in range(300)))
+    assert len(a.factors) >= 20
+    last = a.factors[-1]
+    tau_inv.reads.clear()
+    got = g.nf_product(a, NormalForm(0, (g.comp_left[last],)))
+    assert tau_inv.reads == [g.identity]
+    assert got == NormalForm(a.delta_power + 1, tuple(g.tau[f] for f in a.factors[:-1]))
+    made = 0
+    for _ in range(300):
+        a = g.normal_form(random_word(rng, gens, 30))
+        s = rng.randrange(len(g.interval))
+        calls.clear()
+        tau_inv.reads.clear()
+        got = g.nf_product(a, NormalForm(0, (s,)))
+        if got.delta_power > a.delta_power:
+            made += 1
+            assert len(tau_inv.reads) == len(calls)
+        else:
+            assert tau_inv.reads == []
+        assert g.evaluate_nf(got) == multiply(g.evaluate_nf(a), g.interval.element(s))
+    assert made >= 10
+
+
 def test_is_left_greedy_refuses_a_pair_whose_product_is_simple():
     """t0 s3 is simple at (3,3,1), so the pair (t0, s3) is not left-weighted:
     s3 left-divides the complement of t0."""

@@ -3,6 +3,7 @@ import json
 import math
 import os
 import random
+import re
 import subprocess
 import sys
 
@@ -619,6 +620,24 @@ def test_built_size_must_match_the_prediction(monkeypatch):
     monkeypatch.setattr(interval_module, "interval_size", lambda e, n: 36)
     with pytest.raises(TheoremViolationError, match="differs from the predicted 36"):
         build_interval(GroupParams(3, 3, 1))
+
+
+@pytest.mark.parametrize("point", [(3, 3, 1), (2, 3, 1)])
+def test_a_kept_move_that_is_not_a_descent_is_refused(monkeypatch, point):
+    """With a descent rule that keeps every t-move, some kept moves go up a
+    layer and still land in the interval (21 of them at (3,3,1)).  The
+    closure filled in ordinal order would take nothing from them, so the
+    lattice check would pass and normal forms would not end; the build
+    refuses the first such move, naming the atom and the member."""
+    from geen_garside import interval as interval_module
+    from geen_garside.interval import TheoremViolationError
+
+    monkeypatch.setattr(interval_module, "length_decreases", lambda x, w: True)
+    e, n, k = point
+    member = GroupElement(e, tuple(range(1, n + 1)), (0,) * n)
+    message = f"the row move of t0 on {member} is not a descent"
+    with pytest.raises(TheoremViolationError, match=f"^{re.escape(message)}$"):
+        build_interval(GroupParams(*point))
 
 
 def _transpose(div: list[int]) -> list[int]:
