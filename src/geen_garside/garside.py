@@ -33,6 +33,20 @@ right by tau^(-1), and the list is mapped by tau^p once, at the end.  A
 trivial factor vanishes, as in any Garside normal form
 (Dehornoy-Paris, Gaussian groups and Garside groups, Proc. LMS 1999).
 
+Words repeat their pairs.  Each letter is an atom x or its complement
+Delta x^(-1), and the pair that a pushed letter forms with the simple
+before it recurs from word to word: normalizing 5,100 seeded words at
+(6,4,2) makes 72,084 pair steps, 51,340 of them with a letter on the
+right, over only 3,652 distinct (simple, letter) pairs.  So each structure
+keeps a letter-pair table, allocated at its first lookup: for each letter
+and each left simple a, the result of normalize_pair, stored on first
+use, at most 2 |A| |D| entries.  Only forms built from a list of simples
+(`normalize_factors`, and so `normal_form`) read it.  Products, right
+quotients and the homology layer's pairs do not: over the 45 default-grid
+structures and their homology they make 13,095 letter pairs, 10,179 of
+them distinct, so a table there would store 10,179 entries to save 2,916
+walks.
+
 The same file carries the presentation machinery: the defining relations of
 the monoid (dual relations t_i t_{i-k} = t_j t_{j-k} plus the braid and
 commutation relations), the cycle structure of the t-generators, the
@@ -60,6 +74,7 @@ from .core import (
     lcm_word,
     multiply,
     parse_word,
+    shown,
 )
 from .interval import (
     Interval,
@@ -135,6 +150,22 @@ class GarsideStructure:
         self._lengths = lengths
         self._delta_len = delta_len
         self._atom = interval.atom_ordinal
+        self._pairs: list | None = None  # the letter-pair table, see _letter_pairs
+
+    def _letter_pairs(self) -> list:
+        """The letter-pair table, allocated at its first lookup: row b is a
+        list of normalize_pair(a, b) over the simples a, each entry None
+        until `_push` stores it, when b is a letter (an atom, or comp_right
+        of one), and None otherwise.  tau maps letters to letters, so the
+        tau-framed simples of `_push` find their rows too."""
+        if self._pairs is None:
+            size = len(self._lengths)
+            rows = [None] * size
+            for x in self._atom.values():
+                rows[x] = [None] * size
+                rows[self.comp_right[x]] = [None] * size
+            self._pairs = rows
+        return self._pairs
 
     # -- normalization -----------------------------------------------------
 
@@ -184,10 +215,11 @@ class GarsideStructure:
 
     def normalize_factors(self, factors: list[int]) -> NormalForm:
         """Left-greedy form of a product of simples, built left to right; a
-        factor -1 stands for Delta^(-1)."""
-        return self._push([], factors)
+        factor -1 stands for Delta^(-1).  Its pairs with a letter on the
+        right go through the letter-pair table (see `_push`)."""
+        return self._push([], factors, 0, True)
 
-    def _push(self, out: list[int], factors, frame: int = 0) -> NormalForm:
+    def _push(self, out: list[int], factors, frame: int = 0, table: bool = False) -> NormalForm:
         """The normal form of the product out Delta^frame factors, where out
         is a left-greedy list of simples without Delta or the identity, and
         a factor -1 stands for Delta^(-1).
@@ -210,10 +242,18 @@ class GarsideStructure:
         the pairs to its right are left-weighted already.  An identity
         factor can only be the last, and is dropped.  The list leaves the
         frame once, at the end, and the Delta power is frame.
+
+        With table set, a pair whose right factor is a letter is read from
+        the letter-pair table (`_letter_pairs`), and normalize_pair runs
+        only on a miss, whose result the table keeps.  The cascade walks the
+        same pairs in the same order either way, so the form is the same,
+        and its calls plus table hits are the calls it makes without the
+        table.
         """
         normalize_pair, powers, tau_inv = self.normalize_pair, self.tau_powers, self.tau_inv
         identity, delta, order = self.identity, self.delta, len(powers)
         into = powers[-frame % order]  # a factor, as the list stores it
+        rows = row = None  # the letter-pair table, and the row of a pair's right factor
         for s in factors:
             if s == delta or s == -1:
                 frame += 1 if s == delta else -1
@@ -222,8 +262,18 @@ class GarsideStructure:
             out.append(into[s])
             i = len(out) - 1
             while i:
-                a = out[i - 1]
-                a2, b2 = normalize_pair(a, out[i])
+                a, b = out[i - 1], out[i]
+                if table:
+                    if rows is None:
+                        rows = self._letter_pairs()
+                    row = rows[b]
+                if row is None:
+                    a2, b2 = normalize_pair(a, b)
+                else:
+                    pair = row[a]
+                    if pair is None:
+                        pair = row[a] = normalize_pair(a, b)
+                    a2, b2 = pair
                 if a2 == a:
                     break
                 if a2 == delta:
@@ -245,17 +295,26 @@ class GarsideStructure:
         its atom, and x^(-1) = Delta^(-1) (Delta x^(-1)) is -1, for
         Delta^(-1), and comp_right[x], a simple because every generator
         right-divides Delta.  `_push` moves each Delta^(-1) to the front
-        through its frame.
+        through its frame, and reads the pairs of a letter with the simple
+        before it from the letter-pair table.  A sign other than 1 or -1,
+        or a generator that is not an atom, raises ValueError naming the
+        letter before any pair is normalized or stored.
         """
         if isinstance(word, str):
             word = parse_word(word, self.params)
         atom, comp_right = self._atom, self.comp_right
         factors: list[int] = []
-        for gen, sign in word:
-            if sign > 0:
-                factors.append(atom[gen])
-            else:
-                factors += (-1, comp_right[atom[gen]])
+        try:
+            for gen, sign in word:
+                x = atom[gen]
+                if sign == 1:
+                    factors.append(x)
+                elif sign == -1:
+                    factors += (-1, comp_right[x])
+                else:
+                    raise ValueError(f"letter {shown(gen)} has sign {shown(sign)}, not 1 or -1")
+        except KeyError:
+            raise ValueError(f"letter {shown(gen)} is not an atom of {self.params}") from None
         return self.normalize_factors(factors)
 
     def nf_product(self, a: NormalForm, b: NormalForm) -> NormalForm:

@@ -6,7 +6,7 @@ import time
 
 import pytest
 
-from geen_garside import CapExceededError, GroupParams
+from geen_garside import CapExceededError, Generator, GroupParams, cli
 from geen_garside.cli import (
     EXIT_CAP,
     EXIT_FALSE,
@@ -18,10 +18,17 @@ from geen_garside.cli import (
     regression_records,
     run,
 )
-from geen_garside.interval import TheoremViolationError, cached_interval
+from geen_garside.garside import GarsideStructure, emit_presentation
+from geen_garside.interval import (
+    LatticeReport,
+    LatticeViolation,
+    TheoremViolationError,
+    cached_interval,
+)
 from conftest import right_rows
 
 WORKED = '{"e":3,"n":4,"perm":[4,2,3,1],"exps":[0,2,1,0]}'
+VIOLATION = LatticeViolation("left", "meet", (1, 2), (3, 4))
 
 
 def test_reduce_worked_example(capsys):
@@ -358,6 +365,38 @@ def test_verify_failed_suite_exits_4(capsys, monkeypatch):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.strip() == "homology: d2*d3 != 0"
+
+
+def _one_false_relation(params):
+    """The presentation of params with one false relation, t0 = t1, added."""
+    p = emit_presentation(params)
+    t0, t1 = Generator("t", 0), Generator("t", 1)
+    return p._replace(relations=p.relations + (((t0,), (t1,)),))
+
+
+@pytest.mark.parametrize("suite, owner, name, fault, line", [
+    ("lattice", cli, "verify_lattice", lambda interval: LatticeReport(False, VIOLATION),
+     f"lattice: {VIOLATION}"),
+    ("garside", GarsideStructure, "is_left_greedy", lambda self, nf: False,
+     "garside: normal form not left-greedy"),
+    ("garside", cli, "emit_presentation", _one_false_relation,
+     "garside: relation (Generator(kind='t', index=0),) = "
+     "(Generator(kind='t', index=1),) broken"),
+    ("garside", cli, "embedding_lcm_check", lambda g: False,
+     "garside: embedding lcm compatibility failed"),
+], ids=["lattice", "left-greedy", "relation", "embedding"])
+def test_each_failed_verdict_exits_4_with_its_line(
+    capsys, monkeypatch, suite, owner, name, fault, line
+):
+    """Each failure line of a verify suite, under a fault that makes just
+    that check fail, exits 4 with that one line on stderr and nothing on
+    stdout.  The homology line is test_verify_failed_suite_exits_4's."""
+    monkeypatch.setattr(owner, name, fault)
+    assert run(["verify", "--e", "3", "--n", "3", "--k", "1",
+                "--suite", suite]) == EXIT_VIOLATION
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == line + "\n"
 
 
 def test_interval_lattice_violation_exits_4(capsys, monkeypatch):

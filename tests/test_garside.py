@@ -32,6 +32,7 @@ from geen_garside import (
 )
 from geen_garside.cli import default_grid
 from geen_garside.garside import is_defining_relation
+from geen_garside.homology import differentials
 from conftest import all_k
 
 
@@ -238,6 +239,33 @@ def _pair_spy(g):
     return calls
 
 
+class _HitRow(list):
+    """A row of the letter-pair table that counts its hits, the reads of a
+    stored entry, in hits[0]."""
+
+    def __init__(self, items, hits):
+        super().__init__(items)
+        self.hits = hits
+
+    def __getitem__(self, a):
+        pair = list.__getitem__(self, a)
+        if pair is not None:
+            self.hits[0] += 1
+        return pair
+
+
+def _hit_spy(g):
+    """Allocate the letter-pair table of g, which must not have been used,
+    with rows that count their hits; the list it returns holds the count.
+    The pair steps of a cascade are its normalize_pair calls plus its hits."""
+    hits = [0]
+    rows = g._letter_pairs()
+    for b, row in enumerate(rows):
+        if row is not None:
+            rows[b] = _HitRow(row, hits)
+    return hits
+
+
 def test_nf_product_pushes_only_the_second_factors():
     """The factors of a normal form a are left-greedy already, and stay so
     under tau: a product with a Delta power makes no normalize_pair call at
@@ -264,13 +292,15 @@ def test_nf_product_pushes_only_the_second_factors():
 def test_delta_jumps_to_the_front_with_no_pair_call():
     """A pushed Delta, and the Delta of a right quotient by the identity,
     adds one to the Delta power and maps the factors before it by tau,
-    with no normalize_pair call: a left-greedy list with a Delta put
-    before it or after it makes the calls of the list alone."""
+    with no pair step: a left-greedy list with a Delta put before it or
+    after it makes the pair steps (normalize_pair calls plus letter-pair
+    table hits) of the list alone."""
     g = build_garside(cached_interval(4, 4, 2))
     gens = atoms(g.params)
     tau, delta = g.tau, g.delta
     rng = random.Random(31)
     calls = _pair_spy(g)
+    hits = _hit_spy(g)
     assert g.nf_of_simple(delta) == NormalForm(1, ())
     assert calls == []
     for _ in range(60):
@@ -287,9 +317,10 @@ def test_delta_jumps_to_the_front_with_no_pair_call():
             ([delta] + factors + [delta], NormalForm(2, shifted.factors)),
         ]:
             calls.clear()
+            hits[0] = 0
             got = g.normalize_factors(pushed)
             assert got == expected
-            assert len(calls) == max(len(factors) - 1, 0)
+            assert len(calls) + hits[0] == max(len(factors) - 1, 0)
             assert g.is_left_greedy(got)
             assert g.evaluate_nf(got) == _product(g, pushed)
         # a Delta in the middle: tau maps the factors before it, and the
@@ -386,22 +417,122 @@ def test_is_left_greedy_refuses_a_pair_whose_product_is_simple():
 
 
 def test_pair_calls_of_seeded_words_at_642():
-    """The normalize_pair calls of 300 seeded signed words at (6,4,2), of
-    0 to 13 letters and 40 of 64.  Before Delta went to the front in one
-    tau pass, each Delta walked back pair by pair and the same words made
-    20,948 calls; the count is pinned so that a change in the cascade shows."""
+    """The pair steps of 300 seeded signed words at (6,4,2), of 0 to 13
+    letters and 40 of 64.  Before Delta went to the front in one tau pass,
+    each Delta walked back pair by pair and the same words made 20,948
+    steps; the count is pinned so that a change in the cascade shows.  A
+    step is a normalize_pair call or a hit of the letter-pair table, and
+    the calls are pinned beside the steps."""
     g = build_garside(cached_interval(6, 4, 2))
     gens = atoms(g.params)
     rng = random.Random(642)
     words = [random_word(rng, gens, 14) for _ in range(260)]
     words += [[(rng.choice(gens), rng.choice((1, -1))) for _ in range(64)] for _ in range(40)]
     calls = _pair_spy(g)
+    hits = _hit_spy(g)
     for word in words:
         nf = g.normal_form(word)
         assert g.is_left_greedy(nf)
-    assert len(calls) == 11294
+    assert len(calls) + hits[0] == 11294
+    assert len(calls) == 5751
     for word in words[::10]:
         assert g.evaluate_nf(g.normal_form(word)) == group_value(g, word)
+
+
+@pytest.mark.parametrize("point", [(4, 4, 2), (2, 5, 1)])
+def test_the_letter_pair_table_is_the_walk(point):
+    """After a few hundred seeded words, every entry of the letter-pair
+    table is normalize_pair on a fresh structure over the same interval,
+    rows sit only under letter ordinals, and the entries stay within
+    2 |A| |D|; normalize_pair itself leaves the table unallocated."""
+    g = build_garside(cached_interval(*point))
+    gens = atoms(g.params)
+    rng = random.Random(sum(point))
+    for _ in range(300):
+        word = random_word(rng, gens, 20)
+        assert g.evaluate_nf(g.normal_form(word)) == group_value(g, word)
+    fresh = build_garside(cached_interval(*point))
+    atom_ordinals = g.interval.atom_ordinal.values()
+    letters = set(atom_ordinals) | {g.comp_right[x] for x in atom_ordinals}
+    stored = 0
+    for b, row in enumerate(g._pairs):
+        assert (row is not None) == (b in letters), b
+        for a, pair in enumerate(row or ()):
+            if pair is not None:
+                stored += 1
+                assert pair == fresh.normalize_pair(a, b), (point, a, b)
+    assert 0 < stored <= 2 * len(gens) * len(g.interval)
+    assert fresh._pairs is None
+
+
+def test_products_and_differentials_leave_the_table_unallocated():
+    """nf_product, nf_right_quotient, nf_of_simple and the generic
+    differentials make pair calls on a fresh structure, but read and fill
+    no letter-pair table: their letter pairs barely repeat."""
+    iv = cached_interval(4, 4, 2)
+    g = build_garside(iv)
+    forms = build_garside(iv)  # makes the normal forms, with its own table
+    gens = atoms(g.params)
+    rng = random.Random(5)
+    calls = _pair_spy(g)
+    for _ in range(40):
+        a = forms.normal_form(random_word(rng, gens, 12))
+        b = forms.normal_form(random_word(rng, gens, 12))
+        s = rng.randrange(len(iv))
+        assert g.nf_product(a, b) == forms.nf_product(a, b)
+        assert g.nf_right_quotient(a, s) == forms.nf_right_quotient(a, s)
+        assert g.nf_of_simple(s) == forms.nf_of_simple(s)
+    differentials(g, (2, 3), "generic")
+    assert calls
+    assert g._pairs is None
+
+
+def test_two_structures_over_one_interval_share_no_table():
+    iv = cached_interval(4, 4, 2)
+    g1, g2 = build_garside(iv), build_garside(iv)
+    g1.normal_form("t0 t1 s3^-1 t2 s4 t0^-1")
+    assert g1._pairs is not None and g2._pairs is None
+    g2.normal_form("t0 t1 s3^-1 t2 s4 t0^-1")
+    assert g1._pairs is not g2._pairs
+    assert all(r1 is None or r1 is not r2 for r1, r2 in zip(g1._pairs, g2._pairs))
+
+
+T0, T1 = Generator("t", 0), Generator("t", 1)
+BAD_LETTERS = [
+    ((3, 3, 1), (T0, 0), r"letter Generator\(kind='t', index=0\) has sign 0, not 1 or -1"),
+    ((3, 3, 1), (T0, 2), r"has sign 2, not 1 or -1"),
+    ((3, 3, 1), (T0, -2), r"has sign -2, not 1 or -1"),
+    ((3, 3, 1), (T0, 10**100), r"has sign '10{39}'\.\.\. \(101 characters\), not 1 or -1"),
+    ((3, 3, 1), (Generator("t", 5), 1),
+     r"letter Generator\(kind='t', index=5\) is not an atom of GroupParams\(e=3, n=3, k=1\)"),
+    ((3, 3, 1), (Generator("s", 9), -1), r"letter Generator\(kind='s', index=9\) is not an atom"),
+    ((3, 4, 1), (Generator("s", 2), 1), r"letter Generator\(kind='s', index=2\) is not an atom"),
+]
+
+
+@pytest.mark.parametrize(
+    "point, letter, message", BAD_LETTERS,
+    ids=["sign-0", "sign-2", "sign-minus-2", "sign-long", "t5-at-e3", "s9-at-n3", "s2-at-n4"],
+)
+def test_normal_form_refuses_a_bad_letter(point, letter, message):
+    """A sign other than 1 or -1, or a generator that is not an atom, is
+    refused by a ValueError naming the letter, wherever it sits in the
+    word, before any pair is normalized or stored.  Signs were once read
+    as sign > 0, so (t0, 0) gave the form of t0^(-1) and (t0, 2) that of
+    t0; a non-atom raised a bare KeyError."""
+    g = build_garside(cached_interval(*point))
+    calls = _pair_spy(g)
+    for word in ([letter], [(T0, 1), (T1, -1), letter, (T1, 1)]):
+        with pytest.raises(ValueError, match=message):
+            g.normal_form(word)
+    assert calls == [] and g._pairs is None
+    g.normal_form([(T0, 1), (T1, 1), (T0, -1), (T1, -1)])
+    stored = [list(row) if row else row for row in g._pairs]
+    calls.clear()
+    with pytest.raises(ValueError, match=message):
+        g.normal_form([(T1, 1), (T0, 1), letter])
+    assert calls == []
+    assert [list(row) if row else row for row in g._pairs] == stored
 
 
 class _CountedReads(list):
@@ -750,6 +881,23 @@ def test_embedding_images_and_lcms():
     assert embedding_lcm_check(g2, 1)
     with pytest.raises(ValueError):
         embedding_lcm_check(cached_garside(3, 2, 1))
+
+
+def test_embedding_lcm_check_refuses_a_wrong_join_or_normal_form(monkeypatch):
+    """Both of embedding_lcm_check's verdicts come out False under a fault:
+    left and right joins of two images that disagree, and a join whose
+    normal form is not that of the image of the Artin lcm word."""
+    iv = cached_interval(3, 4, 1)
+    g = build_garside(iv)
+    assert embedding_lcm_check(g)
+    honest = iv.join
+    monkeypatch.setattr(
+        iv, "join", lambda side, a, b: honest(side, a, b) if side == "left" else g.identity
+    )
+    assert not embedding_lcm_check(g)
+    monkeypatch.setattr(iv, "join", honest)
+    monkeypatch.setattr(g, "nf_of_simple", lambda s: NormalForm(0, ()))
+    assert not embedding_lcm_check(g)
 
 
 def test_embedding_q1_q2_join_length():

@@ -249,6 +249,17 @@ def test_cells_are_filtered_once_per_structure(monkeypatch):
     assert calls == []
 
 
+def test_the_identity_has_no_head_atom():
+    """No atom right-divides the identity, so head_atom finds none there,
+    and finds every atom at itself."""
+    from geen_garside.homology import complex_of
+
+    g = cached_garside(3, 3, 1)
+    cx = complex_of(g)
+    assert cx.head_atom(g.identity) is None
+    assert [cx.head_atom(x) for x in cx.atom_ordinal] == list(range(len(cx.atom_ordinal)))
+
+
 @pytest.mark.parametrize(
     "e,n,k", [(3, 3, 2), (2, 4, 1), (4, 3, 1), (8, 4, 2), (3, 5, 2), (12, 3, 1)]
 )
