@@ -286,7 +286,7 @@ def _check_generator(g: Generator, params: GroupParams) -> None:
     if is_atom(g, params):
         return
     if g.kind not in ("t", "s"):
-        raise ValueError(f"unknown generator kind {g.kind!r}")
+        raise ValueError(f"unknown generator kind {shown(g.kind)}")
     bound = f"e={format_count(params.e)}" if g.kind == "t" else f"n={format_count(params.n)}"
     raise ValueError(f"{g.kind}-index {format_count(g.index)} out of range for {bound}")
 
@@ -501,7 +501,7 @@ def enumerate_group(params: GroupParams) -> list[GroupElement]:
 def lambda_power(params: GroupParams, k: int) -> GroupElement:
     """The diagonal element lambda^k = diag(zeta^{-k(n-1)}, zeta^k, ..., zeta^k)."""
     if k < 0:
-        raise ValueError(f"k must be >= 0, got {k}")
+        raise ValueError(f"k must be >= 0, got {format_count(k)}")
     e, n = params.e, params.n
     exps = [(-k * (n - 1)) % e] + [k % e] * (n - 1)
     return GroupElement(e, tuple(range(1, n + 1)), tuple(exps))

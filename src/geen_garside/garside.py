@@ -10,13 +10,13 @@ element exactly when their normal forms coincide, which settles the word
 problem.
 
 Above the interval, simples are only ordinals and every step is an integer
-table lookup.  A pair (a, b) is normalized by one of two walks through the
-interval's atom tables, whichever is shorter: stripping its head t from b
-atom by atom, or stripping comp_left[b] and tau(a) from the right of the
-complement of t.  A product of simples is made left-greedy incrementally:
-each new simple is pushed leftwards until a pair stays unchanged (the
-domino rule).  Matrices come back only in `evaluate_nf`, which serves as
-the oracle.
+table lookup.  A pair (a, b) is normalized by one walk through the
+interval's left atom tables: its head t is stripped atom by atom from b and
+from the complement of a.  No table here is read through the transpose: the
+Garside layer reads left divisibility and complements only.  A product of
+simples is made left-greedy incrementally: each new simple is pushed
+leftwards until a pair stays unchanged (the domino rule).  Matrices come
+back only in `evaluate_nf`, which serves as the oracle.
 
 Words, simples, products and right quotients all take this one path, and
 Delta moves in one way only.  Inverse letters ride on the balanced
@@ -146,9 +146,6 @@ class GarsideStructure:
         self._div_left = interval.div_left
         self._head_left = interval.head_left
         self._down_left = interval.down_left
-        self._flip = interval.flip
-        self._lengths = lengths
-        self._delta_len = delta_len
         self._atom = interval.atom_ordinal
         self._pairs: list | None = None  # the letter-pair table, see _letter_pairs
 
@@ -159,7 +156,7 @@ class GarsideStructure:
         of one), and None otherwise.  tau maps letters to letters, so the
         tau-framed simples of `_push` find their rows too."""
         if self._pairs is None:
-            size = len(self._lengths)
+            size = len(self.comp_left)
             rows = [None] * size
             for x in self._atom.values():
                 rows[x] = [None] * size
@@ -174,40 +171,18 @@ class GarsideStructure:
 
         The lattice has been verified at build time, so the meet candidate
         (top ordinal of the intersected divisor bitsets) needs no recheck.
-        Either walk strips atoms through the left atom tables, and takes
-        the shorter of:
-
-        * l(t) steps on the left: t is stripped atom by atom from b and from
-          c = complement(a) = a^(-1) Delta, both of which it left-divides.
-          What is left of c is (a t)^(-1) Delta, whose left complement is
-          a t.
-        * l(Delta) - l(b) + l(a) steps on the complements: with
-          u = comp_left[t], t^(-1) b = u comp_left[b]^(-1) and
-          t^(-1) c = u tau(a)^(-1), two right quotients of u.  A right
-          quotient is a left quotient of transposes, so these two walks run
-          on the same tables, read through flip.
+        t is stripped atom by atom, in l(t) steps through the left atom
+        tables, from b and from c = complement(a) = a^(-1) Delta, both of
+        which it left-divides.  What is left of c is (a t)^(-1) Delta, whose
+        left complement is a t.
         """
         identity = self.identity
-        comp_left = self.comp_left
-        c = comp_left[a]
+        c = self.comp_left[a]
         div = self._div_left
         t = (div[c] & div[b]).bit_length() - 1
         if t == identity:
             return a, b
         head, down = self._head_left, self._down_left
-        lengths = self._lengths
-        if self._delta_len - lengths[b] + lengths[a] < lengths[t]:
-            flip = self._flip
-            u = flip[comp_left[t]]
-            x, b = flip[comp_left[b]], u
-            while x != identity:
-                row = down[head[x]]
-                x, b = row[x], row[b]
-            x, c = flip[self.tau[a]], u
-            while x != identity:
-                row = down[head[x]]
-                x, c = row[x], row[c]
-            return self.comp_right[flip[c]], flip[b]
         while t != identity:
             row = down[head[t]]
             t, b, c = row[t], row[b], row[c]
@@ -501,11 +476,12 @@ def matsumoto_check(g: GarsideStructure, w: GroupElement) -> bool:
     BFS over words, applying every defining relation at every position in
     both directions.  Relations preserve letter count and group image, so the
     closure can only contain reduced expressions of w; the check is that it
-    contains all of them.  More than MATSUMOTO_CAP reduced expressions, or
-    closure words, raise `CapExceededError`.
+    contains all of them.  More than MATSUMOTO_CAP reduced expressions
+    (counted before any is listed), or closure words, raise
+    `CapExceededError` naming garside.MATSUMOTO_CAP.
     """
     params = g.params
-    expressions = all_reduced_expressions(w, params, cap=MATSUMOTO_CAP)
+    expressions = all_reduced_expressions(w, params, MATSUMOTO_CAP, "garside.MATSUMOTO_CAP")
     target = set(expressions)
     moves = []
     for lhs, rhs in emit_presentation(params).relations:

@@ -39,17 +39,19 @@ giving the integer matrices d_1, ..., d_{top+1}.
 Homology is ker(d_r)/im(d_{r+1}), read off integer Smith diagonals by one
 formula, `homology_of`: the cokernel of d_{r+1} with the rank of d_r taken
 off its free part, so no kernel basis is ever formed.  Above the interval,
-cells and their faces are only ordinals: the cofactors that the boundary
-maps need are left quotients of complements, which the Garside layer's
-`normalize_pair` computes by the same pair step that makes normal forms
-left-weighted.
+cells and their faces are only ordinals, and right divisibility is read
+through left complements, never the transpose: the head condition tests
+which atoms' complements the lcm's complement left-divides, and the
+cofactors that the boundary maps need are left quotients of complements,
+which the Garside layer's `normalize_pair` computes by the same pair step
+that makes normal forms left-weighted.
 """
 
 from __future__ import annotations
 
 import math
 
-from .core import Generator, GroupParams, admit, braid_m, format_count, lcm_word
+from .core import Generator, GroupParams, admit, braid_m, format_count, lcm_word, shown
 from .garside import GarsideStructure, NormalForm
 from .interval import TheoremViolationError
 from .snf import AbelianGroup, mat_mul, quotient_group, smith_normal_form, zero_matrix
@@ -112,12 +114,15 @@ class CellComplex:
         return cached
 
     def head_atom(self, member: int) -> int | None:
-        """Position of the least atom right-dividing a simple: x <= m on the
-        right exactly when x^T <= m^T on the left."""
-        flip = self.interval.flip
-        transposed = self.interval.div_left[flip[member]]
+        """Position of the least atom right-dividing a simple m, read, as in
+        `cofactor`, through left complements: x right-divides m exactly when
+        comp_right[m] left-divides comp_right[x], since
+        comp_right[x] = Delta x^(-1) = (Delta m^(-1)) (m x^(-1)) and m x^(-1)
+        is a simple exactly when x right-divides m."""
+        comp_right, div = self.interval.comp_right, self.interval.div_left
+        m = comp_right[member]
         for p, ordinal in enumerate(self.atom_ordinal):
-            if (transposed >> flip[ordinal]) & 1:
+            if (div[comp_right[ordinal]] >> m) & 1:
                 return p
         return None
 
@@ -433,7 +438,7 @@ def differentials(
     `_GenericDifferential`, so a higher degree reuses the chains of a lower
     one; "both" raises on any disagreement."""
     if method not in METHODS:
-        raise ValueError(f"unknown method {method!r}")
+        raise ValueError(f"unknown method {shown(method)}")
     generic = None if method == "closed" else _GenericDifferential(complex_of(g))
     out = []
     for r in degrees:

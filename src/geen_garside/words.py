@@ -35,7 +35,6 @@ from functools import lru_cache
 from itertools import compress
 
 from .core import (
-    CapExceededError,
     Generator,
     GroupElement,
     GroupParams,
@@ -262,34 +261,36 @@ def maximal_length_elements(params: GroupParams) -> list[GroupElement]:
 
 
 def all_reduced_expressions(
-    w: GroupElement, params: GroupParams, cap: int = 10**5
+    w: GroupElement,
+    params: GroupParams,
+    cap: int = 10**5,
+    knob: str = "the cap of all_reduced_expressions",
 ) -> list[tuple[Generator, ...]]:
-    """Every minimal word for w, by descent through length-decreasing letters."""
-    gens = [(x, generator_matrix(x, params)) for x in atoms(params)]
-    memo: dict[GroupElement, list[tuple[Generator, ...]]] = {}
-    budget = cap
+    """Every minimal word for w, by descent through length-decreasing letters.
 
-    def rec(u: GroupElement) -> list[tuple[Generator, ...]]:
-        nonlocal budget
+    Their number is counted first, with no word listed: an integer for each
+    element below w, the sum of those of the elements its length-decreasing
+    letters lead to.  `admit` admits it against cap, naming knob in a
+    refusal, before any word is listed.
+    """
+    gens = [(x, generator_matrix(x, params)) for x in atoms(params)]
+
+    @lru_cache(maxsize=None)
+    def below(u: GroupElement) -> list[tuple[Generator, GroupElement]]:
+        return [(x, multiply(xmat, u)) for x, xmat in gens if length_decreases(x, u)]
+
+    @lru_cache(maxsize=None)
+    def count(u: GroupElement) -> int:
+        return 1 if u.is_identity() else sum(count(v) for _, v in below(u))
+
+    @lru_cache(maxsize=None)
+    def listed(u: GroupElement) -> list[tuple[Generator, ...]]:
         if u.is_identity():
             return [()]
-        cached = memo.get(u)
-        if cached is not None:
-            return cached
-        out: list[tuple[Generator, ...]] = []
-        for x, xmat in gens:
-            if length_decreases(x, u):
-                for tail in rec(multiply(xmat, u)):
-                    out.append((x,) + tail)
-                    budget -= 1
-                    if budget < 0:
-                        raise CapExceededError(
-                            f"more than {cap} reduced expressions"
-                        )
-        memo[u] = out
-        return out
+        return [(x,) + tail for x, v in below(u) for tail in listed(v)]
 
-    return rec(w)
+    admit("the element's reduced expressions", (count(w),), cap, knob)
+    return listed(w)
 
 
 def cayley_length_table(params: GroupParams) -> dict[GroupElement, int]:

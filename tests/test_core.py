@@ -368,6 +368,29 @@ def test_lambda_power_values():
     assert lam2 == multiply(lam, lam)
 
 
+def test_lambda_power_refuses_a_negative_exponent_in_one_short_line():
+    """A negative exponent is named through `format_count`, so one past
+    Python's 4,300-digit string limit is refused in lambda_power's own
+    words, not by the limit's ValueError."""
+    params = GroupParams(3, 3)
+    with pytest.raises(ValueError, match=r"^k must be >= 0, got -3$"):
+        lambda_power(params, -3)
+    with pytest.raises(ValueError) as info:
+        lambda_power(params, -(10**5000))
+    assert str(info.value) in (
+        "k must be >= 0, got -<about 5001 digits>", "k must be >= 0, got -<about 5002 digits>"
+    )
+
+
+def test_an_unknown_generator_kind_is_shown_cut():
+    params = GroupParams(3, 3)
+    with pytest.raises(ValueError, match=r"^unknown generator kind 'u'$"):
+        generator_matrix(Generator("u", 0), params)
+    with pytest.raises(ValueError) as info:
+        generator_matrix(Generator("u" * 100000, 0), params)
+    assert str(info.value) == f"unknown generator kind {'u' * 40!r}... (100000 characters)"
+
+
 def test_transpose_is_antiautomorphism():
     params = GroupParams(4, 3)
     group = enumerate_group(params)

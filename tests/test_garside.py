@@ -545,13 +545,12 @@ class _CountedReads(list):
         return list.__getitem__(self, i)
 
 
-def test_normalize_pair_takes_both_walks_against_matrix_route(monkeypatch):
+def test_normalize_pair_strips_the_head_against_matrix_route(monkeypatch):
     """normalize_pair at (6,4,2) and (2,5,1), past the size limit of the
     all-pairs check, on every (atom, co-atom) pair and on seeded pairs,
-    against (a t, t^(-1) b) by group arithmetic.  The checked pairs take
-    both walks: l(Delta) - l(b) + l(a) < l(t) picks the complements.  Each
-    atom stripped reads head_left once, so the reads count the steps, which
-    must be the shorter walk's."""
+    against (a t, t^(-1) b) by group arithmetic.  Each atom stripped reads
+    head_left once, so the reads count the steps, which must be l(t): the
+    head is stripped atom by atom, and no other walk is taken."""
     for point in [(6, 4, 2), (2, 5, 1)]:
         g = cached_garside(*point)
         heads = _CountedReads(g._head_left)
@@ -565,22 +564,15 @@ def test_normalize_pair_takes_both_walks_against_matrix_route(monkeypatch):
         rng = random.Random(sum(point))
         pairs = [(a, b) for a in atoms_ for b in coatoms]
         pairs += [(rng.randrange(len(iv)), rng.randrange(len(iv))) for _ in range(1500)]
-        walks = set()
         for a, b in pairs:
             t = iv.meet("left", g.comp_left[a], b)
-            steps = 0
-            if t != g.identity:
-                complements = top - lengths[b] + lengths[a]
-                walks.add(complements < lengths[t])
-                steps = min(complements, lengths[t])
             expected = (
                 iv.index[multiply(members[a], members[t])],
                 iv.index[multiply(inverse(members[t]), members[b])],
             )
             heads.reads = 0
             assert g.normalize_pair(a, b) == expected, (point, a, b)
-            assert heads.reads == steps, (point, a, b)
-        assert walks == {False, True}, point
+            assert heads.reads == lengths[t], (point, a, b)
 
 
 def _nf(pair):
@@ -863,13 +855,28 @@ def test_matsumoto_closure_cap_names_the_setting(monkeypatch):
 
     listed = garside.all_reduced_expressions
     monkeypatch.setattr(garside, "all_reduced_expressions",
-                        lambda w, params, cap: listed(w, params)[:1])
+                        lambda w, params, cap, knob: listed(w, params)[:1])
     monkeypatch.setattr(garside, "MATSUMOTO_CAP", 5)  # the 5 relations pass it
     g = cached_garside(3, 3, 1)
     with pytest.raises(CapExceededError) as info:
         matsumoto_check(g, g.interval.element(g.delta))
     assert str(info.value) == (
         "rewriting closure words = 6 exceeds the cap 5 (set by garside.MATSUMOTO_CAP)"
+    )
+
+
+def test_matsumoto_expression_cap_names_the_setting(monkeypatch):
+    """Delta's 6,570 reduced expressions at (3,4,1) are counted before any
+    is listed, and past MATSUMOTO_CAP refused naming it."""
+    from geen_garside import garside
+
+    g = cached_garside(3, 4, 1)
+    monkeypatch.setattr(garside, "MATSUMOTO_CAP", 6569)
+    with pytest.raises(CapExceededError) as info:
+        matsumoto_check(g, g.interval.element(g.delta))
+    assert str(info.value) == (
+        "the element's reduced expressions = 6570 exceeds the cap 6569"
+        " (set by garside.MATSUMOTO_CAP)"
     )
 
 

@@ -286,6 +286,40 @@ def test_cells_against_brute_force(e, n, k):
         assert brute == cx.cells[r]
 
 
+def test_head_atom_against_matrices():
+    """head_atom(m) is the first atom x of the atom order with
+    l(m x) = l(m) - 1, by group arithmetic, at every member of every
+    n >= 3 default-grid point and of (2,5,1); it is None at the identity
+    alone.  The atoms are reflections, so m x = m x^(-1)."""
+    from geen_garside.core import generator_matrix, multiply
+    from geen_garside.homology import complex_of
+    from geen_garside.words import length
+
+    points = [(c.e, c.n, c.k) for c in default_grid() if c.n >= 3] + [(2, 5, 1)]
+    for point in points:
+        cx = complex_of(cached_garside(*point))
+        iv = cx.interval
+        matrices = [generator_matrix(x, iv.params) for x in cx.order]
+        for m, w in enumerate(iv.members):
+            below = length(w) - 1
+            expected = next(
+                (p for p, x in enumerate(matrices) if length(multiply(w, x)) == below), None
+            )
+            assert cx.head_atom(m) == expected, (point, m)
+            assert (expected is None) == (m == iv.identity_ordinal), (point, m)
+
+
+def test_an_unknown_method_is_shown_cut():
+    """differentials names an unknown method through `shown`: a 100,000
+    character one gives a line of its first 40 and its length."""
+    g = cached_garside(3, 3, 1)
+    with pytest.raises(ValueError, match=r"^unknown method 'x'$"):
+        differentials(g, (2,), "x")
+    with pytest.raises(ValueError) as info:
+        differentials(g, (2,), "x" * 100000)
+    assert str(info.value) == f"unknown method {'x' * 40!r}... (100000 characters)"
+
+
 def test_cells_by_extension_join_only_cells_and_their_extensions():
     """The complex forms the lcm of each cell and of each one-atom extension
     p < c[0] of a cell, and nothing else: at (40,3,1) the 3-cells are the

@@ -100,6 +100,21 @@ def names_used(tree: ast.AST) -> list[str]:
     return used
 
 
+def transpose_reads(path: pathlib.Path) -> set[str]:
+    """The names flip or _flip, the transpose permutation, where a module
+    reads or writes them as an ast.Name or an attribute."""
+    return {"flip", "_flip"} & set(names_used(ast.parse(path.read_text())))
+
+
+def test_no_layer_above_the_interval_reads_the_transpose():
+    """Only interval.py knows that the right order is the left order read
+    through the transpose; the Garside and homology layers read left
+    divisibility and complements alone.  The check sees interval.py's reads."""
+    assert transpose_reads(SRC / "interval.py") == {"flip"}
+    assert transpose_reads(SRC / "garside.py") == set()
+    assert transpose_reads(SRC / "homology.py") == set()
+
+
 def dead_definitions(library: dict[str, str], others: list[str]) -> list[str]:
     """Definitions of the library sources named nowhere but inside themselves.
 

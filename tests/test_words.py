@@ -236,3 +236,21 @@ def test_all_reduced_expressions_complete_and_capped():
         assert evaluate_word(w, params) == lam
     with pytest.raises(CapExceededError):
         all_reduced_expressions(lam, params, cap=3)
+
+
+def test_the_reduced_expression_cap_counts_only_the_expressions():
+    """lambda at (3,4) has 6,570 reduced expressions: a cap of 6,570 lists
+    them all, and 6,569 is refused in `core.admit`'s shape with the size
+    6,570.  Each word appended at every level of the listing once took a
+    unit of the cap, so every cap up to 25,973 refused lambda."""
+    params = GroupParams(3, 4)
+    lam = lambda_power(params, 1)
+    words = all_reduced_expressions(lam, params, cap=6570)
+    assert len(words) == len(set(words)) == 6570
+    assert all(len(w) == 12 and evaluate_word(w, params) == lam for w in words[::97])
+    with pytest.raises(CapExceededError) as info:
+        all_reduced_expressions(lam, params, cap=6569)
+    assert str(info.value) == (
+        "the element's reduced expressions = 6570 exceeds the cap 6569"
+        " (set by the cap of all_reduced_expressions)"
+    )
